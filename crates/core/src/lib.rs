@@ -23,9 +23,6 @@
 //!   kernels, with packed-byte and MAC accounting.
 //! - [`pool`] — the process-wide compute pool (sized by
 //!   `available_parallelism`) that the forward passes and paro-serve share.
-//! - [`placement`] — the greedy (LPT) head-group placement planner that
-//!   packs heads into balanced shard groups from their calibrated
-//!   per-head MAC/bit costs, used by paro-serve's sharded engine.
 //! - [`cancel`] — cooperative per-request deadlines, checked between
 //!   pipeline stages so an expired request stops mid-service.
 //! - [`analysis`] — the data-distribution analysis behind Fig. 1.
@@ -63,7 +60,6 @@ pub mod int_pipeline;
 pub mod ldz;
 pub mod methods;
 pub mod pipeline;
-pub mod placement;
 pub mod pool;
 pub mod reorder;
 pub mod sensitivity;

@@ -86,11 +86,6 @@ struct PoolState {
     busy_ns: std::sync::atomic::AtomicU64,
     /// Jobs executed on pool workers (inline nested execution excluded).
     executed_jobs: std::sync::atomic::AtomicU64,
-    /// Detail string attached to this pool's `pool.execute` spans so a
-    /// trace summary can split execution time per pool (e.g. per shard).
-    /// [`paro_trace::NO_DETAIL`] for unlabeled pools — identical trace
-    /// output to a pool that predates labeling.
-    label: &'static str,
 }
 
 /// A point-in-time view of the pool's cumulative execution accounting.
@@ -145,15 +140,6 @@ pub struct ComputePool {
 impl ComputePool {
     /// Creates a pool with `threads` workers (at least 1).
     pub fn new(threads: usize) -> Self {
-        Self::with_label(threads, paro_trace::NO_DETAIL)
-    }
-
-    /// Creates a pool whose `pool.execute` spans carry `label` as the
-    /// span detail, so trace summaries can attribute execution time to
-    /// this specific pool. The sharded serving engine labels each shard's
-    /// pool (`shard0`, `shard1`, …) and reads the per-shard skew back out
-    /// of the summary.
-    pub fn with_label(threads: usize, label: &'static str) -> Self {
         let threads = threads.max(1);
         let state = Arc::new(PoolState {
             queue: Mutex::new(PoolQueue {
@@ -163,7 +149,6 @@ impl ComputePool {
             available: Condvar::new(),
             busy_ns: std::sync::atomic::AtomicU64::new(0),
             executed_jobs: std::sync::atomic::AtomicU64::new(0),
-            label,
         });
         let workers = (0..threads)
             .map(|i| {
@@ -203,18 +188,6 @@ impl ComputePool {
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.workers.len()
-    }
-
-    /// The label attached to this pool's `pool.execute` spans
-    /// ([`paro_trace::NO_DETAIL`] for unlabeled pools).
-    pub fn label(&self) -> &'static str {
-        self.state.label
-    }
-
-    /// Jobs currently queued and not yet picked up by a worker — a
-    /// point-in-time depth for per-pool backlog metrics.
-    pub fn queue_depth(&self) -> usize {
-        relock(&self.state.queue).jobs.len()
     }
 
     /// Cumulative execution accounting since pool creation. Snapshot
@@ -354,8 +327,7 @@ impl ComputePool {
                     // the last result arrives.
                     let started = std::time::Instant::now();
                     let outcome = {
-                        let _execute =
-                            paro_trace::span_detailed(paro_trace::stage::POOL_EXECUTE, state.label);
+                        let _execute = paro_trace::span(paro_trace::stage::POOL_EXECUTE);
                         catch_unwind(AssertUnwindSafe(|| guarded(job)))
                     };
                     use std::sync::atomic::Ordering::Relaxed;
@@ -616,42 +588,6 @@ mod tests {
             later.busy_fraction_since(&s, std::time::Duration::from_nanos(1)),
             1.0
         );
-    }
-
-    #[test]
-    fn labels_default_to_no_detail_and_round_trip() {
-        let pool = ComputePool::new(1);
-        assert_eq!(pool.label(), paro_trace::NO_DETAIL);
-        let labeled = ComputePool::with_label(1, "shard0");
-        assert_eq!(labeled.label(), "shard0");
-        assert_eq!(labeled.run(|| 3), 3);
-    }
-
-    #[test]
-    fn queue_depth_reports_waiting_jobs() {
-        let pool = Arc::new(ComputePool::new(1));
-        assert_eq!(pool.queue_depth(), 0);
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let (started_tx, started_rx) = mpsc::channel::<()>();
-        let submitter = {
-            let pool = Arc::clone(&pool);
-            std::thread::spawn(move || {
-                let mut jobs: Vec<Box<dyn FnOnce() + Send>> = vec![Box::new(move || {
-                    started_tx.send(()).unwrap();
-                    let _ = release_rx.recv();
-                })];
-                jobs.extend((0..3).map(|_| Box::new(|| {}) as Box<dyn FnOnce() + Send>));
-                pool.run_many(jobs);
-            })
-        };
-        // All four jobs are enqueued under one lock before the worker
-        // wakes; once the first reports in, the worker is pinned on it
-        // and exactly the other three are waiting.
-        started_rx.recv().unwrap();
-        assert_eq!(pool.queue_depth(), 3);
-        release_tx.send(()).unwrap();
-        submitter.join().unwrap();
-        assert_eq!(pool.queue_depth(), 0);
     }
 
     #[test]

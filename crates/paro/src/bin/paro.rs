@@ -4,7 +4,7 @@
 
 use paro::cli::{
     parse_args, ChaosBenchOpts, CliCommand, DriftBenchOpts, PerfBenchOpts, ServeBenchOpts,
-    ShardBenchOpts, SoakBenchOpts, TraceOpts, USAGE,
+    SoakBenchOpts, TraceOpts, USAGE,
 };
 use paro::core::calibration::{calibrate_head, HeadCalibration};
 use paro::core::int_pipeline::run_attention_calibrated_int;
@@ -15,8 +15,7 @@ use paro::prelude::*;
 use paro::report::{
     diff_stage_medians, format_diff_table, missing_baseline_stages, stage_rows, AttnVThroughput,
     ChaosBenchReport, DriftBenchReport, InjectedFaultRow, IntPathComparison, PerfBenchReport,
-    PerfStageRow, ServeBenchReport, ShardBenchReport, ShardScaleRow, ShardSpanRow, SoakBenchReport,
-    SoakRunReport, SoakTenantRow,
+    PerfStageRow, ServeBenchReport, SoakBenchReport, SoakRunReport, SoakTenantRow,
 };
 use paro::serve::workload::{
     open_loop_arrivals, scaled_config, synthetic_requests, synthetic_requests_at_phase,
@@ -24,7 +23,7 @@ use paro::serve::workload::{
 };
 use paro::serve::{
     CalibrationSource, Engine, PlanHealth, RecalibrationPolicy, ServeConfig, TenantClass, Watchdog,
-    WatchdogConfig, WavePolicy,
+    WatchdogConfig,
 };
 use paro::sim::OpCategory;
 use paro::tensor::kernel;
@@ -124,7 +123,6 @@ fn run(cmd: CliCommand) -> Result<(), Box<dyn std::error::Error>> {
         CliCommand::SoakBench(opts) => soak_bench(&opts),
         CliCommand::DriftBench(opts) => drift_bench(&opts),
         CliCommand::PerfBench(opts) => perf_bench(&opts),
-        CliCommand::ShardBench(opts) => shard_bench(&opts),
         CliCommand::Plan {
             grid,
             pattern,
@@ -222,10 +220,7 @@ struct Workload {
     spec: WorkloadSpec,
 }
 
-fn build_workload(
-    opts: &ServeBenchOpts,
-    shards: usize,
-) -> Result<Workload, Box<dyn std::error::Error>> {
+fn build_workload(opts: &ServeBenchOpts) -> Result<Workload, Box<dyn std::error::Error>> {
     let model = scaled_config(
         &ModelConfig::cogvideox_2b(),
         opts.grid.frames(),
@@ -240,7 +235,6 @@ fn build_workload(
         budget: opts.budget,
         default_deadline: (opts.deadline_ms > 0).then(|| Duration::from_millis(opts.deadline_ms)),
         plan_artifact: opts.plan.as_ref().map(PathBuf::from),
-        shards,
         ..ServeConfig::default()
     };
     let engine = Engine::new(cfg, model.clone(), source)?;
@@ -314,7 +308,7 @@ fn record_kernel_dispatch() {
 }
 
 fn serve_bench(opts: &ServeBenchOpts) -> Result<(), Box<dyn std::error::Error>> {
-    let wl = build_workload(opts, 1)?;
+    let wl = build_workload(opts)?;
     let requests = synthetic_requests(&wl.spec);
     // Record the batch; in a compiled-out build the session is inert and
     // the stage table stays empty.
@@ -420,7 +414,7 @@ fn chaos_bench(opts: &ChaosBenchOpts) -> Result<(), Box<dyn std::error::Error>> 
     let t0 = Instant::now();
     // Baseline: a never-faulted engine over the same workload.
     let baseline_bits = {
-        let wl = build_workload(&opts.bench, 1)?;
+        let wl = build_workload(&opts.bench)?;
         let outcome = wl.engine.run_batch(synthetic_requests(&wl.spec));
         batch_output_bits(&outcome)
             .ok_or("baseline batch failed; chaos-bench needs a clean baseline")?
@@ -428,7 +422,7 @@ fn chaos_bench(opts: &ChaosBenchOpts) -> Result<(), Box<dyn std::error::Error>> 
     // Chaos: arm the fault schedule, run the same workload on a fresh
     // engine, and let the fault-tolerance machinery absorb it. Injected
     // panics are expected and contained — keep stderr readable.
-    let wl = build_workload(&opts.bench, 1)?;
+    let wl = build_workload(&opts.bench)?;
     let armed = arm_faults(opts);
     std::panic::set_hook(Box::new(|_| {}));
     let chaos = wl.engine.run_batch(synthetic_requests(&wl.spec));
@@ -480,13 +474,12 @@ fn chaos_bench(opts: &ChaosBenchOpts) -> Result<(), Box<dyn std::error::Error>> 
 /// failed requests), in submission order.
 type SoakOutputs = Vec<Option<Vec<u32>>>;
 
-/// One policy run of a soak: submit the two-tenant stream on the
-/// open-loop arrival clock, wait for every admitted request, and collect
-/// engine metrics, scheduler accounting, shared-pool occupancy and
-/// per-index output bits (`None` for rejected or failed requests).
+/// One soak run: submit the two-tenant stream on the open-loop arrival
+/// clock, wait for every admitted request, and collect engine metrics,
+/// scheduler accounting, shared-pool occupancy and per-index output bits
+/// (`None` for rejected or failed requests).
 fn soak_run(
     opts: &SoakBenchOpts,
-    policy: WavePolicy,
 ) -> Result<(SoakRunReport, SoakOutputs), Box<dyn std::error::Error>> {
     let b = &opts.bench;
     let model = scaled_config(
@@ -508,7 +501,6 @@ fn soak_run(
             TenantClass::new("interactive", w0),
             TenantClass::new("batch", w1),
         ],
-        wave_policy: policy,
         ..ServeConfig::default()
     };
     let engine = Engine::new(cfg, model.clone(), source)?;
@@ -578,11 +570,6 @@ fn soak_run(
         })
         .collect();
     let run = SoakRunReport {
-        wave_policy: match policy {
-            WavePolicy::Drain => "drain",
-            WavePolicy::Continuous => "continuous",
-        }
-        .to_string(),
         wall_ms: wall.as_secs_f64() * 1e3,
         completed: snap.completed,
         failed: snap.failed,
@@ -603,14 +590,14 @@ fn soak_run(
     Ok((run, outputs))
 }
 
-/// Folds repeated runs of one wave policy into a single report: event
-/// counters are summed across repeats, while wall time, busy fractions
-/// and latency quantiles are averaged (quantiles of same-shape runs, so
-/// the mean is a fair summary rather than a re-estimate).
+/// Folds repeated runs into a single report: event counters are summed
+/// across repeats, while wall time, busy fractions and latency quantiles
+/// are averaged (quantiles of same-shape runs, so the mean is a fair
+/// summary rather than a re-estimate).
 fn aggregate_runs(runs: Vec<SoakRunReport>) -> SoakRunReport {
     let n = runs.len() as f64;
     let mut iter = runs.into_iter();
-    let mut acc = iter.next().expect("at least one run per policy");
+    let mut acc = iter.next().expect("at least one run");
     for run in iter {
         acc.wall_ms += run.wall_ms;
         acc.completed += run.completed;
@@ -667,41 +654,24 @@ fn soak_bench(opts: &SoakBenchOpts) -> Result<(), Box<dyn std::error::Error>> {
         paro::serve::admission::request_cost(model.grid.len(), model.head_dim(), b.budget, None);
     let predicted =
         paro::sim::dispatch::predicted_wave_occupancy(&vec![cost; b.requests], b.threads);
-    // Alternate drain (the old per-request barrier engine) and continuous
-    // batching at the same offered rate on the same arrival schedule,
-    // `--repeat` times; alternating keeps slow drift (CPU frequency, page
-    // cache) from biasing one policy. Every run must produce the same
-    // bits for every request index it completed — this pins determinism
-    // both across policies and across repeats of the same policy.
-    let mut drain_runs = Vec::with_capacity(opts.repeat);
-    let mut cont_runs = Vec::with_capacity(opts.repeat);
+    // Run the same arrival schedule `--repeat` times. Every run must
+    // produce the same bits for every request index it completed — this
+    // pins determinism across repeats whatever the scheduler interleaving.
+    let mut runs = Vec::with_capacity(opts.repeat);
     let mut reference: SoakOutputs = vec![None; b.requests];
     let mut outputs_bit_identical = true;
     for _ in 0..opts.repeat {
-        for policy in [WavePolicy::Drain, WavePolicy::Continuous] {
-            let (run, bits) = soak_run(opts, policy)?;
-            for (slot, got) in reference.iter_mut().zip(bits) {
-                if let Some(got) = got {
-                    match slot {
-                        Some(want) => outputs_bit_identical &= *want == got,
-                        None => *slot = Some(got),
-                    }
+        let (run, bits) = soak_run(opts)?;
+        for (slot, got) in reference.iter_mut().zip(bits) {
+            if let Some(got) = got {
+                match slot {
+                    Some(want) => outputs_bit_identical &= *want == got,
+                    None => *slot = Some(got),
                 }
             }
-            match policy {
-                WavePolicy::Drain => drain_runs.push(run),
-                WavePolicy::Continuous => cont_runs.push(run),
-            }
         }
+        runs.push(run);
     }
-    let drain = aggregate_runs(drain_runs);
-    let continuous = aggregate_runs(cont_runs);
-    let occupancy_gain = continuous.pool_busy_fraction - drain.pool_busy_fraction;
-    let p99_speedup = if continuous.total_p99_ms > 0.0 && drain.total_p99_ms > 0.0 {
-        drain.total_p99_ms / continuous.total_p99_ms
-    } else {
-        0.0
-    };
     let report = SoakBenchReport {
         model: model.name.clone(),
         tokens: model.grid.len(),
@@ -713,10 +683,7 @@ fn soak_bench(opts: &SoakBenchOpts) -> Result<(), Box<dyn std::error::Error>> {
         seed: b.seed,
         repeat: opts.repeat,
         predicted_wave_occupancy: predicted,
-        drain,
-        continuous,
-        occupancy_gain,
-        p99_speedup,
+        continuous: aggregate_runs(runs),
         outputs_bit_identical,
     };
     let json = serde_json::to_string_pretty(&report)?;
@@ -725,20 +692,17 @@ fn soak_bench(opts: &SoakBenchOpts) -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("{json}");
     eprintln!(
-        "soak @ {:.0} req/s x{}: occupancy {:.2} -> {:.2} ({:+.2}), \
-         aggregate p99 {:.1} ms -> {:.1} ms ({:.2}x), outputs bit-identical: {}",
+        "soak @ {:.0} req/s x{}: occupancy {:.2} (predicted {:.2}), \
+         aggregate p99 {:.1} ms, outputs bit-identical: {}",
         report.rate_per_sec,
         report.requests,
-        report.drain.pool_busy_fraction,
         report.continuous.pool_busy_fraction,
-        report.occupancy_gain,
-        report.drain.total_p99_ms,
+        report.predicted_wave_occupancy,
         report.continuous.total_p99_ms,
-        report.p99_speedup,
         report.outputs_bit_identical,
     );
     if !report.outputs_bit_identical {
-        return Err("soak runs diverged: the wave policy changed request outputs".into());
+        return Err("soak runs diverged: repeats changed request outputs".into());
     }
     Ok(())
 }
@@ -1207,173 +1171,13 @@ fn perf_bench(opts: &PerfBenchOpts) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// One shard-bench run: the workload at a fixed shard count under a trace
-/// session, returning the batch outputs, the wall clock, the metrics
-/// snapshot, the placement's planned imbalance and the recorded spans.
-struct ShardRun {
-    bits: Vec<Vec<u32>>,
-    wall_ms: f64,
-    snap: paro::serve::MetricsSnapshot,
-    planned_imbalance_pct: f64,
-    records: Vec<paro::trace::SpanRecord>,
-}
-
-fn shard_run(b: &ServeBenchOpts, shards: usize) -> Result<ShardRun, Box<dyn std::error::Error>> {
-    let wl = build_workload(b, shards)?;
-    let requests = synthetic_requests(&wl.spec);
-    let session = paro::trace::TraceSession::start();
-    record_kernel_dispatch();
-    let t0 = Instant::now();
-    let outcome = wl.engine.run_batch(requests);
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    // Joining the workers orders the final pool spans before the snapshot.
-    wl.engine.shutdown();
-    let trace = session.finish();
-    let bits = batch_output_bits(&outcome)
-        .ok_or_else(|| format!("shard-bench batch failed at {shards} shard(s)"))?;
-    Ok(ShardRun {
-        bits,
-        wall_ms,
-        snap: wl.engine.metrics_snapshot(),
-        planned_imbalance_pct: wl.engine.shard_set().planned_imbalance_pct(),
-        records: trace.records,
-    })
-}
-
-fn shard_bench(opts: &ShardBenchOpts) -> Result<(), Box<dyn std::error::Error>> {
-    let b = &opts.bench;
-    let model = scaled_config(
-        &ModelConfig::cogvideox_2b(),
-        b.grid.frames(),
-        b.grid.height(),
-        b.grid.width(),
-    );
-    let spec = WorkloadSpec {
-        model: model.clone(),
-        requests: b.requests,
-        blocks: b.blocks,
-        heads: b.heads,
-        seed: b.seed,
-    };
-    // Roofline prediction at head-group granularity: request r hits pair
-    // r % distinct_heads, so a group's load is its request count times the
-    // uniform per-request cost — the same costs the placement packs when
-    // no artifact is loaded.
-    let pairs = spec.distinct_heads();
-    let cost =
-        paro::serve::admission::request_cost(model.grid.len(), model.head_dim(), b.budget, None);
-    let head_costs: Vec<f64> = (0..pairs)
-        .map(|p| cost * (b.requests / pairs + usize::from(p < b.requests % pairs)) as f64)
-        .collect();
-    let curve = paro::sim::dispatch::predicted_shard_scaling(&head_costs, opts.shards);
-    let mut baseline: Option<ShardRun> = None;
-    let mut scaling = Vec::with_capacity(opts.shards);
-    let mut shard_spans = Vec::new();
-    let mut bit_identical = true;
-    let mut measured_imbalance_pct = 0.0;
-    for k in 1..=opts.shards {
-        let run = shard_run(b, k)?;
-        let identical = baseline.as_ref().is_none_or(|base| base.bits == run.bits);
-        bit_identical &= identical;
-        let base_wall = baseline.as_ref().map_or(run.wall_ms, |base| base.wall_ms);
-        measured_imbalance_pct = run.snap.shard_imbalance_pct;
-        scaling.push(ShardScaleRow {
-            shards: k,
-            wall_ms: run.wall_ms,
-            speedup: if run.wall_ms > 0.0 {
-                base_wall / run.wall_ms
-            } else {
-                0.0
-            },
-            predicted_speedup: curve[k - 1].predicted_speedup,
-            predicted_imbalance_pct: curve[k - 1].predicted_imbalance_pct,
-            planned_imbalance_pct: run.planned_imbalance_pct,
-            measured_imbalance_pct: run.snap.shard_imbalance_pct,
-            bit_identical: identical,
-        });
-        if k == opts.shards {
-            // Per-shard pool.execute skew from the span detail tags.
-            let by_detail = paro::trace::summarize_stage_by_detail(
-                &run.records,
-                paro::trace::stage::POOL_EXECUTE,
-            );
-            shard_spans = run
-                .snap
-                .shards
-                .iter()
-                .map(|row| {
-                    let s = by_detail.iter().find(|d| d.detail == row.label);
-                    ShardSpanRow {
-                        shard: row.shard,
-                        label: row.label.clone(),
-                        threads: row.threads,
-                        executed_jobs: row.executed_jobs,
-                        spans: s.map_or(0, |s| s.summary.count),
-                        total_us: s.map_or(0.0, |s| s.summary.total_ns as f64 / 1e3),
-                        p50_us: s.map_or(0.0, |s| s.summary.p50_ns as f64 / 1e3),
-                        p95_us: s.map_or(0.0, |s| s.summary.p95_ns as f64 / 1e3),
-                    }
-                })
-                .collect();
-        }
-        if baseline.is_none() {
-            baseline = Some(run);
-        }
-    }
-    let passed = bit_identical && measured_imbalance_pct <= opts.max_imbalance_pct;
-    let report = ShardBenchReport {
-        model: model.name.clone(),
-        tokens: model.grid.len(),
-        head_dim: model.head_dim(),
-        threads: b.threads,
-        pool_threads: paro::core::pool::ComputePool::global().threads(),
-        requests: b.requests,
-        distinct_heads: pairs,
-        shards: opts.shards,
-        max_imbalance_pct: opts.max_imbalance_pct,
-        bit_identical,
-        measured_imbalance_pct,
-        passed,
-        scaling,
-        shard_spans,
-    };
-    let json = serde_json::to_string_pretty(&report)?;
-    if let Some(path) = &b.out {
-        write_output(path, json.as_bytes())?;
-    }
-    println!("{json}");
-    eprintln!(
-        "shards 1..={}: speedup {:.2}x (predicted {:.2}x), imbalance \
-         measured {:.1}% / planned {:.1}% / bound {:.0}%, bit-identical: {}",
-        opts.shards,
-        report.scaling.last().map_or(1.0, |r| r.speedup),
-        report.scaling.last().map_or(1.0, |r| r.predicted_speedup),
-        measured_imbalance_pct,
-        report
-            .scaling
-            .last()
-            .map_or(0.0, |r| r.planned_imbalance_pct),
-        opts.max_imbalance_pct,
-        bit_identical,
-    );
-    if !passed {
-        return Err(format!(
-            "shard gate failed: bit_identical={bit_identical}, measured \
-             imbalance {measured_imbalance_pct:.1}% vs bound {:.0}%",
-            opts.max_imbalance_pct
-        )
-        .into());
-    }
-    Ok(())
-}
-
 fn trace_workload(opts: &TraceOpts) -> Result<(), Box<dyn std::error::Error>> {
     if !paro::trace::COMPILED_IN {
         return Err("this binary was built without tracing (the paro crate's \
                     `trace` feature); rebuild with default features to record"
             .into());
     }
-    let wl = build_workload(&opts.bench, 1)?;
+    let wl = build_workload(&opts.bench)?;
     let requests = synthetic_requests(&wl.spec);
     let session = paro::trace::TraceSession::start();
     record_kernel_dispatch();

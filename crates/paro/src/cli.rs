@@ -52,8 +52,8 @@ pub enum CliCommand {
     /// fault injection and verify the engine's fault-tolerance contract.
     ChaosBench(ChaosBenchOpts),
     /// `paro soak-bench`: drive a two-tenant open-loop arrival stream
-    /// against the engine under both wave policies and print per-tenant
-    /// latency histograms plus the drain-vs-continuous comparison.
+    /// against the continuous-batching engine and print per-tenant
+    /// latency histograms, pool occupancy and wave counts.
     SoakBench(SoakBenchOpts),
     /// `paro drift-bench`: inject calibration drift into a watchdog-armed
     /// engine and verify the detect → recalibrate → recover loop plus
@@ -64,12 +64,6 @@ pub enum CliCommand {
     /// pass), write a `BENCH_<label>.json` baseline, and optionally gate
     /// against a committed baseline.
     PerfBench(PerfBenchOpts),
-    /// `paro shard-bench`: run one workload at every shard count from 1
-    /// to `--shards`, verify each sharded run is bit-identical to the
-    /// 1-shard run, and print a JSON report with the measured per-shard
-    /// `pool.execute` skew against the LPT-planned balance and the
-    /// simulator's roofline scaling prediction.
-    ShardBench(ShardBenchOpts),
     /// `paro plan build`: calibrate every head of a synthetic workload
     /// and freeze the plans into a `.paro` artifact.
     PlanBuild(PlanBuildOpts),
@@ -201,7 +195,7 @@ pub struct SoakBenchOpts {
     pub rate: f64,
     /// WFQ weights of the two tenant classes (`--weights A,B`).
     pub weights: (f64, f64),
-    /// Alternating drain/continuous run pairs to aggregate (`--repeat N`).
+    /// Runs to aggregate (`--repeat N`).
     pub repeat: usize,
 }
 
@@ -223,28 +217,6 @@ pub struct DriftBenchOpts {
     /// Post-recalibration batches that must serve un-flagged
     /// (`--post N`).
     pub post: usize,
-}
-
-/// Default `--max-imbalance-pct` for `paro shard-bench`: the bound the
-/// measured per-shard busy-time skew must stay under for the command to
-/// exit zero. Documented (and contract-pinned) in `docs/SHARDING.md` —
-/// generous because the CI smoke workload is short enough for scheduler
-/// noise to dominate a perfectly balanced plan.
-pub const DEFAULT_MAX_IMBALANCE_PCT: f64 = 75.0;
-
-/// Options for `paro shard-bench`: the workload, the shard count to
-/// scale up to, and the imbalance gate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardBenchOpts {
-    /// The workload to run at each shard count (same knobs as
-    /// `paro serve-bench`, smaller default request count).
-    pub bench: ServeBenchOpts,
-    /// Maximum shard count: the bench runs 1..=shards and compares each
-    /// run to the 1-shard baseline.
-    pub shards: usize,
-    /// Bound on the measured busy-time imbalance at the top shard count;
-    /// exceeding it fails the command.
-    pub max_imbalance_pct: f64,
 }
 
 /// Options for `paro perf-bench`: the single-head workload, the run
@@ -307,10 +279,6 @@ USAGE:
   paro perf-bench [--label NAME] [--out FILE] [--iters N] [--grid FxHxW]
                   [--budget B] [--block EDGE] [--seed S]
                   [--compare FILE] [--tolerance PCT]
-  paro shard-bench [--shards K] [--max-imbalance-pct PCT] [--threads N]
-                   [--queue N] [--requests N] [--deadline-ms MS]
-                   [--grid FxHxW] [--blocks N] [--heads N] [--budget B]
-                   [--block EDGE] [--seed S] [--plan FILE] [--out FILE]
   paro help
 
 serve-bench drives the concurrent serving engine with a synthetic
@@ -337,13 +305,11 @@ exits non-zero when the SLO is infeasible.
 
 soak-bench submits the workload on a deterministic open-loop (Poisson)
 arrival clock at --rate requests/sec, split across two weighted-fair
-tenant classes (--weights, default 4,1), and runs it at the same
-offered rate under both wave policies: the drain barrier (emulating the
-old per-request engine) and continuous batching, alternating --repeat
-times to average out scheduler noise. The JSON report carries per-tenant
-latency histograms, pool busy fractions, wave/dispatch counts and the
-occupancy/p99 comparison pinned by docs/SCHEDULING.md; outputs must stay
-bit-identical across every policy and repeat or the command fails.
+tenant classes (--weights, default 4,1), and runs it --repeat times to
+average out scheduler noise. The JSON report carries per-tenant latency
+histograms, the pool busy fraction next to the simulator's predicted
+wave occupancy, and wave/dispatch counts (docs/SCHEDULING.md); outputs
+must stay bit-identical across every repeat or the command fails.
 
 drift-bench drives the calibration-drift lifecycle end to end
 (docs/LIFECYCLE.md): a watchdog-armed engine serves --warmup fresh
@@ -380,17 +346,6 @@ per-stage span medians plus packed-AttnV MACs/s and packed-map GB/s to
 prints a diff table and fails on any per-stage median regression above
 --tolerance percent (stages under the noise floor are reported but
 never gated); see docs/EXPERIMENTS.md \"Perf baselines\".
-
-shard-bench runs the identical workload at every shard count from 1 to
---shards under a trace session. Each sharded run must be bit-identical
-to the 1-shard baseline, and at the top shard count the measured
-per-shard busy-time imbalance must stay under --max-imbalance-pct
-(default 75); either violation exits non-zero. The JSON report (stdout,
---out) carries the scaling curve — wall-clock speedup and measured
-imbalance per shard count, next to the LPT-planned balance and the
-roofline prediction from paro-sim's dispatch model — plus per-shard
-pool.execute span summaries from the trace. The contract is documented
-in docs/SHARDING.md and gated in CI by the shard-smoke job.
 
 PATTERNS: temporal, spatial-row, spatial-col, window, diffuse
 METHODS:  fp16, sage, sage2, sanger, naive-int8, naive-int4,
@@ -598,37 +553,6 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, String> {
                 iters,
                 compare,
                 tolerance,
-            }))
-        }
-        "shard-bench" => {
-            let mut allowed = vec!["shards", "max-imbalance-pct", "out"];
-            allowed.extend_from_slice(BENCH_FLAGS);
-            reject_unknown(&opts, &allowed)?;
-            // The bench runs the stream once per shard count; keep the
-            // default short so the full 1..=K sweep fits the CI smoke
-            // budget.
-            let mut bench = parse_bench_opts(&opts, "24")?;
-            bench.out = opts_get(&opts, "out").map(str::to_string);
-            let shards: usize = parse_num(opts_get(&opts, "shards").unwrap_or("2"))?;
-            if !(2..=paro_serve::MAX_SHARDS).contains(&shards) {
-                return Err(format!(
-                    "--shards must be in 2..={} (the 1-shard baseline always runs), got {shards}",
-                    paro_serve::MAX_SHARDS
-                ));
-            }
-            let max_imbalance_pct: f64 = match opts_get(&opts, "max-imbalance-pct") {
-                Some(v) => parse_num(v)?,
-                None => DEFAULT_MAX_IMBALANCE_PCT,
-            };
-            if !max_imbalance_pct.is_finite() || max_imbalance_pct <= 0.0 {
-                return Err(format!(
-                    "--max-imbalance-pct must be positive, got {max_imbalance_pct}"
-                ));
-            }
-            Ok(CliCommand::ShardBench(ShardBenchOpts {
-                bench,
-                shards,
-                max_imbalance_pct,
             }))
         }
         "trace" => {
@@ -1393,76 +1317,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_bench_defaults_and_flags() {
-        let cmd = parse_args(&args(&["shard-bench"])).unwrap();
-        match cmd {
-            CliCommand::ShardBench(opts) => {
-                assert_eq!(opts.shards, 2);
-                assert_eq!(opts.max_imbalance_pct, DEFAULT_MAX_IMBALANCE_PCT);
-                assert_eq!(opts.bench.requests, 24);
-                assert_eq!(opts.bench.out, None);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        let cmd = parse_args(&args(&[
-            "shard-bench",
-            "--shards",
-            "4",
-            "--max-imbalance-pct",
-            "40",
-            "--requests",
-            "12",
-            "--out",
-            "shard.json",
-        ]))
-        .unwrap();
-        match cmd {
-            CliCommand::ShardBench(opts) => {
-                assert_eq!(opts.shards, 4);
-                assert_eq!(opts.max_imbalance_pct, 40.0);
-                assert_eq!(opts.bench.requests, 12);
-                assert_eq!(opts.bench.out.as_deref(), Some("shard.json"));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn shard_bench_rejects_degenerate_values() {
-        // 1 shard is always the baseline; a 1-shard "sweep" is vacuous.
-        assert!(parse_args(&args(&["shard-bench", "--shards", "1"]))
-            .unwrap_err()
-            .contains("shards"));
-        assert!(parse_args(&args(&["shard-bench", "--shards", "0"]))
-            .unwrap_err()
-            .contains("shards"));
-        let over = (paro_serve::MAX_SHARDS + 1).to_string();
-        assert!(parse_args(&args(&["shard-bench", "--shards", &over]))
-            .unwrap_err()
-            .contains("shards"));
-        assert!(
-            parse_args(&args(&["shard-bench", "--max-imbalance-pct", "0"]))
-                .unwrap_err()
-                .contains("max-imbalance-pct")
-        );
-        assert!(
-            parse_args(&args(&["shard-bench", "--max-imbalance-pct", "-4"]))
-                .unwrap_err()
-                .contains("max-imbalance-pct")
-        );
-        assert!(parse_args(&args(&["shard-bench", "--requests", "0"]))
-            .unwrap_err()
-            .contains("requests"));
-    }
-
-    #[test]
-    fn usage_documents_shard_bench() {
-        assert!(USAGE.contains("shard-bench"));
-        assert!(USAGE.contains("--max-imbalance-pct"));
-        assert!(USAGE.contains("docs/SHARDING.md"));
-    }
-
-    #[test]
     fn unknown_flags_are_rejected() {
         for cmd in [
             "quantize",
@@ -1474,7 +1328,6 @@ mod tests {
             "soak-bench",
             "drift-bench",
             "perf-bench",
-            "shard-bench",
             "tune",
         ] {
             let err = parse_args(&args(&[cmd, "--wat", "7"])).unwrap_err();

@@ -76,13 +76,10 @@ pub struct IntPathComparison {
 }
 
 /// Top-level JSON report `paro soak-bench` prints to stdout: a
-/// two-tenant open-loop (Poisson-arrival) soak driven against the same
-/// synthetic workload under both wave policies at the same offered rate —
-/// `drain` emulating the old per-request barrier engine, `continuous` the
-/// work graph's continuous batching — plus the headline comparisons the
-/// scheduling contract (docs/SCHEDULING.md) promises: higher pool
-/// occupancy and lower aggregate p99 under continuous batching, with
-/// outputs bit-identical across policies.
+/// two-tenant open-loop (Poisson-arrival) soak of the continuous-batching
+/// engine, its measured pool occupancy next to the simulator's predicted
+/// wave occupancy, and whether outputs stayed bit-identical across
+/// repeats (docs/SCHEDULING.md).
 #[derive(Debug, Serialize)]
 pub struct SoakBenchReport {
     /// Scaled model name (e.g. `CogVideoX-2B@4x6x6`).
@@ -95,41 +92,30 @@ pub struct SoakBenchReport {
     pub threads: usize,
     /// Submission-queue capacity.
     pub queue_capacity: usize,
-    /// Requests in the open-loop arrival schedule (per policy run).
+    /// Requests in the open-loop arrival schedule (per run).
     pub requests: usize,
     /// Offered arrival rate, requests per second (`--rate`).
     pub rate_per_sec: f64,
     /// RNG seed for both the workload and the arrival schedule.
     pub seed: u64,
-    /// Alternating drain/continuous run pairs aggregated into this report
-    /// (`--repeat`): counters are summed, fractions and quantiles averaged.
+    /// Runs aggregated into this report (`--repeat`): counters are
+    /// summed, fractions and quantiles averaged.
     pub repeat: usize,
     /// Simulator-predicted worker occupancy of one wave of this workload
     /// under LPT dispatch (`paro_sim::dispatch::predicted_wave_occupancy`).
     pub predicted_wave_occupancy: f64,
-    /// The run under `WavePolicy::Drain` (per-request barrier emulation).
-    pub drain: SoakRunReport,
-    /// The run under `WavePolicy::Continuous` (head-granular backfill).
+    /// The aggregated continuous-batching runs (head-granular backfill).
     pub continuous: SoakRunReport,
-    /// `continuous.pool_busy_fraction - drain.pool_busy_fraction`: how
-    /// much idle worker time continuous batching reclaimed.
-    pub occupancy_gain: f64,
-    /// `drain.total_p99_ms / continuous.total_p99_ms` (0 when either side
-    /// recorded no completions) — above 1.0 means continuous batching cut
-    /// tail latency at the same offered rate.
-    pub p99_speedup: f64,
-    /// Whether every request index completed by both policy runs produced
-    /// bit-identical output tensors.
+    /// Whether every request index completed by more than one run
+    /// produced bit-identical output tensors.
     pub outputs_bit_identical: bool,
 }
 
-/// One policy run of a soak-bench: counters from the engine's metrics,
-/// scheduler accounting from the work graph, measured compute-pool
-/// occupancy, and flattened aggregate latency quantiles.
+/// The aggregated runs of a soak-bench: counters from the engine's
+/// metrics, scheduler accounting from the work graph, measured
+/// compute-pool occupancy, and flattened aggregate latency quantiles.
 #[derive(Debug, Serialize)]
 pub struct SoakRunReport {
-    /// Wave policy of this run: `continuous` or `drain`.
-    pub wave_policy: String,
     /// Wall-clock time from first submission to last completion, ms.
     pub wall_ms: f64,
     /// Requests that completed successfully.
@@ -146,8 +132,7 @@ pub struct SoakRunReport {
     pub shed_degraded: u64,
     /// Requests rejected by the shedding ladder.
     pub shed_rejected: u64,
-    /// Scheduler waves the run closed (busy periods under `continuous`,
-    /// barriers under `drain`).
+    /// Scheduler waves (busy periods) the run closed.
     pub waves: u64,
     /// Head tasks the work graph dispatched to workers.
     pub dispatched: u64,
@@ -165,7 +150,7 @@ pub struct SoakRunReport {
     pub tenants: Vec<SoakTenantRow>,
 }
 
-/// One tenant's outcome in a soak-bench policy run.
+/// One tenant's outcome in a soak-bench run.
 #[derive(Debug, Serialize)]
 pub struct SoakTenantRow {
     /// The tenant class name.
@@ -427,97 +412,6 @@ pub struct AttnVThroughput {
     /// Packed attention-map bytes streamed through the kernel per
     /// second, GB/s.
     pub packed_map_gb_per_sec: f64,
-}
-
-/// Top-level JSON report `paro shard-bench` prints to stdout: the same
-/// workload run at every shard count from 1 to `--shards`, each sharded
-/// run checked bit-identical against the 1-shard baseline, with the
-/// measured per-shard busy-time skew next to the LPT-planned balance and
-/// the roofline prediction from `paro_sim::dispatch`. The CI shard-smoke
-/// job gates on `passed` (see docs/SHARDING.md).
-#[derive(Debug, Serialize, Deserialize)]
-pub struct ShardBenchReport {
-    /// Scaled model name (e.g. `CogVideoX-2B@4x6x6`).
-    pub model: String,
-    /// Tokens per attention head (the scaled grid's volume).
-    pub tokens: usize,
-    /// Head dimension of the model.
-    pub head_dim: usize,
-    /// Serve worker threads.
-    pub threads: usize,
-    /// Effective compute-pool worker threads on this host
-    /// (`PARO_POOL_THREADS` or `available_parallelism`): the width the
-    /// shards split between them, without which the scaling curve is
-    /// uninterpretable across hosts.
-    pub pool_threads: usize,
-    /// Requests in the stream (run once per shard count).
-    pub requests: usize,
-    /// Distinct `(block, head)` pairs the stream cycles through.
-    pub distinct_heads: usize,
-    /// Top shard count of the sweep (`--shards`).
-    pub shards: usize,
-    /// The imbalance gate bound (`--max-imbalance-pct`).
-    pub max_imbalance_pct: f64,
-    /// Whether every sharded run's outputs matched the 1-shard baseline
-    /// bit for bit.
-    pub bit_identical: bool,
-    /// Measured per-shard busy-time imbalance at the top shard count.
-    pub measured_imbalance_pct: f64,
-    /// `bit_identical && measured_imbalance_pct <= max_imbalance_pct`;
-    /// `false` exits non-zero.
-    pub passed: bool,
-    /// One row per shard count, 1 through `shards`: the scaling curve.
-    pub scaling: Vec<ShardScaleRow>,
-    /// Per-shard `pool.execute` span skew at the top shard count, from
-    /// the run's trace session. Empty when tracing is compiled out.
-    pub shard_spans: Vec<ShardSpanRow>,
-}
-
-/// One shard count's run in the shard-bench scaling curve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ShardScaleRow {
-    /// Shard count of this run.
-    pub shards: usize,
-    /// Wall-clock time of the batch, milliseconds.
-    pub wall_ms: f64,
-    /// `wall_ms(1 shard) / wall_ms(this run)` — measured scaling.
-    pub speedup: f64,
-    /// Roofline-predicted speedup at this shard count
-    /// (`paro_sim::dispatch::predicted_shard_scaling` over the planner's
-    /// per-head costs).
-    pub predicted_speedup: f64,
-    /// Roofline-predicted load imbalance at this shard count, percent.
-    pub predicted_imbalance_pct: f64,
-    /// LPT-planned load imbalance of the placement, percent.
-    pub planned_imbalance_pct: f64,
-    /// Measured per-shard busy-time imbalance of this run, percent.
-    pub measured_imbalance_pct: f64,
-    /// Whether this run's outputs matched the 1-shard baseline bit for
-    /// bit (trivially `true` for the 1-shard row).
-    pub bit_identical: bool,
-}
-
-/// One shard's `pool.execute` span aggregate in a shard-bench run —
-/// the per-shard skew view trace summaries report via the span `detail`
-/// tag.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ShardSpanRow {
-    /// Shard index.
-    pub shard: usize,
-    /// Shard label (`shard0`, `shard1`, …) tagging the spans.
-    pub label: String,
-    /// Pool worker threads of this shard.
-    pub threads: usize,
-    /// Jobs this shard's pool executed during the run.
-    pub executed_jobs: u64,
-    /// `pool.execute` spans recorded for this shard.
-    pub spans: u64,
-    /// Sum of this shard's span durations, microseconds.
-    pub total_us: f64,
-    /// Median span duration, microseconds.
-    pub p50_us: f64,
-    /// 95th-percentile span duration, microseconds.
-    pub p95_us: f64,
 }
 
 /// Top-level JSON report `paro tune` writes (`--report`): the bit-budget
@@ -820,50 +714,5 @@ mod tests {
         assert_eq!(back.attn_v.kernel, "avx2");
         assert_eq!(back.scalar_attn_v.mac_p50_us, 1400.0);
         assert_eq!(back.pool_threads, 8);
-    }
-
-    #[test]
-    fn shard_report_round_trips_through_json() {
-        let report = ShardBenchReport {
-            model: "CogVideoX-2B@4x6x6".to_string(),
-            tokens: 144,
-            head_dim: 64,
-            threads: 4,
-            pool_threads: 8,
-            requests: 24,
-            distinct_heads: 12,
-            shards: 2,
-            max_imbalance_pct: 75.0,
-            bit_identical: true,
-            measured_imbalance_pct: 12.5,
-            passed: true,
-            scaling: vec![ShardScaleRow {
-                shards: 2,
-                wall_ms: 80.0,
-                speedup: 1.6,
-                predicted_speedup: 2.0,
-                predicted_imbalance_pct: 0.0,
-                planned_imbalance_pct: 1.5,
-                measured_imbalance_pct: 12.5,
-                bit_identical: true,
-            }],
-            shard_spans: vec![ShardSpanRow {
-                shard: 0,
-                label: "shard0".to_string(),
-                threads: 4,
-                executed_jobs: 24,
-                spans: 24,
-                total_us: 9000.0,
-                p50_us: 350.0,
-                p95_us: 600.0,
-            }],
-        };
-        let json = serde_json::to_string_pretty(&report).unwrap();
-        let back: ShardBenchReport = serde_json::from_str(&json).unwrap();
-        assert!(back.passed);
-        assert_eq!(back.scaling.len(), 1);
-        assert_eq!(back.scaling[0].shards, 2);
-        assert_eq!(back.shard_spans[0].label, "shard0");
-        assert!(json.contains("measured_imbalance_pct"));
     }
 }

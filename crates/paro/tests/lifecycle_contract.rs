@@ -136,7 +136,6 @@ fn lifecycle_metric_rows_are_real_snapshot_fields() {
             inflight_waits: 0,
             hit_rate: 0.0,
         },
-        Vec::new(),
     );
     let keys: BTreeSet<String> = match snapshot.to_value() {
         serde::Value::Map(entries) => entries.into_iter().map(|(k, _)| k).collect(),

@@ -9,7 +9,7 @@
 //! scheduler.
 
 use paro::serve::scheduler::Admission;
-use paro::serve::{ServeError, TenantClass, WavePolicy, WorkGraph};
+use paro::serve::{ServeError, TenantClass, WorkGraph};
 use std::collections::BTreeSet;
 
 fn scheduling_doc() -> String {
@@ -72,19 +72,6 @@ fn debug_field_names(dbg: &str) -> BTreeSet<String> {
 }
 
 #[test]
-fn wave_policy_table_matches_the_enum() {
-    let variants: BTreeSet<String> = [WavePolicy::Continuous, WavePolicy::Drain]
-        .iter()
-        .map(|p| format!("{p:?}"))
-        .collect();
-    assert_eq!(
-        rows_as_set(&scheduling_doc(), "wave-policies"),
-        variants,
-        "wave-policy table diverges from WavePolicy"
-    );
-}
-
-#[test]
 fn tenant_class_table_matches_the_struct() {
     let fields = debug_field_names(&format!("{:?}", TenantClass::default()));
     assert_eq!(
@@ -96,7 +83,7 @@ fn tenant_class_table_matches_the_struct() {
 
 #[test]
 fn graph_stats_table_matches_the_struct() {
-    let graph: WorkGraph<u8> = WorkGraph::new(&[TenantClass::default()], 4, WavePolicy::Continuous);
+    let graph: WorkGraph<u8> = WorkGraph::new(&[TenantClass::default()], 4);
     let fields = debug_field_names(&format!("{:?}", graph.stats()));
     assert_eq!(
         rows_as_set(&scheduling_doc(), "graph-stats"),
@@ -127,7 +114,7 @@ fn sfq_worked_example_matches_the_scheduler() {
         TenantClass::new("interactive", 3.0),
         TenantClass::new("batch", 1.0),
     ];
-    let graph: WorkGraph<&'static str> = WorkGraph::new(&classes, 64, WavePolicy::Continuous);
+    let graph: WorkGraph<&'static str> = WorkGraph::new(&classes, 64);
     for _ in 0..4 {
         graph
             .submit(0, 60.0, 0, false, |_| "interactive")
@@ -172,7 +159,7 @@ fn shed_ladder_matches_the_documented_tiers() {
             shed_budget: None,
         },
     ];
-    let graph: WorkGraph<Admission> = WorkGraph::new(&classes, 64, WavePolicy::Continuous);
+    let graph: WorkGraph<Admission> = WorkGraph::new(&classes, 64);
 
     // Tier 0: below quota, full fidelity.
     for _ in 0..2 {
@@ -219,8 +206,7 @@ fn shed_ladder_matches_the_documented_tiers() {
 /// the ladder section states.
 #[test]
 fn queue_full_takes_precedence_over_the_ladder() {
-    let graph: WorkGraph<Admission> =
-        WorkGraph::new(&[TenantClass::default()], 2, WavePolicy::Continuous);
+    let graph: WorkGraph<Admission> = WorkGraph::new(&[TenantClass::default()], 2);
     for _ in 0..2 {
         assert_eq!(
             graph.submit(0, 10.0, 0, false, |a| a).expect("admits"),

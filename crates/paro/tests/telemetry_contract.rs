@@ -9,11 +9,10 @@
 
 use paro::report::{
     AttnVThroughput, ChaosBenchReport, DriftBenchReport, InjectedFaultRow, IntPathComparison,
-    PerfBenchReport, PerfStageRow, ServeBenchReport, ShardBenchReport, ShardScaleRow, ShardSpanRow,
-    SoakBenchReport, SoakRunReport, SoakTenantRow, StageSummaryRow, TuneHeadRow, TuneReport,
-    TuneValidation,
+    PerfBenchReport, PerfStageRow, ServeBenchReport, SoakBenchReport, SoakRunReport, SoakTenantRow,
+    StageSummaryRow, TuneHeadRow, TuneReport, TuneValidation,
 };
-use paro::serve::{CacheStats, Metrics, ShardSnapshot};
+use paro::serve::{CacheStats, Metrics};
 use paro::sim::tune::RooflineModel;
 use paro::trace::{stage, SpanOutcome, SpanRecord, Trace, NO_CTX, NO_DETAIL};
 use serde_json::Value;
@@ -112,17 +111,6 @@ fn sample_report() -> ServeBenchReport {
             inflight_waits: 1,
             hit_rate: 0.5,
         },
-        // A populated shard row: `key_paths` walks array *elements*, so
-        // an empty vec would leave the `metrics.shards[].*` fields out
-        // of the emitted set and the contract could not pin them.
-        vec![ShardSnapshot {
-            shard: 0,
-            label: "shard0".to_string(),
-            threads: 2,
-            queue_depth: 0,
-            executed_jobs: 2,
-            busy_ms: 1.2,
-        }],
     );
     ServeBenchReport {
         model: "CogVideoX-2B@3x4x4".to_string(),
@@ -354,11 +342,10 @@ fn tune_report_fields_match_docs() {
     );
 }
 
-/// A fully-populated soak report: both policy runs carry both tenant
-/// rows so every array element field serializes.
+/// A fully-populated soak report: the run carries both tenant rows so
+/// every array element field serializes.
 fn sample_soak_report() -> SoakBenchReport {
-    let run = |policy: &str, busy: f64| SoakRunReport {
-        wave_policy: policy.to_string(),
+    let continuous = SoakRunReport {
         wall_ms: 158.0,
         completed: 192,
         failed: 0,
@@ -369,7 +356,7 @@ fn sample_soak_report() -> SoakBenchReport {
         shed_rejected: 0,
         waves: 19,
         dispatched: 192,
-        pool_busy_fraction: busy,
+        pool_busy_fraction: 0.65,
         total_p50_ms: 65.5,
         total_p95_ms: 83.5,
         total_p99_ms: 83.5,
@@ -401,10 +388,7 @@ fn sample_soak_report() -> SoakBenchReport {
         seed: 42,
         repeat: 3,
         predicted_wave_occupancy: 1.0,
-        drain: run("drain", 0.57),
-        continuous: run("continuous", 0.65),
-        occupancy_gain: 0.08,
-        p99_speedup: 1.05,
+        continuous,
         outputs_bit_identical: true,
     }
 }
@@ -466,58 +450,6 @@ fn drift_bench_report_fields_match_docs() {
         &emitted,
         &documented(&telemetry_doc(), "drift-bench"),
         "drift-bench report",
-    );
-}
-
-/// A fully-populated shard-bench report: one scaling row and one
-/// per-shard span row so the array element fields serialize.
-fn sample_shard_report() -> ShardBenchReport {
-    ShardBenchReport {
-        model: "CogVideoX-2B@3x4x4".to_string(),
-        tokens: 48,
-        head_dim: 64,
-        threads: 2,
-        pool_threads: 4,
-        requests: 24,
-        distinct_heads: 4,
-        shards: 2,
-        max_imbalance_pct: 75.0,
-        bit_identical: true,
-        measured_imbalance_pct: 12.5,
-        passed: true,
-        scaling: vec![ShardScaleRow {
-            shards: 2,
-            wall_ms: 21.0,
-            speedup: 1.6,
-            predicted_speedup: 1.9,
-            predicted_imbalance_pct: 5.0,
-            planned_imbalance_pct: 4.2,
-            measured_imbalance_pct: 12.5,
-            bit_identical: true,
-        }],
-        shard_spans: vec![ShardSpanRow {
-            shard: 0,
-            label: "shard0".to_string(),
-            threads: 2,
-            executed_jobs: 12,
-            spans: 12,
-            total_us: 9_800.0,
-            p50_us: 810.0,
-            p95_us: 930.0,
-        }],
-    }
-}
-
-#[test]
-fn shard_bench_report_fields_match_docs() {
-    let json = serde_json::to_string(&sample_shard_report()).expect("report serializes");
-    let value = serde_json::parse_value(&json).expect("report JSON parses");
-    let mut emitted = BTreeSet::new();
-    key_paths(&value, "", &mut emitted);
-    assert_contract(
-        &emitted,
-        &documented(&telemetry_doc(), "shard-bench"),
-        "shard-bench report",
     );
 }
 

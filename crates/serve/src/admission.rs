@@ -1,7 +1,6 @@
-//! Admission control: bounded queueing, deadlines and cost-aware
-//! scheduling.
+//! Admission control: structured errors, deadlines and request costs.
 //!
-//! The engine never blocks a submitter: a full queue returns
+//! The engine never blocks a submitter: a full work graph returns
 //! [`ServeError::QueueFull`] immediately (backpressure the caller can act
 //! on), and each request carries an optional deadline checked when a
 //! worker picks it up — a request that waited past its budget is failed
@@ -12,18 +11,18 @@
 //! ([`paro_sim::dispatch`]): per-request cycle costs derive from the
 //! frozen bit allocation when one is cached (exactly the accelerator's
 //! per-block cost table) and from the method's bit budget otherwise, and
-//! longest-processing-time-first ordering keeps workers level-loaded the
+//! longest-processing-time-first ordering
+//! ([`paro_sim::dispatch::lpt_order`]) keeps workers level-loaded the
 //! same way the PE-row dispatcher levels block work.
 
 use paro_core::calibration::HeadCalibration;
 use paro_quant::Bitwidth;
-use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Locks a serve-side mutex, recovering from poison. Every structure the
-/// engine guards this way (queue state, result slots, the plan cache map)
-/// stays consistent across a holder's panic — state transitions happen
+/// engine guards this way (work-graph state, result slots, the plan cache
+/// map) stays consistent across a holder's panic — state transitions happen
 /// before panicking code can run — so propagating the poison would only
 /// convert one failed request into a dead engine.
 pub(crate) fn relock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -154,141 +153,14 @@ impl From<paro_core::CoreError> for ServeError {
     }
 }
 
-/// A bounded MPMC queue: non-blocking producers, blocking consumers.
-///
-/// Producers use [`BoundedQueue::try_push`], which rejects instead of
-/// blocking when the queue is full. Consumers use [`BoundedQueue::pop`],
-/// which parks until an item arrives or the queue is closed.
-#[derive(Debug)]
-pub struct BoundedQueue<T> {
-    inner: Mutex<QueueState<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    capacity: usize,
-}
-
-#[derive(Debug)]
-struct QueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-    /// Consumers hold off while paused (used to quiesce the engine).
-    paused: bool,
-}
-
-impl<T> BoundedQueue<T> {
-    /// Creates a queue holding at most `capacity` items.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "queue capacity must be positive");
-        BoundedQueue {
-            inner: Mutex::new(QueueState {
-                items: VecDeque::with_capacity(capacity),
-                closed: false,
-                paused: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity,
+impl From<paro_core::pool::PoolFault> for ServeError {
+    /// A compute-pool job panicked: the pool contained it, and the
+    /// request sees a transient fault at the `pool.job` site.
+    fn from(fault: paro_core::pool::PoolFault) -> Self {
+        ServeError::Faulted {
+            site: paro_failpoint::site::POOL_JOB.into(),
+            message: fault.message,
         }
-    }
-
-    /// Attempts to enqueue without blocking.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::QueueFull`] when at capacity, [`ServeError::Closed`]
-    /// after [`BoundedQueue::close`].
-    pub fn try_push(&self, item: T) -> Result<(), ServeError> {
-        let mut state = relock(&self.inner);
-        if state.closed {
-            return Err(ServeError::Closed);
-        }
-        if state.items.len() >= self.capacity {
-            return Err(ServeError::QueueFull {
-                capacity: self.capacity,
-            });
-        }
-        state.items.push_back(item);
-        drop(state);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Enqueues, blocking while the queue is at capacity. Used by batch
-    /// drivers that own the pacing; external submitters use
-    /// [`BoundedQueue::try_push`] and get backpressure instead.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Closed`] after [`BoundedQueue::close`].
-    pub fn push_wait(&self, item: T) -> Result<(), ServeError> {
-        let mut state = relock(&self.inner);
-        while !state.closed && state.items.len() >= self.capacity {
-            state = rewait(&self.not_full, state);
-        }
-        if state.closed {
-            return Err(ServeError::Closed);
-        }
-        state.items.push_back(item);
-        drop(state);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Dequeues the next item, blocking while the queue is empty or
-    /// paused. Returns `None` once the queue is closed and drained.
-    pub fn pop(&self) -> Option<T> {
-        let mut state = relock(&self.inner);
-        loop {
-            if !state.paused {
-                if let Some(item) = state.items.pop_front() {
-                    drop(state);
-                    self.not_full.notify_one();
-                    return Some(item);
-                }
-                if state.closed {
-                    return None;
-                }
-            } else if state.closed {
-                // Close overrides pause so shutdown always completes.
-                return state.items.pop_front();
-            }
-            state = rewait(&self.not_empty, state);
-        }
-    }
-
-    /// Current queue depth.
-    pub fn len(&self) -> usize {
-        relock(&self.inner).items.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Stops consumers from dequeuing (producers may still fill the
-    /// queue). Used to quiesce workers for draining and in overload
-    /// tests.
-    pub fn pause(&self) {
-        relock(&self.inner).paused = true;
-    }
-
-    /// Resumes consumers.
-    pub fn resume(&self) {
-        relock(&self.inner).paused = false;
-        self.not_empty.notify_all();
-    }
-
-    /// Closes the queue: producers fail with [`ServeError::Closed`];
-    /// consumers drain remaining items then receive `None`.
-    pub fn close(&self) {
-        relock(&self.inner).closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
     }
 }
 
@@ -318,88 +190,92 @@ pub fn request_cost(
     }
 }
 
-/// Orders batch indices longest-processing-time first (ties broken by
-/// index, so the order is deterministic). Feeding a multi-worker pool in
-/// LPT order is the classic makespan heuristic the simulator's
-/// `GreedyLpt` dispatch policy uses for PE rows.
-pub fn lpt_order(costs: &[f64]) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..costs.len()).collect();
-    idx.sort_by(|&a, &b| costs[b].total_cmp(&costs[a]).then(a.cmp(&b)));
-    idx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::{TenantClass, WorkGraph};
+    use paro_core::allocate::BitAllocation;
+    use paro_model::AxisOrder;
+    use paro_quant::BlockGrid;
     use std::sync::Arc;
+
+    // Every request is admitted through the work graph; the tests below
+    // pin its admission side: rejection without blocking, close releasing
+    // parked producers, and pause holding consumers while producers fill.
+
+    fn single_tenant_graph(capacity: usize) -> WorkGraph<u8> {
+        WorkGraph::new(&[TenantClass::default()], capacity)
+    }
 
     #[test]
     fn full_queue_rejects_without_blocking() {
-        let q = BoundedQueue::new(2);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        let err = q.try_push(3).unwrap_err();
+        let graph = single_tenant_graph(2);
+        graph.pause();
+        graph.submit(0, 1.0, 0, false, |_| 1).unwrap();
+        graph.submit(0, 1.0, 1, false, |_| 2).unwrap();
+        let err = graph
+            .submit(0, 1.0, 2, false, |_| {
+                unreachable!("a rejected request is never built")
+            })
+            .unwrap_err();
         assert!(matches!(err, ServeError::QueueFull { capacity: 2 }));
-        assert_eq!(q.len(), 2);
+        assert_eq!(graph.len(), 2);
     }
 
     #[test]
     fn close_drains_then_ends() {
-        let q = BoundedQueue::new(4);
-        q.try_push(10).unwrap();
-        q.close();
-        assert!(matches!(q.try_push(11), Err(ServeError::Closed)));
-        assert_eq!(q.pop(), Some(10));
-        assert_eq!(q.pop(), None);
+        let graph = Arc::new(single_tenant_graph(1));
+        graph.submit(0, 1.0, 0, false, |_| 10).unwrap();
+        // A blocking producer parks on the full graph; close releases it.
+        let producer = {
+            let g = Arc::clone(&graph);
+            std::thread::spawn(move || g.submit(0, 1.0, 1, true, |_| 11))
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        graph.close();
+        assert!(matches!(producer.join().unwrap(), Err(ServeError::Closed)));
+        assert_eq!(graph.next(), Some(10));
+        graph.task_done();
+        assert_eq!(graph.next(), None);
     }
 
     #[test]
     fn pause_holds_consumers_until_resume() {
-        let q = Arc::new(BoundedQueue::new(4));
-        q.pause();
-        q.try_push(7).unwrap();
+        let graph = Arc::new(single_tenant_graph(4));
+        graph.pause();
         let consumer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop())
+            let g = Arc::clone(&graph);
+            std::thread::spawn(move || g.next())
         };
-        // The consumer must not take the item while paused.
+        // Producers still fill a paused graph; the consumer takes nothing.
+        graph.submit(0, 1.0, 0, false, |_| 7).unwrap();
+        graph.submit(0, 1.0, 1, false, |_| 8).unwrap();
         std::thread::sleep(Duration::from_millis(30));
-        assert_eq!(q.len(), 1);
-        q.resume();
+        assert_eq!(graph.len(), 2);
+        graph.resume();
         assert_eq!(consumer.join().unwrap(), Some(7));
+        graph.task_done();
+        assert_eq!(graph.len(), 1);
     }
 
     #[test]
-    fn concurrent_producers_and_consumers_deliver_everything() {
-        let q = Arc::new(BoundedQueue::new(64));
-        let consumers: Vec<_> = (0..4)
-            .map(|_| {
-                let q = Arc::clone(&q);
-                std::thread::spawn(move || {
-                    let mut got = Vec::new();
-                    while let Some(v) = q.pop() {
-                        got.push(v);
-                    }
-                    got
-                })
-            })
-            .collect();
-        for v in 0..64 {
-            q.try_push(v).unwrap();
-        }
-        q.close();
-        let mut all: Vec<i32> = consumers
-            .into_iter()
-            .flat_map(|c| c.join().unwrap())
-            .collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn lpt_order_is_descending_and_deterministic() {
-        let costs = [3.0, 9.0, 1.0, 9.0, 5.0];
-        assert_eq!(lpt_order(&costs), vec![1, 3, 4, 0, 2]);
+    fn calibrated_cost_follows_bitwidths() {
+        // 10 tokens × head_dim 4 = 400 INT8 MACs over four blocks: 100 per
+        // block, summed under the allocation's bitwidths (B0 bypassed).
+        let cal = |bits: Vec<Bitwidth>| HeadCalibration {
+            order: AxisOrder::Fhw,
+            block: BlockGrid::square(5).unwrap(),
+            allocation: BitAllocation {
+                bits,
+                avg_bits: 0.0,
+                total_cost: 0.0,
+            },
+            mean_error: 0.0,
+        };
+        let mixed = cal(vec![Bitwidth::B0, Bitwidth::B2, Bitwidth::B4, Bitwidth::B8]);
+        assert_eq!(request_cost(10, 4, 8.0, Some(&mixed)), 175.0);
+        let bypassed = cal(vec![Bitwidth::B0, Bitwidth::B0]);
+        assert_eq!(request_cost(10, 4, 8.0, Some(&bypassed)), 0.0);
     }
 
     #[test]
@@ -485,23 +361,5 @@ mod tests {
             s.contains("batch") && s.contains('9') && s.contains('4'),
             "{s}"
         );
-    }
-
-    #[test]
-    fn queue_survives_a_poisoning_panic() {
-        // A thread that panics while holding the queue lock must not take
-        // the queue down with it: later operations recover from poison.
-        let q = Arc::new(BoundedQueue::new(4));
-        q.try_push(1).unwrap();
-        let q2 = Arc::clone(&q);
-        let _ = std::thread::spawn(move || {
-            let _guard = relock(&q2.inner);
-            panic!("poison the queue lock");
-        })
-        .join();
-        q.try_push(2).unwrap();
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
     }
 }

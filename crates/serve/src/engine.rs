@@ -4,11 +4,11 @@
 //! a pool of worker threads; each request is one cost-annotated
 //! `(block, head)` head task. Admission walks the per-tenant shedding
 //! ladder, dispatch is start-time weighted-fair across tenant classes,
-//! and under the default [`WavePolicy::Continuous`] a new request's head
-//! tasks backfill idle workers while earlier requests are still in
-//! flight — the compute pool never drains between requests. Workers
-//! resolve the head's frozen calibration through the [`PlanCache`]
-//! (calibrating on first touch via a [`CalibrationSource`]) and execute
+//! and batching is continuous: a new request's head tasks backfill idle
+//! workers while earlier requests are still in flight — the compute pool
+//! never drains between requests. Workers resolve the head's frozen
+//! calibration through the [`PlanCache`] (calibrating on first touch via
+//! a [`CalibrationSource`]) and execute
 //! the packed-integer calibrated pipeline
 //! ([`paro_core::int_pipeline::run_attention_calibrated_int`]), recording
 //! packed-byte traffic and MAC counts into the metrics. Results are
@@ -21,29 +21,25 @@
 //!
 //! Worker threads only orchestrate (graph dispatch, cache lookups,
 //! waiting); the CPU-heavy work — calibration and the attention kernels —
-//! runs on the engine's shard set ([`crate::shard::ShardSet`]): by
-//! default one shard delegating to the process-wide
-//! [`paro_core::pool::ComputePool`] (sized by `available_parallelism`),
-//! or with [`ServeConfig::shards`] `> 1` a set of labeled pools splitting
-//! that width, each owning an LPT-balanced head group. Raising `workers`
-//! therefore increases request concurrency without oversubscribing
-//! cores.
+//! runs on the process-wide [`paro_core::pool::ComputePool`], which is
+//! sized by `available_parallelism`. Raising `workers` therefore
+//! increases request concurrency without oversubscribing cores.
 
-use crate::admission::{lpt_order, relock, request_cost, rewait, ServeError};
+use crate::admission::{relock, request_cost, rewait, ServeError};
 use crate::lifecycle::{PlanHealth, RecalibrationPolicy, Watchdog, WatchdogConfig, WatchdogStats};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::plan_cache::{MethodKey, PlanCache, PlanKey};
 use crate::plan_store::PlanStore;
-use crate::scheduler::{Admission, GraphStats, TenantClass, WavePolicy, WorkGraph};
-use crate::shard::ShardSet;
+use crate::scheduler::{Admission, GraphStats, TenantClass, WorkGraph};
 use paro_core::calibration::{calibrate_head, HeadCalibration};
 use paro_core::cancel::Deadline;
 use paro_core::int_pipeline::{run_attention_calibrated_int_with, IntAttentionRun};
 use paro_core::pipeline::{run_attention_calibrated_reference, AttentionInputs, AttentionRun};
-use paro_core::pool::panic_message;
+use paro_core::pool::{panic_message, ComputePool};
 use paro_core::CoreError;
-use paro_model::ModelConfig;
+use paro_model::{ModelConfig, TokenGrid};
 use paro_quant::{Bitwidth, BlockGrid};
+use paro_sim::dispatch::lpt_order;
 use paro_tensor::Tensor;
 use paro_trace::SpanOutcome;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -51,16 +47,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How a batch is ordered before it enters the queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scheduling {
-    /// Submission order.
-    Fifo,
-    /// Longest-processing-time first, costed with the simulator's
-    /// per-block cycle model (see [`crate::admission::request_cost`]).
-    CostLpt,
-}
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -83,8 +69,6 @@ pub struct ServeConfig {
     pub alpha: f32,
     /// Whether `QKᵀ` is output-bitwidth aware (LDZ truncation).
     pub output_aware: bool,
-    /// Batch scheduling policy.
-    pub scheduling: Scheduling,
     /// Deadline applied to requests that do not carry their own.
     pub default_deadline: Option<Duration>,
     /// Maximum retries after a transient fault (contained panic or
@@ -108,11 +92,6 @@ pub struct ServeConfig {
     /// single-tenant engine exactly. [`ServeRequest::tenant`] indexes
     /// into this list.
     pub tenants: Vec<TenantClass>,
-    /// Wave policy of the work graph: [`WavePolicy::Continuous`]
-    /// (default) backfills idle workers across requests;
-    /// [`WavePolicy::Drain`] emulates the old per-request batch barrier
-    /// for A/B comparison (`paro soak-bench` runs both).
-    pub wave_policy: WavePolicy,
     /// Plan artifact pre-staged at the **coarse shed budget**: tier-1
     /// shed requests fill their plan-cache misses from this artifact
     /// instead of recalibrating, so degrading a tenant under overload
@@ -127,13 +106,6 @@ pub struct ServeConfig {
     /// When (if ever) the engine recalibrates online and hot-swaps a new
     /// plan epoch. [`RecalibrationPolicy::OnStale`] requires a watchdog.
     pub recalibration: RecalibrationPolicy,
-    /// Compute-pool shards (1..=[`crate::shard::MAX_SHARDS`]). The
-    /// default of 1 runs every job on the process-wide global pool —
-    /// exactly the unsharded engine. With `K > 1` the engine plans a
-    /// head→shard map (greedy LPT over calibrated per-head costs) and
-    /// splits the global pool's thread width across `K` labeled pools;
-    /// output stays bit-identical to 1 shard. See `docs/SHARDING.md`.
-    pub shards: usize,
 }
 
 impl Default for ServeConfig {
@@ -147,18 +119,15 @@ impl Default for ServeConfig {
             budget: 4.8,
             alpha: 0.5,
             output_aware: false,
-            scheduling: Scheduling::CostLpt,
             default_deadline: None,
             retry_limit: 2,
             retry_backoff: Duration::from_micros(250),
             degraded_fallback: true,
             plan_artifact: None,
             tenants: vec![TenantClass::default()],
-            wave_policy: WavePolicy::Continuous,
             shed_plan_artifact: None,
             watchdog: None,
             recalibration: RecalibrationPolicy::Off,
-            shards: 1,
         }
     }
 }
@@ -245,13 +214,6 @@ impl ServeConfig {
                 ));
             }
             _ => {}
-        }
-        if self.shards == 0 || self.shards > crate::shard::MAX_SHARDS {
-            return Err(ServeError::InvalidConfig(format!(
-                "shards must be in 1..={}, got {}",
-                crate::shard::MAX_SHARDS,
-                self.shards
-            )));
         }
         Ok(())
     }
@@ -457,7 +419,6 @@ pub struct Engine {
     metrics: Arc<Metrics>,
     source: Arc<dyn CalibrationSource>,
     lifecycle: Arc<Lifecycle>,
-    shards: Arc<ShardSet>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     started: Instant,
     submitted: std::sync::atomic::AtomicUsize,
@@ -517,23 +478,7 @@ impl Engine {
             }
             None => None,
         };
-        // The shard set is planned after the primary artifact loads, so
-        // the head→shard map packs the *frozen* per-head costs (a B0-heavy
-        // head weighs almost nothing); without an artifact every head
-        // costs the budget-scaled estimate and LPT degrades to an even
-        // split. Routing is pure in (block, head): it cannot affect the
-        // engine's bit-identical reassembly, only latency.
-        let shards = Arc::new(ShardSet::plan(
-            cfg.shards,
-            &model,
-            cfg.budget,
-            plans.as_deref(),
-        )?);
-        let graph = Arc::new(WorkGraph::new(
-            &cfg.tenants,
-            cfg.queue_capacity,
-            cfg.wave_policy,
-        ));
+        let graph = Arc::new(WorkGraph::new(&cfg.tenants, cfg.queue_capacity));
         let cache = Arc::new(PlanCache::new(cfg.cache_capacity));
         let names: Vec<&str> = cfg.tenants.iter().map(|t| t.name.as_str()).collect();
         let metrics = Arc::new(Metrics::with_tenants(&names));
@@ -561,7 +506,6 @@ impl Engine {
                 plans: plans.clone(),
                 shed_plans: shed_plans.clone(),
                 lifecycle: Arc::clone(&lifecycle),
-                shards: Arc::clone(&shards),
             };
             let handle = std::thread::Builder::new()
                 .name(format!("paro-serve-{i}"))
@@ -581,7 +525,6 @@ impl Engine {
             metrics,
             source,
             lifecycle,
-            shards,
             workers: Mutex::new(workers),
             started: Instant::now(),
             submitted: std::sync::atomic::AtomicUsize::new(0),
@@ -655,7 +598,7 @@ impl Engine {
         }
         // SFQ cost annotation: the frozen per-block cycle model when the
         // head's calibration is cached, the budget-scaled estimate
-        // otherwise (same numbers CostLpt batch ordering uses).
+        // otherwise (same numbers run_batch's LPT ordering uses).
         let cal = self.cache.peek(&self.plan_key(request.block, request.head));
         let cost = request_cost(
             request.inputs.tokens(),
@@ -726,28 +669,25 @@ impl Engine {
         ticket.slot.wait()
     }
 
-    /// Runs a whole batch: admits every request (in cost-LPT order when
-    /// configured), waits for completion, and returns results in
-    /// **submission order** — deterministic regardless of worker count.
+    /// Runs a whole batch: admits every request in cost-LPT order
+    /// ([`paro_sim::dispatch::lpt_order`] over
+    /// [`crate::admission::request_cost`]), waits for completion, and
+    /// returns results in **submission order** — deterministic
+    /// regardless of worker count.
     /// Submission paces itself on queue space (a batch larger than the
     /// queue is fed as workers drain it); per-request failures (deadline
     /// miss, pipeline error, engine shutdown) appear as per-index errors.
     pub fn run_batch(&self, requests: Vec<ServeRequest>) -> BatchOutcome {
         let n = requests.len();
-        let order = match self.cfg.scheduling {
-            Scheduling::Fifo => (0..n).collect::<Vec<_>>(),
-            Scheduling::CostLpt => {
-                let head_dim = self.model.head_dim();
-                let costs: Vec<f64> = requests
-                    .iter()
-                    .map(|r| {
-                        let cal = self.cache.peek(&self.plan_key(r.block, r.head));
-                        request_cost(r.inputs.tokens(), head_dim, self.cfg.budget, cal.as_deref())
-                    })
-                    .collect();
-                lpt_order(&costs)
-            }
-        };
+        let head_dim = self.model.head_dim();
+        let costs: Vec<f64> = requests
+            .iter()
+            .map(|r| {
+                let cal = self.cache.peek(&self.plan_key(r.block, r.head));
+                request_cost(r.inputs.tokens(), head_dim, self.cfg.budget, cal.as_deref())
+            })
+            .collect();
+        let order = lpt_order(&costs);
         let mut slots: Vec<Option<Result<Ticket, ServeError>>> = (0..n).map(|_| None).collect();
         let mut requests: Vec<Option<ServeRequest>> = requests.into_iter().map(Some).collect();
         let admit_span = paro_trace::span(paro_trace::stage::SERVE_ADMIT);
@@ -793,18 +733,8 @@ impl Engine {
 
     /// Point-in-time metrics snapshot (JSON-serializable).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics.snapshot(
-            self.graph.len(),
-            self.started.elapsed(),
-            self.cache.stats(),
-            self.shards.snapshot_rows(),
-        )
-    }
-
-    /// The engine's shard set: the planned head→shard map and the
-    /// per-shard pools (a single global-pool shard by default).
-    pub fn shard_set(&self) -> &ShardSet {
-        &self.shards
+        self.metrics
+            .snapshot(self.graph.len(), self.started.elapsed(), self.cache.stats())
     }
 
     fn plan_key(&self, block: usize, head: usize) -> PlanKey {
@@ -873,7 +803,6 @@ impl Engine {
             metrics: Arc::clone(&self.metrics),
             source: Arc::clone(&self.source),
             lifecycle: Arc::clone(&self.lifecycle),
-            shards: Arc::clone(&self.shards),
         };
         let result = recalibrate_guarded(&ctx);
         self.lifecycle.recalibrating.store(false, Ordering::Release);
@@ -919,7 +848,6 @@ struct WorkerCtx {
     plans: Option<Arc<PlanStore>>,
     shed_plans: Option<Arc<PlanStore>>,
     lifecycle: Arc<Lifecycle>,
-    shards: Arc<ShardSet>,
 }
 
 fn worker_loop(ctx: &WorkerCtx) {
@@ -934,7 +862,7 @@ fn worker_loop(ctx: &WorkerCtx) {
         let tenant = job.tenant;
         let outcome = catch_unwind(AssertUnwindSafe(|| serve_one(ctx, &job)));
         // The wave accounting must see the task retire even when it
-        // panicked, or a contained fault would wedge the drain barrier.
+        // panicked, or a contained fault would keep its wave open forever.
         ctx.graph.task_done();
         if let Err(payload) = outcome {
             ctx.metrics.faulted.fetch_add(1, Relaxed);
@@ -1109,7 +1037,6 @@ struct RecalibCtx {
     metrics: Arc<Metrics>,
     source: Arc<dyn CalibrationSource>,
     lifecycle: Arc<Lifecycle>,
-    shards: Arc<ShardSet>,
 }
 
 /// Starts a background recalibration unless one is already in flight.
@@ -1128,7 +1055,6 @@ fn trigger_background_recalibration(ctx: &WorkerCtx) {
         metrics: Arc::clone(&ctx.metrics),
         source: Arc::clone(&ctx.source),
         lifecycle: Arc::clone(&ctx.lifecycle),
-        shards: Arc::clone(&ctx.shards),
     };
     let spawned = std::thread::Builder::new()
         .name("paro-recalibrate".into())
@@ -1243,32 +1169,40 @@ fn attempt_recalibration(
     }
     let mut entries = Vec::with_capacity(keys.len());
     for key in keys {
-        let source = Arc::clone(&ctx.source);
-        let (block_idx, head) = (key.block, key.head);
-        let grid = ctx.model.grid;
-        let edge = key.method.block_edge;
-        let calib_bits = key.method.calib_bits;
         // Re-freeze at the key's own method point, so shed coarse-budget
         // plans recalibrate at the shed budget, not the full one.
-        let budget = key.method.budget();
-        let alpha = key.method.alpha();
-        let cal = ctx
-            .shards
-            .pool_for(block_idx, head)
-            .try_run(move || {
-                let maps = source.calibration_maps(block_idx, head)?;
-                let block = BlockGrid::square(edge).map_err(CoreError::from)?;
-                Ok::<_, ServeError>(calibrate_head(
-                    &maps, &grid, block, calib_bits, budget, alpha,
-                )?)
-            })
-            .map_err(|fault| ServeError::Faulted {
-                site: paro_failpoint::site::POOL_JOB.into(),
-                message: fault.message,
-            })??;
+        let cal = calibrate_on_pool(&ctx.source, key.block, key.head, ctx.model.grid, key.method)?;
         entries.push((key.at_epoch(new_epoch), Arc::new(cal)));
     }
     Ok(entries)
+}
+
+/// Calibrates one head on the shared compute pool: pulls the head's
+/// calibration maps from `source` and freezes its plan on `grid` at the
+/// `method` point. Calibration is CPU-bound, so it runs on the pool and
+/// serve workers never oversubscribe cores; a panicking calibrator
+/// surfaces as a typed [`ServeError::Faulted`] instead of killing the
+/// pool.
+fn calibrate_on_pool(
+    source: &Arc<dyn CalibrationSource>,
+    block_idx: usize,
+    head: usize,
+    grid: TokenGrid,
+    method: MethodKey,
+) -> Result<HeadCalibration, ServeError> {
+    let source = Arc::clone(source);
+    ComputePool::global().try_run(move || {
+        let maps = source.calibration_maps(block_idx, head)?;
+        let block = BlockGrid::square(method.block_edge).map_err(CoreError::from)?;
+        Ok(calibrate_head(
+            &maps,
+            &grid,
+            block,
+            method.calib_bits,
+            method.budget(),
+            method.alpha(),
+        )?)
+    })?
 }
 
 fn execute(ctx: &WorkerCtx, job: &Job) -> Result<Executed, ServeError> {
@@ -1342,16 +1276,9 @@ fn execute(ctx: &WorkerCtx, job: &Job) -> Result<Executed, ServeError> {
             let inputs = job.inputs.clone();
             let cal_for_run = Arc::clone(&cal);
             let output_aware = ctx.cfg.output_aware;
-            let run = ctx
-                .shards
-                .pool_for(job.block, job.head)
-                .try_run(move || {
-                    run_attention_calibrated_reference(&inputs, &cal_for_run, output_aware)
-                })
-                .map_err(|fault| ServeError::Faulted {
-                    site: paro_failpoint::site::POOL_JOB.into(),
-                    message: fault.message,
-                })??;
+            let run = ComputePool::global().try_run(move || {
+                run_attention_calibrated_reference(&inputs, &cal_for_run, output_aware)
+            })??;
             drop(fallback_span);
             Ok(Executed {
                 run,
@@ -1411,29 +1338,15 @@ fn resolve_calibration(
         }
         let _calibrate_span = paro_trace::span(paro_trace::stage::SERVE_CALIBRATE);
         let t0 = Instant::now();
-        // Calibration is CPU-bound: run it on the shared compute pool so
-        // serve workers never oversubscribe cores.
-        let source = Arc::clone(&ctx.source);
-        let (block_idx, head) = (job.block, job.head);
-        let grid = *job.inputs.grid();
-        let edge = ctx.cfg.block_edge;
-        let calib_bits = ctx.cfg.calib_bits;
-        let budget = job.budget_override.unwrap_or(ctx.cfg.budget);
-        let alpha = ctx.cfg.alpha;
-        let cal = ctx
-            .shards
-            .pool_for(block_idx, head)
-            .try_run(move || {
-                let maps = source.calibration_maps(block_idx, head)?;
-                let block = BlockGrid::square(edge).map_err(CoreError::from)?;
-                Ok::<_, ServeError>(calibrate_head(
-                    &maps, &grid, block, calib_bits, budget, alpha,
-                )?)
-            })
-            .map_err(|fault| ServeError::Faulted {
-                site: paro_failpoint::site::POOL_JOB.into(),
-                message: fault.message,
-            })??;
+        // The key's method point carries the effective (possibly shed)
+        // budget.
+        let cal = calibrate_on_pool(
+            &ctx.source,
+            job.block,
+            job.head,
+            *job.inputs.grid(),
+            key.method,
+        )?;
         ctx.metrics.calibration_ns.fetch_add(
             t0.elapsed().as_nanos().min(u64::MAX as u128) as u64,
             Relaxed,
@@ -1456,15 +1369,9 @@ fn int_attention(
     let inputs = job.inputs.clone();
     let cal_for_run = Arc::clone(cal);
     let output_aware = ctx.cfg.output_aware;
-    let int = ctx
-        .shards
-        .pool_for(job.block, job.head)
+    let int = ComputePool::global()
         .try_run(move || {
             run_attention_calibrated_int_with(&inputs, &cal_for_run, output_aware, deadline)
-        })
-        .map_err(|fault| ServeError::Faulted {
-            site: paro_failpoint::site::POOL_JOB.into(),
-            message: fault.message,
         })?
         .map_err(|e| match e {
             CoreError::Cancelled => ServeError::DeadlineExceeded {

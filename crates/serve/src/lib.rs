@@ -27,15 +27,11 @@
 //!   [`ServeConfig::plan_artifact`] set, cache misses fill from a
 //!   validated `paro-artifact` file instead of recalibrating, so a cold
 //!   start costs one file read instead of one calibration per head.
-//! - [`shard`] — sharded execution: `K` labeled compute-pool shards with
-//!   a statically planned head→shard map (greedy LPT over the calibrated
-//!   per-head costs, [`paro_core::placement`]), bit-identical to the
-//!   unsharded engine by construction. See `docs/SHARDING.md`.
 //! - [`admission`] — backpressure (a full queue rejects with a structured
 //!   [`ServeError`] instead of blocking), NaN/Inf input rejection at the
 //!   door, per-request deadlines with cooperative mid-pipeline
-//!   cancellation, and cost-aware LPT batch scheduling reusing the
-//!   simulator's dispatch cost model.
+//!   cancellation, and the per-request cost that batch LPT ordering
+//!   and SFQ tags share, taken from the simulator's dispatch model.
 //! - [`lifecycle`] — the calibration-drift lifecycle: a cheap fidelity
 //!   proxy sampled from served requests feeds a staleness [`Watchdog`]
 //!   (`Fresh → Suspect → Stale` with EWMA thresholds and hysteresis),
@@ -85,28 +81,24 @@ pub mod metrics;
 pub mod plan_cache;
 pub mod plan_store;
 pub mod scheduler;
-pub mod shard;
 pub mod workload;
 
-pub use admission::{BoundedQueue, ServeError};
+pub use admission::ServeError;
 pub use engine::{
-    BatchOutcome, CalibrationSource, Engine, Scheduling, ServeConfig, ServeRequest, ServeResponse,
-    Ticket,
+    BatchOutcome, CalibrationSource, Engine, ServeConfig, ServeRequest, ServeResponse, Ticket,
 };
 pub use lifecycle::{PlanHealth, RecalibrationPolicy, Watchdog, WatchdogConfig, WatchdogStats};
 pub use metrics::{
-    shard_imbalance_pct, LatencyHistogram, LatencySummary, Metrics, MetricsSnapshot, ShardSnapshot,
-    TenantMetrics, TenantSnapshot,
+    LatencyHistogram, LatencySummary, Metrics, MetricsSnapshot, TenantMetrics, TenantSnapshot,
 };
 pub use plan_cache::{CacheStats, MethodKey, PlanCache, PlanKey};
 pub use plan_store::PlanStore;
-pub use scheduler::{GraphStats, TenantClass, WavePolicy, WorkGraph};
-pub use shard::{shard_label, ShardSet, MAX_SHARDS};
+pub use scheduler::{GraphStats, TenantClass, WorkGraph};
 
 /// Convenience re-exports for engine users.
 pub mod prelude {
-    pub use crate::engine::{Engine, Scheduling, ServeConfig, ServeRequest};
-    pub use crate::scheduler::{TenantClass, WavePolicy};
+    pub use crate::engine::{Engine, ServeConfig, ServeRequest};
+    pub use crate::scheduler::TenantClass;
     pub use crate::workload;
     pub use crate::ServeError;
 }

@@ -181,44 +181,6 @@ pub struct TenantSnapshot {
     pub total: LatencySummary,
 }
 
-/// A point-in-time view of one compute-pool shard, one row per shard in
-/// the engine's shard set. A single-shard engine reports one row for the
-/// process-wide global pool.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ShardSnapshot {
-    /// Shard index within the engine's shard set.
-    pub shard: usize,
-    /// The shard pool's `pool.execute` span label (`shard0`, `shard1`,
-    /// …; empty for the unlabeled global pool of a 1-shard engine).
-    pub label: String,
-    /// Worker threads in this shard's pool.
-    pub threads: usize,
-    /// Jobs waiting in this shard's pool queue at snapshot time.
-    pub queue_depth: usize,
-    /// Jobs executed on this shard's pool workers since pool creation.
-    pub executed_jobs: u64,
-    /// Cumulative milliseconds this shard's workers spent inside job
-    /// bodies since pool creation.
-    pub busy_ms: f64,
-}
-
-/// Measured shard load imbalance in percent from per-shard busy time:
-/// how far the busiest shard sits above the mean (`(max / mean − 1) ×
-/// 100`). Zero for fewer than two rows or when no shard has done work —
-/// the same figure `paro_core::placement::Placement::imbalance_pct`
-/// predicts from planned costs.
-pub fn shard_imbalance_pct(shards: &[ShardSnapshot]) -> f64 {
-    if shards.len() < 2 {
-        return 0.0;
-    }
-    let mean = shards.iter().map(|s| s.busy_ms).sum::<f64>() / shards.len() as f64;
-    if mean <= 0.0 {
-        return 0.0;
-    }
-    let max = shards.iter().map(|s| s.busy_ms).fold(0.0f64, f64::max);
-    (max / mean - 1.0) * 100.0
-}
-
 /// All engine counters and histograms. Shared between workers via `Arc`;
 /// every update is a relaxed atomic.
 #[derive(Debug, Default)]
@@ -304,15 +266,12 @@ impl Metrics {
 
     /// Builds the serializable snapshot. `queue_depth` is sampled by the
     /// caller (the engine owns the queue); `elapsed` scopes the
-    /// requests-per-second figure; `shards` carries the per-shard pool
-    /// rows sampled by the engine's shard set (empty when the caller has
-    /// no shard set, e.g. in unit tests of the bare metrics).
+    /// requests-per-second figure.
     pub fn snapshot(
         &self,
         queue_depth: usize,
         elapsed: Duration,
         cache: crate::plan_cache::CacheStats,
-        shards: Vec<ShardSnapshot>,
     ) -> MetricsSnapshot {
         let completed = self.completed.load(Ordering::Relaxed);
         let secs = elapsed.as_secs_f64();
@@ -357,8 +316,6 @@ impl Metrics {
             },
             cache,
             tenants: self.tenants.iter().map(TenantMetrics::snapshot).collect(),
-            shard_imbalance_pct: shard_imbalance_pct(&shards),
-            shards,
         }
     }
 }
@@ -423,12 +380,6 @@ pub struct MetricsSnapshot {
     pub cache: crate::plan_cache::CacheStats,
     /// Per-tenant rows (empty for a single-tenant engine).
     pub tenants: Vec<TenantSnapshot>,
-    /// Measured shard load imbalance in percent, from the per-shard busy
-    /// times in `shards` (0 for a single shard).
-    pub shard_imbalance_pct: f64,
-    /// Per-shard compute-pool rows (one row per shard in the engine's
-    /// shard set; empty when the snapshot was taken without one).
-    pub shards: Vec<ShardSnapshot>,
 }
 
 #[cfg(test)]
@@ -487,26 +438,12 @@ mod tests {
                 inflight_waits: 2,
                 hit_rate: 0.75,
             },
-            vec![ShardSnapshot {
-                shard: 0,
-                label: String::new(),
-                threads: 2,
-                queue_depth: 0,
-                executed_jobs: 4,
-                busy_ms: 1.5,
-            }],
         );
         assert_eq!(snap.submitted, 5);
         assert!((snap.requests_per_sec - 2.0).abs() < 1e-9);
         assert_eq!(snap.packed_map_bytes, 1024);
         assert!((snap.int_macs_skipped_fraction - 0.25).abs() < 1e-9);
-        // One shard row never reads as imbalance.
-        assert_eq!(snap.shard_imbalance_pct, 0.0);
-        assert_eq!(snap.shards.len(), 1);
         let json = serde_json::to_string(&snap).unwrap();
-        assert!(json.contains("\"shard_imbalance_pct\""));
-        assert!(json.contains("\"shards\""));
-        assert!(json.contains("\"busy_ms\""));
         assert!(json.contains("\"requests_per_sec\""));
         assert!(json.contains("\"p99_us\""));
         assert!(json.contains("\"hit_rate\""));
@@ -555,7 +492,6 @@ mod tests {
                 inflight_waits: 0,
                 hit_rate: 0.0,
             },
-            Vec::new(),
         );
         assert_eq!(snap.tenants.len(), 2);
         assert_eq!(snap.tenants[0].name, "interactive");
@@ -568,35 +504,5 @@ mod tests {
         assert!(json.contains("\"shed_rejected\""));
         // The implicit single-tenant engine serializes an empty list.
         assert!(Metrics::new().tenants.is_empty());
-    }
-
-    fn shard_row(shard: usize, busy_ms: f64) -> ShardSnapshot {
-        ShardSnapshot {
-            shard,
-            label: format!("shard{shard}"),
-            threads: 1,
-            queue_depth: 0,
-            executed_jobs: 1,
-            busy_ms,
-        }
-    }
-
-    #[test]
-    fn shard_imbalance_measures_busy_skew() {
-        // Even split: no imbalance.
-        assert_eq!(
-            shard_imbalance_pct(&[shard_row(0, 10.0), shard_row(1, 10.0)]),
-            0.0
-        );
-        // 30 vs 10: mean 20, max 30 → 50% above the mean.
-        let pct = shard_imbalance_pct(&[shard_row(0, 30.0), shard_row(1, 10.0)]);
-        assert!((pct - 50.0).abs() < 1e-9, "{pct}");
-        // Degenerate inputs report zero.
-        assert_eq!(shard_imbalance_pct(&[]), 0.0);
-        assert_eq!(shard_imbalance_pct(&[shard_row(0, 99.0)]), 0.0);
-        assert_eq!(
-            shard_imbalance_pct(&[shard_row(0, 0.0), shard_row(1, 0.0)]),
-            0.0
-        );
     }
 }

@@ -42,15 +42,11 @@
 //!
 //! # Waves
 //!
-//! Dispatch is bracketed into *waves* for observability and comparison:
-//! under [`WavePolicy::Continuous`] a wave is simply the busy period
-//! between the in-flight count leaving and returning to zero, and
-//! admission never gates on it. Under [`WavePolicy::Drain`] a wave
-//! admits at most the number of tasks queued when it opened and **no
-//! further task dispatches until the wave fully drains** — reproducing
-//! the old per-request engine's batch barrier, so `paro soak-bench` can
-//! measure exactly what continuous batching buys at the same offered
-//! load. Every wave is recorded as a `sched.wave` trace range whose
+//! Dispatch is bracketed into *waves* for observability: a wave is the
+//! busy period between the in-flight count leaving and returning to
+//! zero. Batching is continuous — a task dispatches whenever a worker
+//! asks for one, and neither admission nor dispatch ever gates on the
+//! wave. Every wave is recorded as a `sched.wave` trace range whose
 //! context is the wave id.
 
 use crate::admission::{relock, rewait, ServeError};
@@ -94,18 +90,6 @@ impl Default for TenantClass {
     fn default() -> Self {
         TenantClass::new("default", 1.0)
     }
-}
-
-/// How dispatch is gated between scheduler waves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WavePolicy {
-    /// Continuous batching: tasks dispatch whenever a worker is free;
-    /// waves only bracket busy periods for observability.
-    Continuous,
-    /// Batch-barrier emulation of the per-request engine: a wave admits
-    /// at most the tasks queued when it opened and the next wave cannot
-    /// open until the current one fully drains.
-    Drain,
 }
 
 /// Admission tier the work graph granted a task.
@@ -163,8 +147,6 @@ struct GraphState<T> {
     in_flight: usize,
     closed: bool,
     paused: bool,
-    /// Drain policy: dispatches remaining in the open wave (0 = barrier).
-    wave_quota: usize,
     /// Id of the current/most recent wave (first wave is 1).
     wave_id: u64,
     /// Start instant of the open wave, if one is open.
@@ -181,12 +163,11 @@ struct GraphState<T> {
 #[derive(Debug)]
 pub struct WorkGraph<T> {
     inner: Mutex<GraphState<T>>,
-    /// Signals consumers: task admitted, barrier lifted, resume, close.
+    /// Signals consumers: task admitted, resume, close.
     dispatchable: Condvar,
     /// Signals blocked producers: capacity freed, close.
     space: Condvar,
     capacity: usize,
-    policy: WavePolicy,
     names: Vec<String>,
     weights: Vec<f64>,
     quotas: Vec<usize>,
@@ -194,15 +175,15 @@ pub struct WorkGraph<T> {
 }
 
 impl<T> WorkGraph<T> {
-    /// Creates a graph with the given tenant classes, whole-graph
-    /// capacity and wave policy.
+    /// Creates a graph with the given tenant classes and whole-graph
+    /// capacity.
     ///
     /// # Panics
     ///
     /// Panics on an empty class list, a zero capacity, or a non-finite /
     /// non-positive weight — the engine validates its configuration
     /// before construction, so these are internal contract violations.
-    pub fn new(classes: &[TenantClass], capacity: usize, policy: WavePolicy) -> Self {
+    pub fn new(classes: &[TenantClass], capacity: usize) -> Self {
         assert!(!classes.is_empty(), "work graph needs at least one tenant");
         assert!(capacity > 0, "work graph capacity must be positive");
         for class in classes {
@@ -225,7 +206,6 @@ impl<T> WorkGraph<T> {
                 in_flight: 0,
                 closed: false,
                 paused: false,
-                wave_quota: 0,
                 wave_id: 0,
                 wave_started: None,
                 dispatched: 0,
@@ -235,7 +215,6 @@ impl<T> WorkGraph<T> {
             dispatchable: Condvar::new(),
             space: Condvar::new(),
             capacity,
-            policy,
             names: classes.iter().map(|c| c.name.clone()).collect(),
             weights: classes.iter().map(|c| c.weight).collect(),
             quotas: classes.iter().map(|c| c.quota).collect(),
@@ -329,34 +308,17 @@ impl<T> WorkGraph<T> {
 
     /// Dispatches the next task: blocks until the SFQ scheduler grants
     /// one, returns `None` once the graph is closed and drained. Pausing
-    /// holds dispatch (close overrides pause so shutdown always drains);
-    /// under [`WavePolicy::Drain`] dispatch also gates on the wave
-    /// barrier. The caller **must** pair every granted task with one
-    /// [`WorkGraph::task_done`] call, or the wave accounting (and the
-    /// drain barrier) wedges.
+    /// holds dispatch (close overrides pause so shutdown always drains).
+    /// The caller **must** pair every granted task with one
+    /// [`WorkGraph::task_done`] call, or the wave accounting wedges.
     pub fn next(&self) -> Option<T> {
         let mut state = relock(&self.inner);
         loop {
             if !state.paused || state.closed {
-                if self.policy == WavePolicy::Drain
-                    && state.in_flight == 0
-                    && state.wave_quota == 0
-                    && state.queued > 0
-                {
-                    state.wave_quota = state.queued;
-                    state.wave_id += 1;
-                    state.wave_started = Some(Instant::now());
-                }
-                let barrier_open = match self.policy {
-                    WavePolicy::Continuous => true,
-                    WavePolicy::Drain => state.wave_quota > 0,
-                };
-                if state.queued > 0 && barrier_open {
-                    if let Some(task) = self.dispatch(&mut state) {
-                        drop(state);
-                        self.space.notify_one();
-                        return Some(task);
-                    }
+                if let Some(task) = self.dispatch(&mut state) {
+                    drop(state);
+                    self.space.notify_one();
+                    return Some(task);
                 }
                 if state.closed && state.queued == 0 {
                     return None;
@@ -386,9 +348,7 @@ impl<T> WorkGraph<T> {
         state.queued -= 1;
         state.in_flight += 1;
         state.dispatched += 1;
-        if self.policy == WavePolicy::Drain {
-            state.wave_quota -= 1;
-        } else if state.wave_started.is_none() {
+        if state.wave_started.is_none() {
             state.wave_id += 1;
             state.wave_started = Some(Instant::now());
         }
@@ -402,17 +362,12 @@ impl<T> WorkGraph<T> {
     }
 
     /// Marks one previously dispatched task finished (success or
-    /// failure alike), closing the wave when the graph goes idle and
-    /// lifting the drain barrier once a wave fully drains.
+    /// failure alike), closing the wave when the graph goes idle.
     pub fn task_done(&self) {
         let mut state = relock(&self.inner);
         debug_assert!(state.in_flight > 0, "task_done without a dispatch");
         state.in_flight = state.in_flight.saturating_sub(1);
-        let wave_over = match self.policy {
-            WavePolicy::Continuous => state.in_flight == 0 && state.queued == 0,
-            WavePolicy::Drain => state.in_flight == 0 && state.wave_quota == 0,
-        };
-        if wave_over {
+        if state.in_flight == 0 && state.queued == 0 {
             if let Some(started) = state.wave_started.take() {
                 paro_trace::record_range(
                     paro_trace::stage::SCHED_WAVE,
@@ -421,9 +376,6 @@ impl<T> WorkGraph<T> {
                     state.wave_id,
                 );
             }
-            drop(state);
-            // A drained wave unblocks consumers parked on the barrier.
-            self.dispatchable.notify_all();
         }
     }
 
@@ -475,7 +427,6 @@ impl<T> WorkGraph<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -496,7 +447,7 @@ mod tests {
         // Tenant a at weight 3, b at weight 1, equal task costs: draining
         // the backlog one task at a time must interleave ~3 a-tasks per
         // b-task, not serve either tenant's queue to exhaustion first.
-        let graph = WorkGraph::new(&two_tenants(3.0, 1.0), 128, WavePolicy::Continuous);
+        let graph = WorkGraph::new(&two_tenants(3.0, 1.0), 128);
         fill(&graph, 0, 24, 600.0);
         fill(&graph, 1, 24, 600.0);
         let first: Vec<usize> = (0..16)
@@ -509,7 +460,7 @@ mod tests {
         let a = first.iter().filter(|&&t| t == 0).count();
         assert!((11..=13).contains(&a), "tenant a got {a}/16: {first:?}");
         // FIFO within each tenant.
-        let graph = WorkGraph::new(&two_tenants(1.0, 1.0), 16, WavePolicy::Continuous);
+        let graph = WorkGraph::new(&two_tenants(1.0, 1.0), 16);
         fill(&graph, 0, 3, 10.0);
         let order: Vec<usize> = (0..3)
             .map(|_| {
@@ -526,7 +477,7 @@ mod tests {
         // A 1:1000 weight ratio: the low-weight tenant's first task has
         // start tag ~0 and must dispatch within the first few grants even
         // under a huge high-weight backlog.
-        let graph = WorkGraph::new(&two_tenants(1000.0, 1.0), 256, WavePolicy::Continuous);
+        let graph = WorkGraph::new(&two_tenants(1000.0, 1.0), 256);
         fill(&graph, 0, 100, 500.0);
         fill(&graph, 1, 1, 500.0);
         let mut b_pos = None;
@@ -550,7 +501,7 @@ mod tests {
             quota: 2,
             shed_budget: Some(2.0),
         }];
-        let graph: WorkGraph<Admission> = WorkGraph::new(&classes, 64, WavePolicy::Continuous);
+        let graph: WorkGraph<Admission> = WorkGraph::new(&classes, 64);
         for _ in 0..2 {
             assert_eq!(
                 graph.submit(0, 1.0, 0, false, |a| a).unwrap(),
@@ -589,7 +540,7 @@ mod tests {
             quota: 1,
             shed_budget: None,
         }];
-        let graph: WorkGraph<u8> = WorkGraph::new(&classes, 64, WavePolicy::Continuous);
+        let graph: WorkGraph<u8> = WorkGraph::new(&classes, 64);
         graph.submit(0, 1.0, 0, false, |_| 0).unwrap();
         assert!(matches!(
             graph.submit(0, 1.0, 0, false, |_| 0),
@@ -599,8 +550,7 @@ mod tests {
 
     #[test]
     fn capacity_rejects_before_tenant_ladder() {
-        let graph: WorkGraph<u8> =
-            WorkGraph::new(&[TenantClass::default()], 2, WavePolicy::Continuous);
+        let graph: WorkGraph<u8> = WorkGraph::new(&[TenantClass::default()], 2);
         graph.submit(0, 1.0, 0, false, |_| 0).unwrap();
         graph.submit(0, 1.0, 0, false, |_| 0).unwrap();
         assert!(matches!(
@@ -611,8 +561,7 @@ mod tests {
 
     #[test]
     fn close_drains_then_ends_and_rejects_producers() {
-        let graph: WorkGraph<u8> =
-            WorkGraph::new(&[TenantClass::default()], 4, WavePolicy::Continuous);
+        let graph: WorkGraph<u8> = WorkGraph::new(&[TenantClass::default()], 4);
         graph.submit(0, 1.0, 0, false, |_| 9).unwrap();
         graph.close();
         assert!(matches!(
@@ -626,11 +575,7 @@ mod tests {
 
     #[test]
     fn pause_holds_dispatch_until_resume() {
-        let graph: Arc<WorkGraph<u8>> = Arc::new(WorkGraph::new(
-            &[TenantClass::default()],
-            4,
-            WavePolicy::Continuous,
-        ));
+        let graph: Arc<WorkGraph<u8>> = Arc::new(WorkGraph::new(&[TenantClass::default()], 4));
         graph.pause();
         graph.submit(0, 1.0, 0, false, |_| 7).unwrap();
         let consumer = {
@@ -645,46 +590,8 @@ mod tests {
     }
 
     #[test]
-    fn drain_wave_gates_new_arrivals_until_the_wave_drains() {
-        let graph: Arc<WorkGraph<usize>> = Arc::new(WorkGraph::new(
-            &[TenantClass::default()],
-            64,
-            WavePolicy::Drain,
-        ));
-        fill(&graph, 0, 3, 10.0);
-        // First wave: exactly the 3 queued tasks dispatch.
-        let wave1: Vec<usize> = (0..3).map(|_| graph.next().unwrap()).collect();
-        assert_eq!(wave1.len(), 3);
-        assert_eq!(graph.stats().waves, 1);
-        // New arrivals during the wave must NOT dispatch...
-        fill(&graph, 0, 2, 10.0);
-        let grabbed = Arc::new(AtomicUsize::new(0));
-        let consumer = {
-            let g = Arc::clone(&graph);
-            let got = Arc::clone(&grabbed);
-            std::thread::spawn(move || {
-                while g.next().is_some() {
-                    got.fetch_add(1, Ordering::SeqCst);
-                    g.task_done();
-                }
-            })
-        };
-        std::thread::sleep(Duration::from_millis(40));
-        assert_eq!(grabbed.load(Ordering::SeqCst), 0, "barrier must hold");
-        // ...until every wave-1 task is done.
-        graph.task_done();
-        graph.task_done();
-        graph.task_done();
-        graph.close();
-        consumer.join().unwrap();
-        assert_eq!(grabbed.load(Ordering::SeqCst), 2);
-        assert_eq!(graph.stats().waves, 2);
-    }
-
-    #[test]
     fn continuous_never_gates_on_in_flight_work() {
-        let graph: WorkGraph<usize> =
-            WorkGraph::new(&[TenantClass::default()], 64, WavePolicy::Continuous);
+        let graph: WorkGraph<usize> = WorkGraph::new(&[TenantClass::default()], 64);
         fill(&graph, 0, 2, 10.0);
         let _a = graph.next().unwrap();
         // A new arrival while a task is in flight dispatches immediately.
@@ -700,11 +607,7 @@ mod tests {
 
     #[test]
     fn blocking_submit_waits_for_space() {
-        let graph: Arc<WorkGraph<u8>> = Arc::new(WorkGraph::new(
-            &[TenantClass::default()],
-            1,
-            WavePolicy::Continuous,
-        ));
+        let graph: Arc<WorkGraph<u8>> = Arc::new(WorkGraph::new(&[TenantClass::default()], 1));
         graph.submit(0, 1.0, 0, false, |_| 1).unwrap();
         let producer = {
             let g = Arc::clone(&graph);
@@ -717,5 +620,76 @@ mod tests {
         assert_eq!(graph.next(), Some(2));
         graph.task_done();
         graph.task_done();
+    }
+
+    #[test]
+    fn concurrent_producers_and_consumers_deliver_everything() {
+        // A small capacity parks the blocking producers, so admission,
+        // dispatch and completion all contend on the graph lock.
+        let graph: Arc<WorkGraph<usize>> = Arc::new(WorkGraph::new(&two_tenants(1.0, 2.0), 8));
+        let consumers: Vec<_> = (0..4)
+            .map(|_| {
+                let g = Arc::clone(&graph);
+                std::thread::spawn(move || {
+                    let mut got = Vec::new();
+                    while let Some(v) = g.next() {
+                        got.push(v);
+                        g.task_done();
+                    }
+                    got
+                })
+            })
+            .collect();
+        let producers: Vec<_> = (0..2)
+            .map(|tenant| {
+                let g = Arc::clone(&graph);
+                std::thread::spawn(move || {
+                    for i in 0..32 {
+                        g.submit(tenant, 10.0, i as u64, true, |_| tenant * 1000 + i)
+                            .unwrap();
+                    }
+                })
+            })
+            .collect();
+        for p in producers {
+            p.join().unwrap();
+        }
+        graph.close();
+        let mut all: Vec<usize> = consumers
+            .into_iter()
+            .flat_map(|c| c.join().unwrap())
+            .collect();
+        all.sort_unstable();
+        let want: Vec<usize> = (0..2)
+            .flat_map(|t| (0..32).map(move |i| t * 1000 + i))
+            .collect();
+        assert_eq!(all, want);
+        let stats = graph.stats();
+        assert_eq!(
+            (stats.queued, stats.in_flight, stats.dispatched),
+            (0, 0, 64)
+        );
+    }
+
+    #[test]
+    fn queue_survives_a_poisoning_panic() {
+        // A thread that panics while holding the graph lock must not take
+        // the graph down with it: later operations recover from poison.
+        let graph: Arc<WorkGraph<u8>> = Arc::new(WorkGraph::new(&[TenantClass::default()], 4));
+        graph.submit(0, 1.0, 0, false, |_| 1).unwrap();
+        let g = Arc::clone(&graph);
+        let _ = std::thread::spawn(move || {
+            let _guard = relock(&g.inner);
+            panic!("poison the graph lock");
+        })
+        .join();
+        assert!(graph.inner.is_poisoned());
+        graph.submit(0, 1.0, 1, false, |_| 2).unwrap();
+        assert_eq!(graph.len(), 2);
+        assert_eq!(graph.next(), Some(1));
+        graph.task_done();
+        assert_eq!(graph.next(), Some(2));
+        graph.task_done();
+        assert_eq!(graph.stats().in_flight, 0);
     }
 }

@@ -4,7 +4,7 @@
 
 use paro_model::ModelConfig;
 use paro_serve::workload::{scaled_config, synthetic_requests, SyntheticSource, WorkloadSpec};
-use paro_serve::{Engine, Scheduling, ServeConfig, ServeError, ServeRequest};
+use paro_serve::{Engine, ServeConfig, ServeError, ServeRequest};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -31,14 +31,10 @@ fn test_requests(model: &ModelConfig, requests: usize) -> Vec<ServeRequest> {
     })
 }
 
-fn run_with_workers(workers: usize, scheduling: Scheduling) -> Vec<Vec<f32>> {
+fn run_with_workers(workers: usize) -> Vec<Vec<f32>> {
     let model = test_model();
     let source = Arc::new(SyntheticSource::new(model.clone(), 2, 99));
-    let cfg = ServeConfig {
-        scheduling,
-        ..test_config(workers)
-    };
-    let engine = Engine::new(cfg, model.clone(), source).unwrap();
+    let engine = Engine::new(test_config(workers), model.clone(), source).unwrap();
     let outcome = engine.run_batch(test_requests(&model, 18));
     outcome
         .responses
@@ -55,21 +51,16 @@ fn run_with_workers(workers: usize, scheduling: Scheduling) -> Vec<Vec<f32>> {
 
 #[test]
 fn output_is_bit_identical_across_worker_counts() {
-    let baseline = run_with_workers(1, Scheduling::Fifo);
+    let baseline = run_with_workers(1);
     for workers in [2usize, 8] {
-        for scheduling in [Scheduling::Fifo, Scheduling::CostLpt] {
-            let outputs = run_with_workers(workers, scheduling);
-            assert_eq!(baseline.len(), outputs.len());
-            for (i, (a, b)) in baseline.iter().zip(&outputs).enumerate() {
-                // Bitwise equality, not tolerance: scheduling must not
-                // change a single ulp.
-                let a_bits: Vec<u32> = a.iter().map(|x| x.to_bits()).collect();
-                let b_bits: Vec<u32> = b.iter().map(|x| x.to_bits()).collect();
-                assert_eq!(
-                    a_bits, b_bits,
-                    "request {i} differs at {workers} workers ({scheduling:?})"
-                );
-            }
+        let outputs = run_with_workers(workers);
+        assert_eq!(baseline.len(), outputs.len());
+        for (i, (a, b)) in baseline.iter().zip(&outputs).enumerate() {
+            // Bitwise equality, not tolerance: scheduling must not
+            // change a single ulp.
+            let a_bits: Vec<u32> = a.iter().map(|x| x.to_bits()).collect();
+            let b_bits: Vec<u32> = b.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(a_bits, b_bits, "request {i} differs at {workers} workers");
         }
     }
 }

@@ -2,18 +2,15 @@
 //! determinism guarantees from `docs/SCHEDULING.md`.
 //!
 //! The headline property: **scheduling never changes results**. Whatever
-//! the tenant weights, worker count, wave policy or admission
-//! interleaving, the engine's outputs are bit-identical to a sequential
-//! (one worker, FIFO, single tenant) execution — the scheduler moves
-//! latency around, nothing else.
+//! the tenant weights, worker count or admission interleaving, the
+//! engine's outputs are bit-identical to a sequential (one worker, single
+//! tenant) execution — the scheduler moves latency around, nothing else.
 
 use paro_model::ModelConfig;
 use paro_serve::workload::{
     scaled_config, synthetic_requests, with_tenant, SyntheticSource, WorkloadSpec,
 };
-use paro_serve::{
-    Engine, Scheduling, ServeConfig, ServeError, ServeRequest, TenantClass, WavePolicy, WorkGraph,
-};
+use paro_serve::{Engine, ServeConfig, ServeError, ServeRequest, TenantClass, WorkGraph};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -50,14 +47,12 @@ fn outputs_bits(engine: &Engine, requests: Vec<ServeRequest>) -> Vec<Vec<u32>> {
         .collect()
 }
 
-/// Sequential reference: one worker, FIFO order, the default single
-/// tenant, continuous waves.
+/// Sequential reference: one worker and the default single tenant.
 fn sequential_baseline(model: &ModelConfig, n: usize, seed: u64) -> Vec<Vec<u32>> {
     let source = Arc::new(SyntheticSource::new(model.clone(), 1, 7));
     let cfg = ServeConfig {
         workers: 1,
         block_edge: 4,
-        scheduling: Scheduling::Fifo,
         ..ServeConfig::default()
     };
     let engine = Engine::new(cfg, model.clone(), source).unwrap();
@@ -67,16 +62,14 @@ fn sequential_baseline(model: &ModelConfig, n: usize, seed: u64) -> Vec<Vec<u32>
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
-    /// Any admission interleaving — worker count, tenant weights, wave
-    /// policy, batch scheduling, per-request tenant assignment — yields
-    /// outputs bit-identical to sequential execution.
+    /// Any admission interleaving — worker count, tenant weights,
+    /// per-request tenant assignment — yields outputs bit-identical to
+    /// sequential execution.
     #[test]
     fn any_interleaving_is_bit_identical_to_sequential(
         workers in 1usize..=4,
         w0 in prop::sample::select(vec![1.0f64, 2.0, 8.0]),
         w1 in prop::sample::select(vec![0.5f64, 1.0, 4.0]),
-        drain in prop::sample::select(vec![false, true]),
-        lpt in prop::sample::select(vec![false, true]),
         seed in 100u64..104,
     ) {
         let model = test_model();
@@ -86,12 +79,10 @@ proptest! {
         let cfg = ServeConfig {
             workers,
             block_edge: 4,
-            scheduling: if lpt { Scheduling::CostLpt } else { Scheduling::Fifo },
             tenants: vec![
                 TenantClass::new("interactive", w0),
                 TenantClass::new("batch", w1),
             ],
-            wave_policy: if drain { WavePolicy::Drain } else { WavePolicy::Continuous },
             ..ServeConfig::default()
         };
         let engine = Engine::new(cfg, model.clone(), source).unwrap();
@@ -112,15 +103,13 @@ proptest! {
     fn graph_interleavings_conserve_tasks(
         ops in proptest::collection::vec(0u8..3, 10..60),
         weights in proptest::collection::vec(prop::sample::select(vec![0.5f64, 1.0, 3.0]), 1..4),
-        drain in prop::sample::select(vec![false, true]),
     ) {
         let classes: Vec<TenantClass> = weights
             .iter()
             .enumerate()
             .map(|(i, &w)| TenantClass::new(format!("t{i}"), w))
             .collect();
-        let policy = if drain { WavePolicy::Drain } else { WavePolicy::Continuous };
-        let graph: WorkGraph<(usize, u64)> = WorkGraph::new(&classes, 1024, policy);
+        let graph: WorkGraph<(usize, u64)> = WorkGraph::new(&classes, 1024);
         let mut submitted: Vec<Vec<u64>> = vec![Vec::new(); classes.len()];
         let mut dispatched: Vec<Vec<u64>> = vec![Vec::new(); classes.len()];
         let mut next_id = 0u64;
@@ -137,13 +126,9 @@ proptest! {
                     submitted[tenant].push(id);
                     queued += 1;
                 }
-                // Dispatch one task if the barrier allows it. Under Drain
-                // the wave quota may be exhausted while tasks are in
-                // flight, so dispatch is only attempted on an idle graph
-                // (where a new wave is guaranteed to open).
+                // Dispatch one task if any is queued.
                 1 => {
-                    let barrier_blocked = drain && in_flight > 0;
-                    if queued > 0 && !barrier_blocked {
+                    if queued > 0 {
                         let (tenant, id) = graph.next().unwrap();
                         dispatched[tenant].push(id);
                         queued -= 1;
@@ -253,7 +238,6 @@ fn wfq_weights_shift_per_tenant_throughput() {
         workers: 1,
         queue_capacity: 64,
         block_edge: 4,
-        scheduling: Scheduling::Fifo,
         tenants: vec![
             TenantClass::new("heavy", 3.0),
             TenantClass::new("light", 1.0),
@@ -355,29 +339,4 @@ fn shed_ladder_degrades_then_rejects_through_the_engine() {
     assert_eq!(snap.tenants[1].shed_degraded, 2);
     assert_eq!(snap.tenants[1].shed_rejected, 2);
     assert_eq!(snap.rejected, 2);
-}
-
-/// Drain-policy waves gate cross-wave dispatch but still drain fully and
-/// produce the same outputs (latency changes, results don't) — pinned
-/// separately from the proptest so a failure names the policy.
-#[test]
-fn drain_policy_produces_identical_outputs() {
-    let model = test_model();
-    let n = 10;
-    let baseline = sequential_baseline(&model, n, 400);
-    let source = Arc::new(SyntheticSource::new(model.clone(), 1, 7));
-    let cfg = ServeConfig {
-        workers: 3,
-        block_edge: 4,
-        wave_policy: WavePolicy::Drain,
-        ..ServeConfig::default()
-    };
-    let engine = Engine::new(cfg, model.clone(), source).unwrap();
-    assert_eq!(
-        outputs_bits(&engine, test_requests(&model, n, 400)),
-        baseline
-    );
-    let stats = engine.graph_stats();
-    assert_eq!(stats.dispatched, n as u64);
-    assert!(stats.waves >= 1);
 }

@@ -58,9 +58,7 @@ pub fn dispatch(costs: &[f64], rows: usize, policy: DispatchPolicy) -> DispatchO
     let mut decision_cycles = 0.0f64;
     match policy {
         DispatchPolicy::GreedyLpt => {
-            let mut order: Vec<usize> = (0..costs.len()).collect();
-            order.sort_by(|&a, &b| costs[b].total_cmp(&costs[a]));
-            for idx in order {
+            for idx in lpt_order(costs) {
                 let c = costs[idx];
                 if c <= 0.0 {
                     bypassed += 1;
@@ -106,6 +104,17 @@ pub fn dispatch(costs: &[f64], rows: usize, policy: DispatchPolicy) -> DispatchO
     }
 }
 
+/// Orders item indices longest-processing-time first: descending cost,
+/// ties broken by index, so the order is deterministic. The LPT
+/// dispatcher places blocks in this order, and the serving engine admits
+/// a batch's requests in it — the classic makespan heuristic at both
+/// levels.
+pub fn lpt_order(costs: &[f64]) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..costs.len()).collect();
+    idx.sort_by(|&a, &b| costs[b].total_cmp(&costs[a]).then(a.cmp(&b)));
+    idx
+}
+
 /// Per-block cycle costs for an attention-map block list, given the MACs of
 /// one block at INT8 and each block's bitwidth.
 pub fn block_costs(macs_per_block_int8: f64, bits: &[Bitwidth]) -> Vec<f64> {
@@ -138,55 +147,6 @@ pub fn predicted_wave_occupancy(costs: &[f64], workers: usize) -> f64 {
         return 0.0;
     }
     dispatch(costs, workers, DispatchPolicy::GreedyLpt).utilization
-}
-
-/// One point of the predicted shard-scaling curve; see
-/// [`predicted_shard_scaling`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardScalingPoint {
-    /// Shard count this point models.
-    pub shards: usize,
-    /// Predicted speedup over a single shard: `makespan(1) /
-    /// makespan(shards)` under an LPT packing of the head costs (1.0 for
-    /// an all-bypassed workload).
-    pub predicted_speedup: f64,
-    /// Predicted load imbalance in percent: how far the heaviest shard
-    /// sits above the mean shard load, `(1/utilization − 1) × 100`.
-    pub predicted_imbalance_pct: f64,
-}
-
-/// Models how a head workload scales when its per-head costs are packed
-/// onto 1..=`max_shards` shard groups with the LPT dispatcher — the
-/// roofline-style reference curve `paro shard-bench` pairs with the
-/// measured shard throughput, exactly as [`predicted_wave_occupancy`]
-/// pairs with the measured pool busy fraction.
-///
-/// # Panics
-///
-/// Panics if `max_shards` is zero.
-pub fn predicted_shard_scaling(head_costs: &[f64], max_shards: usize) -> Vec<ShardScalingPoint> {
-    assert!(max_shards > 0, "scaling curve needs at least one shard");
-    let base = dispatch(head_costs, 1, DispatchPolicy::GreedyLpt).makespan;
-    (1..=max_shards)
-        .map(|shards| {
-            let out = dispatch(head_costs, shards, DispatchPolicy::GreedyLpt);
-            let predicted_speedup = if out.makespan > 0.0 && base > 0.0 {
-                base / out.makespan
-            } else {
-                1.0
-            };
-            let predicted_imbalance_pct = if out.utilization > 0.0 {
-                (1.0 / out.utilization - 1.0) * 100.0
-            } else {
-                0.0
-            };
-            ShardScalingPoint {
-                shards,
-                predicted_speedup,
-                predicted_imbalance_pct,
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -260,36 +220,9 @@ mod tests {
     }
 
     #[test]
-    fn shard_scaling_curve_is_monotone_and_anchored_at_one() {
-        let costs = [8.0, 4.0, 4.0, 2.0, 2.0, 1.0, 1.0, 2.0];
-        let curve = predicted_shard_scaling(&costs, 4);
-        assert_eq!(curve.len(), 4);
-        assert_eq!(curve[0].shards, 1);
-        assert!((curve[0].predicted_speedup - 1.0).abs() < 1e-9);
-        assert!(curve[0].predicted_imbalance_pct.abs() < 1e-9);
-        for w in curve.windows(2) {
-            assert!(w[1].predicted_speedup >= w[0].predicted_speedup - 1e-9);
-        }
-        // Eight units of 24 total cost over 2 shards split {12, 12}.
-        assert!((curve[1].predicted_speedup - 2.0).abs() < 1e-9);
-        assert!(curve[1].predicted_imbalance_pct < 1e-9);
-    }
-
-    #[test]
-    fn shard_scaling_handles_bypassed_only_workloads() {
-        let curve = predicted_shard_scaling(&[0.0, 0.0], 3);
-        for point in &curve {
-            assert!(point.predicted_speedup >= 1.0 - 1e-9);
-            assert!(point.predicted_imbalance_pct.is_finite());
-        }
-        let empty = predicted_shard_scaling(&[], 2);
-        assert_eq!(empty.len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one")]
-    fn shard_scaling_rejects_zero_shards() {
-        predicted_shard_scaling(&[1.0], 0);
+    fn lpt_order_is_descending_and_deterministic() {
+        let costs = [3.0, 9.0, 1.0, 9.0, 5.0];
+        assert_eq!(lpt_order(&costs), vec![1, 3, 4, 0, 2]);
     }
 
     #[test]

@@ -69,10 +69,7 @@ mod collector;
 mod noop;
 
 pub use record::{SpanOutcome, SpanRecord, NO_CTX, NO_DETAIL};
-pub use summary::{
-    format_table, summarize, summarize_by_ctx, summarize_stage_by_detail, CtxSummary,
-    DetailSummary, StageSummary,
-};
+pub use summary::{format_table, summarize, summarize_by_ctx, CtxSummary, StageSummary};
 
 #[cfg(feature = "enabled")]
 pub use collector::{
@@ -173,9 +170,8 @@ pub mod stage {
     /// weighted-fair scheduler granting the task to a worker.
     pub const SCHED_QUEUE_WAIT: &str = "sched.queue_wait";
     /// One scheduler wave: the busy period between the work graph's
-    /// in-flight count leaving zero and returning to zero (continuous
-    /// batching), or one admit-drain barrier cycle (drain policy). The
-    /// range's context is the wave id.
+    /// in-flight count leaving zero and returning to zero. The range's
+    /// context is the wave id.
     pub const SCHED_WAVE: &str = "sched.wave";
     /// Load-shedding decision marker: a zero-length span emitted at
     /// admission when a tenant over quota is degraded to its coarse shed

@@ -31,18 +31,6 @@ pub struct CtxSummary {
     pub stages: Vec<StageSummary>,
 }
 
-/// One detail group's aggregate within a single stage; see
-/// [`summarize_stage_by_detail`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DetailSummary {
-    /// The detail string the grouped spans share ([`crate::NO_DETAIL`]
-    /// for spans recorded without one).
-    pub detail: &'static str,
-    /// The group's duration aggregate (the `stage` field repeats the
-    /// stage the records were filtered on).
-    pub summary: StageSummary,
-}
-
 /// Nearest-rank percentile over a sorted slice: the smallest element
 /// such that at least `q` of the distribution is at or below it.
 fn percentile(sorted: &[u64], q: f64) -> u64 {
@@ -81,32 +69,6 @@ pub fn summarize(records: &[SpanRecord]) -> Vec<StageSummary> {
         .collect();
     rows.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.stage.cmp(b.stage)));
     rows
-}
-
-/// Aggregates one stage's records grouped by their `detail` string —
-/// e.g. `pool.execute` spans split by the owning pool's shard label, the
-/// per-shard skew readout `paro shard-bench` reports. Groups sort by
-/// detail string ascending (deterministic regardless of durations);
-/// records of other stages are ignored.
-pub fn summarize_stage_by_detail(
-    records: &[SpanRecord],
-    stage: &'static str,
-) -> Vec<DetailSummary> {
-    let mut groups: Vec<(&'static str, Vec<u64>)> = Vec::new();
-    for r in records.iter().filter(|r| r.stage == stage) {
-        match groups.iter_mut().find(|(d, _)| *d == r.detail) {
-            Some((_, durations)) => durations.push(r.duration_ns()),
-            None => groups.push((r.detail, vec![r.duration_ns()])),
-        }
-    }
-    groups.sort_by(|a, b| a.0.cmp(b.0));
-    groups
-        .into_iter()
-        .map(|(detail, durations)| DetailSummary {
-            detail,
-            summary: summarize_group(stage, durations),
-        })
-        .collect()
 }
 
 /// Like [`summarize`] but grouped by correlation context first, so one
@@ -208,41 +170,6 @@ mod tests {
         assert_eq!(groups[1].ctx, 2);
         assert_eq!(groups[2].ctx, NO_CTX);
         assert_eq!(groups[0].stages[0].total_ns, 20);
-    }
-
-    fn rec_detailed(stage: &'static str, detail: &'static str, start: u64, end: u64) -> SpanRecord {
-        SpanRecord {
-            detail,
-            ..rec(stage, start, end, NO_CTX)
-        }
-    }
-
-    #[test]
-    fn by_detail_splits_one_stage_and_ignores_others() {
-        let records = vec![
-            rec_detailed("pool.execute", "shard0", 0, 100),
-            rec_detailed("pool.execute", "shard1", 0, 40),
-            rec_detailed("pool.execute", "shard0", 0, 300),
-            rec_detailed("pipeline.qkt", "shard0", 0, 999),
-            rec("pool.execute", 0, 7, NO_CTX),
-        ];
-        let groups = summarize_stage_by_detail(&records, "pool.execute");
-        assert_eq!(groups.len(), 3);
-        // Sorted by detail string; NO_DETAIL ("") first.
-        assert_eq!(groups[0].detail, crate::record::NO_DETAIL);
-        assert_eq!(groups[0].summary.count, 1);
-        assert_eq!(groups[1].detail, "shard0");
-        assert_eq!(groups[1].summary.count, 2);
-        assert_eq!(groups[1].summary.total_ns, 400);
-        assert_eq!(groups[1].summary.stage, "pool.execute");
-        assert_eq!(groups[2].detail, "shard1");
-        assert_eq!(groups[2].summary.total_ns, 40);
-    }
-
-    #[test]
-    fn by_detail_empty_for_unseen_stage() {
-        let records = vec![rec("a", 0, 10, NO_CTX)];
-        assert!(summarize_stage_by_detail(&records, "b").is_empty());
     }
 
     #[test]
