@@ -8,30 +8,30 @@ use paro::cli::{
 };
 use paro::core::calibration::{calibrate_head, HeadCalibration};
 use paro::core::int_pipeline::run_attention_calibrated_int;
-use paro::core::pipeline::{attention_map, run_attention_calibrated_reference};
+use paro::core::pipeline::attention_map;
 use paro::core::reorder::{reorder_map, select_plan, ReorderPlan};
-use paro::plans::{build_plan_bytes, inspect_text, run_tune, verify_text, write_output};
+use paro::plans::{
+    build_plan_bytes, inspect_text, output_bits, record_kernel_dispatch, run_traced_batch,
+    run_tune, synthetic_source, verify_text, workload_engine, workload_model, workload_spec,
+    write_output,
+};
 use paro::prelude::*;
 use paro::report::{
-    diff_stage_medians, format_diff_table, missing_baseline_stages, stage_rows, AttnVThroughput,
-    ChaosBenchReport, DriftBenchReport, InjectedFaultRow, IntPathComparison, PerfBenchReport,
-    PerfStageRow, ServeBenchReport, SoakBenchReport, SoakRunReport, SoakTenantRow,
+    diff_stage_medians, emit, format_diff_table, missing_baseline_stages, stage_rows,
+    AttnVThroughput, ChaosBenchReport, DriftBenchReport, InjectedFaultRow, PerfBenchReport,
+    PerfStageRow, RunInfo, ServeBenchReport, SoakBenchReport, SoakRunReport, SoakTenantRow,
 };
 use paro::serve::workload::{
-    open_loop_arrivals, scaled_config, synthetic_requests, synthetic_requests_at_phase,
-    DriftSource, SyntheticSource, WorkloadSpec,
+    open_loop_arrivals, synthetic_requests, synthetic_requests_at_phase, DriftSource, WorkloadSpec,
 };
 use paro::serve::{
-    CalibrationSource, Engine, PlanHealth, RecalibrationPolicy, ServeConfig, TenantClass, Watchdog,
-    WatchdogConfig,
+    BatchOutcome, CalibrationSource, Engine, PlanHealth, TenantClass, Watchdog, WatchdogConfig,
 };
-use paro::sim::OpCategory;
 use paro::tensor::kernel;
 use paro::tensor::render;
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -114,7 +114,6 @@ fn run(cmd: CliCommand) -> Result<(), Box<dyn std::error::Error>> {
             };
             let report = m.run_model(&model, &profile);
             print!("{}", report.format_text());
-            let _ = OpCategory::Linear;
             Ok(())
         }
         CliCommand::ServeBench(opts) => serve_bench(&opts),
@@ -180,9 +179,7 @@ fn run(cmd: CliCommand) -> Result<(), Box<dyn std::error::Error>> {
         CliCommand::Tune(opts) => {
             let (report, bytes) = run_tune(&opts)?;
             write_output(&opts.out, &bytes)?;
-            let json = serde_json::to_string_pretty(&report)?;
-            write_output(&opts.report, json.as_bytes())?;
-            println!("{json}");
+            emit(&report, Some(&opts.report))?;
             eprintln!(
                 "tuned {} heads: predicted mean {:.1} us vs SLO {:.1} us \
                  ({}; {} downgrade moves, mean budget {:.2} bits); \
@@ -213,7 +210,7 @@ fn run(cmd: CliCommand) -> Result<(), Box<dyn std::error::Error>> {
     }
 }
 
-/// The engine + request stream both serving commands run.
+/// The engine + request stream the serve, trace and chaos commands run.
 struct Workload {
     model: ModelConfig,
     engine: Engine,
@@ -221,30 +218,10 @@ struct Workload {
 }
 
 fn build_workload(opts: &ServeBenchOpts) -> Result<Workload, Box<dyn std::error::Error>> {
-    let model = scaled_config(
-        &ModelConfig::cogvideox_2b(),
-        opts.grid.frames(),
-        opts.grid.height(),
-        opts.grid.width(),
-    );
-    let source = Arc::new(SyntheticSource::new(model.clone(), 2, opts.seed ^ 0xca11b));
-    let cfg = ServeConfig {
-        workers: opts.threads,
-        queue_capacity: opts.queue,
-        block_edge: opts.block_edge,
-        budget: opts.budget,
-        default_deadline: (opts.deadline_ms > 0).then(|| Duration::from_millis(opts.deadline_ms)),
-        plan_artifact: opts.plan.as_ref().map(PathBuf::from),
-        ..ServeConfig::default()
-    };
-    let engine = Engine::new(cfg, model.clone(), source)?;
-    let spec = WorkloadSpec {
-        model: model.clone(),
-        requests: opts.requests,
-        blocks: opts.blocks,
-        heads: opts.heads,
-        seed: opts.seed,
-    };
+    let model = workload_model(&opts.grid);
+    let source = Arc::new(synthetic_source(&model, opts.seed));
+    let engine = workload_engine(opts, &model, source, vec![TenantClass::default()], None)?;
+    let spec = workload_spec(opts, &model, opts.requests);
     Ok(Workload {
         model,
         engine,
@@ -252,85 +229,14 @@ fn build_workload(opts: &ServeBenchOpts) -> Result<Workload, Box<dyn std::error:
     })
 }
 
-fn int_path_comparison(
-    source: &SyntheticSource,
-    model: &ModelConfig,
-    opts: &ServeBenchOpts,
-) -> Result<IntPathComparison, Box<dyn std::error::Error>> {
-    let defaults = ServeConfig::default();
-    let spec = PatternSpec::for_head(&model.grid, 0, 0);
-    let head = synthesize_head(&model.grid, model.head_dim(), &spec, opts.seed);
-    let inputs = AttentionInputs::new(head.q, head.k, head.v, model.grid)?;
-    let maps = source.calibration_maps(0, 0)?;
-    let cal = calibrate_head(
-        &maps,
-        &model.grid,
-        BlockGrid::square(opts.block_edge)?,
-        defaults.calib_bits,
-        opts.budget,
-        defaults.alpha,
-    )?;
-    let output_aware = defaults.output_aware;
-    // Warm both paths once, keeping the int run's traffic accounting.
-    let stats = run_attention_calibrated_int(&inputs, &cal, output_aware)?.stats;
-    run_attention_calibrated_reference(&inputs, &cal, output_aware)?;
-    let iters = 3usize;
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        run_attention_calibrated_int(&inputs, &cal, output_aware)?;
-    }
-    let int_ms = t0.elapsed().as_secs_f64() * 1e3 / iters as f64;
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        run_attention_calibrated_reference(&inputs, &cal, output_aware)?;
-    }
-    let f32_ms = t0.elapsed().as_secs_f64() * 1e3 / iters as f64;
-    Ok(IntPathComparison {
-        iters,
-        int_ms_per_head: int_ms,
-        f32_ms_per_head: f32_ms,
-        int_over_f32_speedup: if int_ms > 0.0 { f32_ms / int_ms } else { 0.0 },
-        packed_map_bytes_per_head: stats.packed_map_bytes,
-        packed_v_bytes_per_head: stats.v_payload_bytes,
-        macs_skipped_fraction: stats.skipped_fraction(),
-        kernel: stats.kernel.to_string(),
-    })
-}
-
-/// Records the one-shot `kernel.dispatch` span: a zero-length marker at
-/// the head of the session whose `detail` names the micro-kernel every
-/// dispatched hot loop runs, so traces and summaries are self-describing.
-fn record_kernel_dispatch() {
-    let _d = paro::trace::span_detailed(
-        paro::trace::stage::KERNEL_DISPATCH,
-        kernel::active_kernel().as_str(),
-    );
-}
-
 fn serve_bench(opts: &ServeBenchOpts) -> Result<(), Box<dyn std::error::Error>> {
     let wl = build_workload(opts)?;
-    let requests = synthetic_requests(&wl.spec);
-    // Record the batch; in a compiled-out build the session is inert and
-    // the stage table stays empty.
-    let session = paro::trace::TraceSession::start();
-    record_kernel_dispatch();
-    let t0 = Instant::now();
-    let outcome = wl.engine.run_batch(requests);
-    let wall = t0.elapsed();
-    // Joining the workers orders the final wave-close span (recorded
-    // after the last response is delivered) before the session snapshot.
-    wl.engine.shutdown();
-    let trace = session.finish();
+    // In a compiled-out build the session is inert and the stage table
+    // stays empty.
+    let (outcome, wall, trace) = run_traced_batch(&wl.engine, synthetic_requests(&wl.spec));
     let completed = outcome.completed();
-    let int_path = int_path_comparison(
-        &SyntheticSource::new(wl.model.clone(), 2, opts.seed ^ 0xca11b),
-        &wl.model,
-        opts,
-    )?;
     let report = ServeBenchReport {
-        model: wl.model.name.clone(),
-        tokens: wl.model.grid.len(),
-        head_dim: wl.model.head_dim(),
+        run: RunInfo::new(&wl.model, opts.seed),
         threads: opts.threads,
         queue_capacity: opts.queue,
         requests: opts.requests,
@@ -343,35 +249,20 @@ fn serve_bench(opts: &ServeBenchOpts) -> Result<(), Box<dyn std::error::Error>> 
         } else {
             0.0
         },
-        trace_compiled_in: paro::trace::COMPILED_IN,
         trace_stages: stage_rows(&trace.summary()),
-        int_path,
         metrics: wl.engine.metrics_snapshot(),
     };
-    let json = serde_json::to_string_pretty(&report)?;
-    if let Some(path) = &opts.out {
-        write_output(path, json.as_bytes())?;
-    }
-    println!("{json}");
+    emit(&report, opts.out.as_deref())?;
     Ok(())
 }
 
 /// Output bits of a batch whose requests all completed, or `None` if any
 /// failed.
-fn batch_output_bits(outcome: &paro::serve::BatchOutcome) -> Option<Vec<Vec<u32>>> {
+fn batch_output_bits(outcome: &BatchOutcome) -> Option<Vec<Vec<u32>>> {
     outcome
         .responses
         .iter()
-        .map(|r| {
-            r.as_ref().ok().map(|resp| {
-                resp.run
-                    .output
-                    .as_slice()
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .collect()
-            })
-        })
+        .map(|r| r.as_ref().ok().map(output_bits))
         .collect()
 }
 
@@ -444,10 +335,9 @@ fn chaos_bench(opts: &ChaosBenchOpts) -> Result<(), Box<dyn std::error::Error>> 
     let clean_bits = batch_output_bits(&clean);
     let snap = wl.engine.metrics_snapshot();
     let report = ChaosBenchReport {
-        model: wl.model.name.clone(),
+        run: RunInfo::new(&wl.model, opts.bench.seed),
         requests: opts.bench.requests,
         threads: opts.bench.threads,
-        failpoints_compiled_in: paro::failpoint::COMPILED_IN,
         injected,
         chaos_completed: chaos.completed(),
         chaos_failed: chaos.failed(),
@@ -459,11 +349,7 @@ fn chaos_bench(opts: &ChaosBenchOpts) -> Result<(), Box<dyn std::error::Error>> 
         timed_out: snap.timed_out,
         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
     };
-    let json = serde_json::to_string_pretty(&report)?;
-    if let Some(path) = &opts.bench.out {
-        write_output(path, json.as_bytes())?;
-    }
-    println!("{json}");
+    emit(&report, opts.bench.out.as_deref())?;
     if !report.clean_bit_identical {
         return Err("clean batch after injected faults diverged from the baseline".into());
     }
@@ -480,45 +366,29 @@ type SoakOutputs = Vec<Option<Vec<u32>>>;
 /// (`None` for rejected or failed requests).
 fn soak_run(
     opts: &SoakBenchOpts,
+    model: &ModelConfig,
 ) -> Result<(SoakRunReport, SoakOutputs), Box<dyn std::error::Error>> {
     let b = &opts.bench;
-    let model = scaled_config(
-        &ModelConfig::cogvideox_2b(),
-        b.grid.frames(),
-        b.grid.height(),
-        b.grid.width(),
-    );
-    let source = Arc::new(SyntheticSource::new(model.clone(), 2, b.seed ^ 0xca11b));
     let (w0, w1) = opts.weights;
-    let cfg = ServeConfig {
-        workers: b.threads,
-        queue_capacity: b.queue,
-        block_edge: b.block_edge,
-        budget: b.budget,
-        default_deadline: (b.deadline_ms > 0).then(|| Duration::from_millis(b.deadline_ms)),
-        plan_artifact: b.plan.as_ref().map(PathBuf::from),
-        tenants: vec![
+    let engine = workload_engine(
+        b,
+        model,
+        Arc::new(synthetic_source(model, b.seed)),
+        vec![
             TenantClass::new("interactive", w0),
             TenantClass::new("batch", w1),
         ],
-        ..ServeConfig::default()
-    };
-    let engine = Engine::new(cfg, model.clone(), source)?;
-    let spec = WorkloadSpec {
-        model: model.clone(),
-        requests: b.requests,
-        blocks: b.blocks,
-        heads: b.heads,
-        seed: b.seed,
-    };
-    let requests: Vec<paro::serve::ServeRequest> = synthetic_requests(&spec)
-        .into_iter()
-        .enumerate()
-        .map(|(i, mut r)| {
-            r.tenant = i % 2;
-            r
-        })
-        .collect();
+        None,
+    )?;
+    let requests: Vec<paro::serve::ServeRequest> =
+        synthetic_requests(&workload_spec(b, model, b.requests))
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut r)| {
+                r.tenant = i % 2;
+                r
+            })
+            .collect();
     let arrivals = open_loop_arrivals(opts.rate, b.requests, b.seed);
     let pool = paro::core::pool::ComputePool::global();
     let before = pool.stats();
@@ -535,16 +405,9 @@ fn soak_run(
     let outputs: SoakOutputs = tickets
         .into_iter()
         .map(|ticket| {
-            ticket.ok().and_then(|t| {
-                engine.wait(t).ok().map(|resp| {
-                    resp.run
-                        .output
-                        .as_slice()
-                        .iter()
-                        .map(|x| x.to_bits())
-                        .collect()
-                })
-            })
+            ticket
+                .ok()
+                .and_then(|t| engine.wait(t).ok().as_ref().map(output_bits))
         })
         .collect();
     let wall = t0.elapsed();
@@ -641,12 +504,7 @@ fn aggregate_runs(runs: Vec<SoakRunReport>) -> SoakRunReport {
 
 fn soak_bench(opts: &SoakBenchOpts) -> Result<(), Box<dyn std::error::Error>> {
     let b = &opts.bench;
-    let model = scaled_config(
-        &ModelConfig::cogvideox_2b(),
-        b.grid.frames(),
-        b.grid.height(),
-        b.grid.width(),
-    );
+    let model = workload_model(&b.grid);
     // What the dispatch simulator expects one full wave of this workload
     // to keep busy under LPT — the yardstick the measured pool busy
     // fractions are read against.
@@ -661,7 +519,7 @@ fn soak_bench(opts: &SoakBenchOpts) -> Result<(), Box<dyn std::error::Error>> {
     let mut reference: SoakOutputs = vec![None; b.requests];
     let mut outputs_bit_identical = true;
     for _ in 0..opts.repeat {
-        let (run, bits) = soak_run(opts)?;
+        let (run, bits) = soak_run(opts, &model)?;
         for (slot, got) in reference.iter_mut().zip(bits) {
             if let Some(got) = got {
                 match slot {
@@ -673,24 +531,17 @@ fn soak_bench(opts: &SoakBenchOpts) -> Result<(), Box<dyn std::error::Error>> {
         runs.push(run);
     }
     let report = SoakBenchReport {
-        model: model.name.clone(),
-        tokens: model.grid.len(),
-        head_dim: model.head_dim(),
+        run: RunInfo::new(&model, b.seed),
         threads: b.threads,
         queue_capacity: b.queue,
         requests: b.requests,
         rate_per_sec: opts.rate,
-        seed: b.seed,
         repeat: opts.repeat,
         predicted_wave_occupancy: predicted,
         continuous: aggregate_runs(runs),
         outputs_bit_identical,
     };
-    let json = serde_json::to_string_pretty(&report)?;
-    if let Some(path) = &b.out {
-        write_output(path, json.as_bytes())?;
-    }
-    println!("{json}");
+    emit(&report, b.out.as_deref())?;
     eprintln!(
         "soak @ {:.0} req/s x{}: occupancy {:.2} (predicted {:.2}), \
          aggregate p99 {:.1} ms, outputs bit-identical: {}",
@@ -722,28 +573,22 @@ fn drift_watchdog() -> WatchdogConfig {
     }
 }
 
-/// Builds a watchdog-armed engine over a rotating-phase calibration
-/// source. Recalibration stays manual (`Off`) so the bench controls the
-/// swap point deterministically.
+/// Builds an engine, watchdog-armed when given one, over a
+/// rotating-phase calibration source. Recalibration stays manual (the
+/// default `Off` policy) so the bench controls the swap point
+/// deterministically.
 fn drift_engine(
     b: &ServeBenchOpts,
     model: &ModelConfig,
     watchdog: Option<WatchdogConfig>,
 ) -> Result<(Engine, Arc<DriftSource>), Box<dyn std::error::Error>> {
     let source = Arc::new(DriftSource::new(model.clone(), 1, b.seed ^ 0xd21f7));
-    let cfg = ServeConfig {
-        workers: b.threads,
-        queue_capacity: b.queue,
-        block_edge: b.block_edge,
-        budget: b.budget,
+    let engine = workload_engine(
+        b,
+        model,
+        source.clone(),
+        vec![TenantClass::default()],
         watchdog,
-        recalibration: RecalibrationPolicy::Off,
-        ..ServeConfig::default()
-    };
-    let engine = Engine::new(
-        cfg,
-        model.clone(),
-        Arc::clone(&source) as Arc<dyn CalibrationSource>,
     )?;
     Ok((engine, source))
 }
@@ -755,16 +600,7 @@ fn drift_requests(
     requests: usize,
     phase: usize,
 ) -> Vec<paro::serve::ServeRequest> {
-    synthetic_requests_at_phase(
-        &WorkloadSpec {
-            model: model.clone(),
-            requests,
-            blocks: b.blocks,
-            heads: b.heads,
-            seed: b.seed,
-        },
-        phase,
-    )
+    synthetic_requests_at_phase(&workload_spec(b, model, requests), phase)
 }
 
 /// Proves hot-swap atomicity on a dedicated engine pair: requests parked
@@ -803,14 +639,7 @@ fn swap_identity_check(
     let mut identical = true;
     for (ticket, want) in tickets.into_iter().zip(&expected) {
         let resp = engine.wait(ticket)?;
-        let got: Vec<u32> = resp
-            .run
-            .output
-            .as_slice()
-            .iter()
-            .map(|x| x.to_bits())
-            .collect();
-        identical &= resp.epoch + 1 == new_epoch && &got == want;
+        identical &= resp.epoch + 1 == new_epoch && output_bits(&resp) == *want;
     }
     let post = engine.run_batch(drift_requests(b, model, 2, 0));
     for r in &post.responses {
@@ -841,12 +670,7 @@ fn measure_watchdog_overhead_ns() -> f64 {
 
 fn drift_bench(opts: &DriftBenchOpts) -> Result<(), Box<dyn std::error::Error>> {
     let b = &opts.bench;
-    let model = scaled_config(
-        &ModelConfig::cogvideox_2b(),
-        b.grid.frames(),
-        b.grid.height(),
-        b.grid.width(),
-    );
+    let model = workload_model(&b.grid);
     let swap_bit_identical = swap_identity_check(b, &model)?;
     // The lifecycle loop: warm at phase 0, rotate the request stream's
     // pattern families (drift), detect, recalibrate, recover.
@@ -908,13 +732,11 @@ fn drift_bench(opts: &DriftBenchOpts) -> Result<(), Box<dyn std::error::Error>> 
     engine.shutdown();
     let passed = detected_within_bound && recalibrated && recovered && swap_bit_identical;
     let report = DriftBenchReport {
-        model: model.name.clone(),
-        tokens: model.grid.len(),
+        run: RunInfo::new(&model, b.seed),
         threads: b.threads,
         requests_per_batch: b.requests,
         blocks: b.blocks,
         heads: b.heads,
-        seed: b.seed,
         warmup_batches: opts.warmup,
         detect_bound_batches: opts.detect_within,
         post_batches: opts.post,
@@ -936,11 +758,7 @@ fn drift_bench(opts: &DriftBenchOpts) -> Result<(), Box<dyn std::error::Error>> 
         stale_served: snap.stale_served,
         watchdog_observe_ns: measure_watchdog_overhead_ns(),
     };
-    let json = serde_json::to_string_pretty(&report)?;
-    if let Some(path) = &b.out {
-        write_output(path, json.as_bytes())?;
-    }
-    println!("{json}");
+    emit(&report, b.out.as_deref())?;
     eprintln!(
         "drift: detected in {} batch(es) (bound {}), epoch {} -> {}, \
          ewma {:.4} -> {:.4} -> {:.4}, stale_served {}, \
@@ -1010,32 +828,9 @@ fn perf_pass(
             p50_us: s.p50_ns as f64 / 1e3,
         })
         .collect();
-    // `attnv.mac` records one span per non-zero block, so throughput
-    // comes from the stage's total kernel time per pipeline pass; the
-    // median is the per-block duration.
-    let mac = summary
-        .iter()
-        .find(|s| s.stage == paro::trace::stage::ATTNV_MAC)
-        .ok_or("no attnv.mac spans recorded; perf-bench needs tracing compiled in")?;
-    let mac_p50_us = mac.p50_ns as f64 / 1e3;
-    let mac_secs = mac.total_ns as f64 * 1e-9 / iters as f64;
     Ok(PerfPass {
         stages,
-        attn_v: AttnVThroughput {
-            kernel: stats.kernel.to_string(),
-            ms_per_head: wall.as_secs_f64() * 1e3 / iters as f64,
-            mac_p50_us,
-            macs_per_sec: if mac_secs > 0.0 {
-                stats.executed_macs as f64 / mac_secs
-            } else {
-                0.0
-            },
-            packed_map_gb_per_sec: if mac_secs > 0.0 {
-                stats.packed_map_bytes as f64 / mac_secs / 1e9
-            } else {
-                0.0
-            },
-        },
+        attn_v: AttnVThroughput::from_summary(&summary, &stats, wall, iters),
     })
 }
 
@@ -1046,14 +841,9 @@ fn perf_bench(opts: &PerfBenchOpts) -> Result<(), Box<dyn std::error::Error>> {
                     with default features"
             .into());
     }
-    let model = scaled_config(
-        &ModelConfig::cogvideox_2b(),
-        opts.grid.frames(),
-        opts.grid.height(),
-        opts.grid.width(),
-    );
+    let model = workload_model(&opts.grid);
     let defaults = paro::serve::ServeConfig::default();
-    let source = SyntheticSource::new(model.clone(), 2, opts.seed ^ 0xca11b);
+    let source = synthetic_source(&model, opts.seed);
     let spec = PatternSpec::for_head(&model.grid, 0, 0);
     let head = synthesize_head(&model.grid, model.head_dim(), &spec, opts.seed);
     let inputs = AttentionInputs::new(head.q, head.k, head.v, model.grid)?;
@@ -1092,27 +882,19 @@ fn perf_bench(opts: &PerfBenchOpts) -> Result<(), Box<dyn std::error::Error>> {
         0.0
     };
     let report = PerfBenchReport {
+        run: RunInfo::new(&model, opts.seed),
         label: opts.label.clone(),
-        model: model.name.clone(),
-        tokens: model.grid.len(),
-        head_dim: model.head_dim(),
         iters: opts.iters,
-        kernel: dispatch.kernel.as_str().to_string(),
-        kernel_forced: dispatch.forced,
-        pool_threads: paro::core::pool::ComputePool::global().threads(),
-        trace_compiled_in: paro::trace::COMPILED_IN,
         stages: dispatched.stages,
         attn_v: dispatched.attn_v,
         scalar_attn_v: scalar.attn_v,
         attn_v_speedup_vs_scalar: speedup,
     };
-    let json = serde_json::to_string_pretty(&report)?;
-    write_output(&opts.out, json.as_bytes())?;
-    println!("{json}");
+    emit(&report, Some(&opts.out))?;
     eprintln!(
         "packed AttnV: {} {:.3e} MACs/s ({:.2} GB/s packed map) vs scalar \
          {:.3e} MACs/s — {:.2}x; report -> {}",
-        report.kernel,
+        report.run.kernel,
         report.attn_v.macs_per_sec,
         report.attn_v.packed_map_gb_per_sec,
         report.scalar_attn_v.macs_per_sec,
@@ -1150,7 +932,7 @@ fn perf_bench(opts: &PerfBenchOpts) -> Result<(), Box<dyn std::error::Error>> {
         eprintln!(
             "\nper-stage medians vs {} (baseline kernel {}, current {}, \
              tolerance {}%):",
-            path, baseline.kernel, report.kernel, opts.tolerance
+            path, baseline.run.kernel, report.run.kernel, opts.tolerance
         );
         eprint!("{}", format_diff_table(&rows));
         let regressed: Vec<&str> = rows
@@ -1178,16 +960,7 @@ fn trace_workload(opts: &TraceOpts) -> Result<(), Box<dyn std::error::Error>> {
             .into());
     }
     let wl = build_workload(&opts.bench)?;
-    let requests = synthetic_requests(&wl.spec);
-    let session = paro::trace::TraceSession::start();
-    record_kernel_dispatch();
-    let t0 = Instant::now();
-    let outcome = wl.engine.run_batch(requests);
-    let wall = t0.elapsed();
-    // Joining the workers orders the final wave-close span (recorded
-    // after the last response is delivered) before the session snapshot.
-    wl.engine.shutdown();
-    let trace = session.finish();
+    let (outcome, wall, trace) = run_traced_batch(&wl.engine, synthetic_requests(&wl.spec));
     write_output(&opts.out, trace.chrome_json().as_bytes())?;
     println!(
         "{} requests ({} ok, {} failed) on {} threads in {:.1} ms — {} spans -> {}",

@@ -1,7 +1,8 @@
 //! Argument parsing for the `paro` command-line tool.
 //!
-//! Hand-rolled (no external argument-parser dependency): three
-//! subcommands, each with `--flag value` options. Parsing is pure and unit
+//! Hand-rolled (no external argument-parser dependency): every
+//! subcommand takes `--flag value` options, read through one flag reader
+//! that rejects unknown and repeated flags. Parsing is pure and unit
 //! tested; the binary in `src/bin/paro.rs` dispatches on the result.
 
 use paro_core::methods::AttentionMethod;
@@ -358,357 +359,252 @@ METHODS:  fp16, sage, sage2, sanger, naive-int8, naive-int4,
 /// Returns a human-readable message for unknown commands, flags or
 /// malformed values.
 pub fn parse_args(args: &[String]) -> Result<CliCommand, String> {
-    let mut it = args.iter();
-    let Some(cmd) = it.next() else {
+    let Some((cmd, mut rest)) = args.split_first() else {
         return Ok(CliCommand::Help);
     };
-    let rest: Vec<&String> = it.collect();
     // `plan` grew subcommands; the bare-token peek must happen before
     // flag parsing, which rejects non-`--` tokens. Bare `paro plan`
     // (the legacy single-head selection trace) is untouched.
+    let mut cmd = cmd.as_str();
     if cmd == "plan" {
-        match rest.first().map(|s| s.as_str()) {
-            Some("build") => return parse_plan_build(&parse_flags(&rest[1..])?),
-            Some("inspect") => return parse_plan_file(&parse_flags(&rest[1..])?, "inspect"),
-            Some("verify") => return parse_plan_file(&parse_flags(&rest[1..])?, "verify"),
-            _ => {}
+        if let Some(sub @ ("build" | "inspect" | "verify")) = rest.first().map(String::as_str) {
+            cmd = sub;
+            rest = &rest[1..];
         }
     }
-    let opts = parse_flags(&rest)?;
-    match cmd.as_str() {
-        "help" | "--help" | "-h" => Ok(CliCommand::Help),
+    let mut f = Flags::parse(rest)?;
+    let parsed = match cmd {
+        "help" | "--help" | "-h" => return Ok(CliCommand::Help),
         "quantize" => {
-            reject_unknown(
-                &opts,
-                &["grid", "pattern", "budget", "bits", "method", "seed"],
-            )?;
-            let grid = parse_grid(opts_get(&opts, "grid").unwrap_or("6x6x6"))?;
-            let pattern = parse_pattern(opts_get(&opts, "pattern").unwrap_or("temporal"), &grid)?;
-            let budget: f32 = parse_num(opts_get(&opts, "budget").unwrap_or("4.8"))?;
-            let bits = parse_bits(opts_get(&opts, "bits").unwrap_or("4"))?;
-            let method =
-                parse_method(opts_get(&opts, "method").unwrap_or("paro-mp"), budget, bits)?;
-            let seed: u64 = parse_num(opts_get(&opts, "seed").unwrap_or("42"))?;
-            Ok(CliCommand::Quantize {
+            let grid = f.grid("6x6x6")?;
+            let pattern = parse_pattern(f.opt("pattern").unwrap_or("temporal"), &grid)?;
+            let budget = f.num("budget", 4.8)?;
+            let bits = parse_bits(f.opt("bits").unwrap_or("4"))?;
+            let method = parse_method(f.opt("method").unwrap_or("paro-mp"), budget, bits)?;
+            CliCommand::Quantize {
                 grid,
                 pattern,
                 method,
-                seed,
-            })
+                seed: f.num("seed", 42)?,
+            }
         }
         "simulate" => {
-            reject_unknown(&opts, &["model", "machine"])?;
-            let model = match opts_get(&opts, "model").unwrap_or("5b") {
+            let model = match f.opt("model").unwrap_or("5b") {
                 "2b" => ModelConfig::cogvideox_2b(),
                 "5b" => ModelConfig::cogvideox_5b(),
                 other => return Err(format!("unknown model '{other}' (use 2b or 5b)")),
             };
-            let machine = opts_get(&opts, "machine").unwrap_or("paro").to_string();
+            let machine = f.string("machine", "paro");
             if !["paro", "sanger", "vitcod", "a100", "align"].contains(&machine.as_str()) {
                 return Err(format!("unknown machine '{machine}'"));
             }
-            Ok(CliCommand::Simulate { model, machine })
+            CliCommand::Simulate { model, machine }
         }
         "plan" => {
-            reject_unknown(&opts, &["grid", "pattern", "block", "seed"])?;
-            let grid = parse_grid(opts_get(&opts, "grid").unwrap_or("6x6x6"))?;
-            let pattern = parse_pattern(opts_get(&opts, "pattern").unwrap_or("temporal"), &grid)?;
-            let block_edge: usize = parse_num(opts_get(&opts, "block").unwrap_or("6"))?;
-            let seed: u64 = parse_num(opts_get(&opts, "seed").unwrap_or("42"))?;
-            Ok(CliCommand::Plan {
+            let grid = f.grid("6x6x6")?;
+            CliCommand::Plan {
+                pattern: parse_pattern(f.opt("pattern").unwrap_or("temporal"), &grid)?,
                 grid,
-                pattern,
-                block_edge,
-                seed,
-            })
-        }
-        "serve-bench" => {
-            let mut allowed = vec!["out"];
-            allowed.extend_from_slice(BENCH_FLAGS);
-            reject_unknown(&opts, &allowed)?;
-            let mut bench = parse_bench_opts(&opts, "150")?;
-            bench.out = opts_get(&opts, "out").map(str::to_string);
-            Ok(CliCommand::ServeBench(bench))
-        }
-        "chaos-bench" => {
-            let mut allowed = vec!["fault-seed", "faults", "out"];
-            allowed.extend_from_slice(BENCH_FLAGS);
-            reject_unknown(&opts, &allowed)?;
-            // Chaos runs verify behavior, not throughput: short stream.
-            let mut bench = parse_bench_opts(&opts, "24")?;
-            bench.out = opts_get(&opts, "out").map(str::to_string);
-            let fault_seed: u64 = parse_num(opts_get(&opts, "fault-seed").unwrap_or("1"))?;
-            let faults: u64 = parse_num(opts_get(&opts, "faults").unwrap_or("1"))?;
-            if faults == 0 {
-                return Err("--faults must be at least 1".to_string());
+                block_edge: f.num("block", 6)?,
+                seed: f.num("seed", 42)?,
             }
-            Ok(CliCommand::ChaosBench(ChaosBenchOpts {
-                bench,
-                fault_seed,
-                faults,
-            }))
         }
-        "soak-bench" => {
-            let mut allowed = vec!["rate", "weights", "repeat", "out"];
-            allowed.extend_from_slice(BENCH_FLAGS);
-            reject_unknown(&opts, &allowed)?;
-            // A soak is open-loop and time-bounded by requests/rate; the
-            // default stays well under the CI smoke budget.
-            let mut bench = parse_bench_opts(&opts, "48")?;
-            bench.out = opts_get(&opts, "out").map(str::to_string);
-            let rate: f64 = parse_num(opts_get(&opts, "rate").unwrap_or("40"))?;
-            if !rate.is_finite() || rate <= 0.0 {
-                return Err(format!("--rate must be positive, got {rate}"));
+        // Defaults mirror serve-bench so `plan build` freezes exactly the
+        // plans a default serve-bench run would calibrate.
+        "build" => CliCommand::PlanBuild(PlanBuildOpts {
+            grid: f.grid("4x6x6")?,
+            blocks: f.count("blocks", 3)?,
+            heads: f.count("heads", 4)?,
+            block_edge: f.num("block", 6)?,
+            budget: f.num("budget", 4.8)?,
+            seed: f.num("seed", 42)?,
+            out: f.string("out", "plans.paro"),
+        }),
+        "inspect" | "verify" => {
+            let file = f.opt("file");
+            // An unknown flag is the likelier mistake than a missing one.
+            f.finish()?;
+            let file = file
+                .ok_or_else(|| format!("plan {cmd} needs --file ARTIFACT"))?
+                .to_string();
+            if cmd == "inspect" {
+                CliCommand::PlanInspect { file }
+            } else {
+                CliCommand::PlanVerify { file }
             }
-            let weights = parse_weights(opts_get(&opts, "weights").unwrap_or("4,1"))?;
-            let repeat: usize = parse_num(opts_get(&opts, "repeat").unwrap_or("1"))?;
-            if repeat == 0 {
-                return Err("--repeat must be at least 1".to_string());
-            }
-            Ok(CliCommand::SoakBench(SoakBenchOpts {
-                bench,
-                rate,
-                weights,
-                repeat,
-            }))
         }
+        "serve-bench" => CliCommand::ServeBench(bench_opts(&mut f, 150)?),
+        // Chaos runs verify behavior, not throughput: short stream.
+        "chaos-bench" => CliCommand::ChaosBench(ChaosBenchOpts {
+            bench: bench_opts(&mut f, 24)?,
+            fault_seed: f.num("fault-seed", 1)?,
+            faults: f.count("faults", 1)?,
+        }),
+        // A soak is open-loop and time-bounded by requests/rate; the
+        // default stays well under the CI smoke budget.
+        "soak-bench" => CliCommand::SoakBench(SoakBenchOpts {
+            bench: bench_opts(&mut f, 48)?,
+            rate: f.positive("rate", 40.0)?,
+            weights: parse_weights(f.opt("weights").unwrap_or("4,1"))?,
+            repeat: f.count("repeat", 1)?,
+        }),
         "drift-bench" => {
-            let mut allowed = vec!["warmup", "detect-within", "post", "out"];
-            allowed.extend_from_slice(BENCH_FLAGS);
-            reject_unknown(&opts, &allowed)?;
             // Batches are small and the bench's watchdog knobs are
             // fast-reacting, so the whole loop stays inside the CI
             // smoke budget.
-            let mut bench = parse_bench_opts(&opts, "24")?;
-            bench.out = opts_get(&opts, "out").map(str::to_string);
+            let bench = bench_opts(&mut f, 24)?;
             if bench.plan.is_some() {
                 return Err(
                     "drift-bench recalibrates live and cannot serve a frozen --plan artifact"
                         .to_string(),
                 );
             }
-            let warmup: usize = parse_num(opts_get(&opts, "warmup").unwrap_or("3"))?;
-            if warmup == 0 {
-                return Err("--warmup must be at least 1".to_string());
-            }
-            let detect_within: usize = parse_num(opts_get(&opts, "detect-within").unwrap_or("2"))?;
-            if detect_within == 0 {
-                return Err("--detect-within must be at least 1".to_string());
-            }
-            let post: usize = parse_num(opts_get(&opts, "post").unwrap_or("3"))?;
-            if post == 0 {
-                return Err("--post must be at least 1".to_string());
-            }
-            Ok(CliCommand::DriftBench(DriftBenchOpts {
+            CliCommand::DriftBench(DriftBenchOpts {
                 bench,
-                warmup,
-                detect_within,
-                post,
-            }))
+                warmup: f.count("warmup", 3)?,
+                detect_within: f.count("detect-within", 2)?,
+                post: f.count("post", 3)?,
+            })
         }
         "perf-bench" => {
-            reject_unknown(
-                &opts,
-                &[
-                    "label",
-                    "out",
-                    "iters",
-                    "grid",
-                    "budget",
-                    "block",
-                    "seed",
-                    "compare",
-                    "tolerance",
-                ],
-            )?;
-            // A bigger head than serve-bench's default: medians over a
-            // sub-millisecond AttnV would be timer noise.
-            let grid = parse_grid(opts_get(&opts, "grid").unwrap_or("6x8x8"))?;
-            let budget: f32 = parse_num(opts_get(&opts, "budget").unwrap_or("4.8"))?;
-            let block_edge: usize = parse_num(opts_get(&opts, "block").unwrap_or("6"))?;
-            let seed: u64 = parse_num(opts_get(&opts, "seed").unwrap_or("42"))?;
-            let label = opts_get(&opts, "label").unwrap_or("local").to_string();
+            let label = f.string("label", "local");
             if label.is_empty() || label.contains(['/', '\\']) {
                 return Err(format!("--label must be a bare name, got '{label}'"));
             }
-            let iters: usize = parse_num(opts_get(&opts, "iters").unwrap_or("5"))?;
-            if iters == 0 {
-                return Err("--iters must be at least 1".to_string());
-            }
-            let tolerance: f64 = parse_num(opts_get(&opts, "tolerance").unwrap_or("30"))?;
-            if !tolerance.is_finite() || tolerance <= 0.0 {
-                return Err(format!("--tolerance must be positive, got {tolerance}"));
-            }
-            let out = opts_get(&opts, "out")
-                .map(str::to_string)
-                .unwrap_or_else(|| format!("BENCH_{label}.json"));
-            let compare = opts_get(&opts, "compare").map(str::to_string);
-            Ok(CliCommand::PerfBench(PerfBenchOpts {
-                grid,
-                budget,
-                block_edge,
-                seed,
+            CliCommand::PerfBench(PerfBenchOpts {
+                // A bigger head than serve-bench's default: medians over a
+                // sub-millisecond AttnV would be timer noise.
+                grid: f.grid("6x8x8")?,
+                budget: f.num("budget", 4.8)?,
+                block_edge: f.num("block", 6)?,
+                seed: f.num("seed", 42)?,
+                out: f.string("out", &format!("BENCH_{label}.json")),
                 label,
-                out,
-                iters,
-                compare,
-                tolerance,
-            }))
+                iters: f.count("iters", 5)?,
+                compare: f.opt("compare").map(str::to_string),
+                tolerance: f.positive("tolerance", 30.0)?,
+            })
         }
         "trace" => {
-            let mut allowed = vec!["out"];
-            allowed.extend_from_slice(BENCH_FLAGS);
-            reject_unknown(&opts, &allowed)?;
             // A trace of every request is the point here, not steady-state
-            // throughput: default to a short stream.
-            let bench = parse_bench_opts(&opts, "24")?;
-            let out = opts_get(&opts, "out").unwrap_or("trace.json").to_string();
-            Ok(CliCommand::Trace(TraceOpts { bench, out }))
+            // throughput: default to a short stream. `--out` names the
+            // Chrome JSON, so the workload's own `out` stays empty.
+            let mut bench = bench_opts(&mut f, 24)?;
+            let out = bench.out.take().unwrap_or_else(|| "trace.json".to_string());
+            CliCommand::Trace(TraceOpts { bench, out })
         }
-        "tune" => {
-            reject_unknown(
-                &opts,
-                &[
-                    "grid", "blocks", "heads", "block", "seed", "bench", "slo-us", "out", "report",
-                ],
-            )?;
-            // Defaults mirror perf-bench's head so the default --bench
-            // baseline (measured on the same 6x8x8 grid) seeds a
-            // roofline for the very workload being tuned.
-            let grid = parse_grid(opts_get(&opts, "grid").unwrap_or("6x8x8"))?;
-            let blocks: usize = parse_num(opts_get(&opts, "blocks").unwrap_or("2"))?;
-            let heads: usize = parse_num(opts_get(&opts, "heads").unwrap_or("2"))?;
-            let block_edge: usize = parse_num(opts_get(&opts, "block").unwrap_or("6"))?;
-            let seed: u64 = parse_num(opts_get(&opts, "seed").unwrap_or("42"))?;
-            if blocks == 0 || heads == 0 {
-                return Err("--blocks and --heads must be at least 1".to_string());
-            }
-            let bench = opts_get(&opts, "bench")
-                .unwrap_or("BENCH_ci_baseline.json")
-                .to_string();
-            let slo_us: f64 = parse_num(opts_get(&opts, "slo-us").unwrap_or("1500"))?;
-            if !slo_us.is_finite() || slo_us <= 0.0 {
-                return Err(format!("--slo-us must be positive, got {slo_us}"));
-            }
-            let out = opts_get(&opts, "out")
-                .unwrap_or("PLAN_tuned.paro")
-                .to_string();
-            let report = opts_get(&opts, "report")
-                .unwrap_or("TUNE_report.json")
-                .to_string();
-            Ok(CliCommand::Tune(TuneOpts {
-                grid,
-                blocks,
-                heads,
-                block_edge,
-                seed,
-                bench,
-                slo_us,
-                out,
-                report,
-            }))
-        }
-        other => Err(format!("unknown command '{other}'; see `paro help`")),
-    }
+        // Defaults mirror perf-bench's head so the default --bench
+        // baseline (measured on the same 6x8x8 grid) seeds a roofline for
+        // the very workload being tuned.
+        "tune" => CliCommand::Tune(TuneOpts {
+            grid: f.grid("6x8x8")?,
+            blocks: f.count("blocks", 2)?,
+            heads: f.count("heads", 2)?,
+            block_edge: f.num("block", 6)?,
+            seed: f.num("seed", 42)?,
+            bench: f.string("bench", "BENCH_ci_baseline.json"),
+            slo_us: f.positive("slo-us", 1500.0)?,
+            out: f.string("out", "PLAN_tuned.paro"),
+            report: f.string("report", "TUNE_report.json"),
+        }),
+        other => return Err(format!("unknown command '{other}'; see `paro help`")),
+    };
+    f.finish()?;
+    Ok(parsed)
 }
 
-fn parse_plan_build(opts: &[(&str, &str)]) -> Result<CliCommand, String> {
-    reject_unknown(
-        opts,
-        &["grid", "blocks", "heads", "block", "budget", "seed", "out"],
-    )?;
-    // Defaults mirror serve-bench so `plan build` freezes exactly the
-    // plans a default serve-bench run would calibrate.
-    let grid = parse_grid(opts_get(opts, "grid").unwrap_or("4x6x6"))?;
-    let blocks: usize = parse_num(opts_get(opts, "blocks").unwrap_or("3"))?;
-    let heads: usize = parse_num(opts_get(opts, "heads").unwrap_or("4"))?;
-    let block_edge: usize = parse_num(opts_get(opts, "block").unwrap_or("6"))?;
-    let budget: f32 = parse_num(opts_get(opts, "budget").unwrap_or("4.8"))?;
-    let seed: u64 = parse_num(opts_get(opts, "seed").unwrap_or("42"))?;
-    if blocks == 0 || heads == 0 {
-        return Err("--blocks and --heads must be at least 1".to_string());
-    }
-    let out = opts_get(opts, "out").unwrap_or("plans.paro").to_string();
-    Ok(CliCommand::PlanBuild(PlanBuildOpts {
-        grid,
-        blocks,
-        heads,
-        block_edge,
-        budget,
-        seed,
-        out,
-    }))
-}
-
-fn parse_plan_file(opts: &[(&str, &str)], sub: &str) -> Result<CliCommand, String> {
-    reject_unknown(opts, &["file"])?;
-    let file = opts_get(opts, "file")
-        .ok_or_else(|| format!("plan {sub} needs --file ARTIFACT"))?
-        .to_string();
-    Ok(if sub == "inspect" {
-        CliCommand::PlanInspect { file }
-    } else {
-        CliCommand::PlanVerify { file }
-    })
-}
-
-/// Flags shared by `serve-bench` and `trace` (which adds `--out`).
-const BENCH_FLAGS: &[&str] = &[
-    "grid",
-    "threads",
-    "queue",
-    "requests",
-    "blocks",
-    "heads",
-    "budget",
-    "block",
-    "deadline-ms",
-    "seed",
-    "plan",
-];
-
-fn parse_bench_opts(
-    opts: &[(&str, &str)],
-    default_requests: &str,
-) -> Result<ServeBenchOpts, String> {
-    let grid = parse_grid(opts_get(opts, "grid").unwrap_or("4x6x6"))?;
-    let threads: usize = parse_num(opts_get(opts, "threads").unwrap_or("4"))?;
-    let queue: usize = parse_num(opts_get(opts, "queue").unwrap_or("64"))?;
-    let requests: usize = parse_num(opts_get(opts, "requests").unwrap_or(default_requests))?;
-    let blocks: usize = parse_num(opts_get(opts, "blocks").unwrap_or("3"))?;
-    let heads: usize = parse_num(opts_get(opts, "heads").unwrap_or("4"))?;
-    let budget: f32 = parse_num(opts_get(opts, "budget").unwrap_or("4.8"))?;
-    let block_edge: usize = parse_num(opts_get(opts, "block").unwrap_or("6"))?;
-    let deadline_ms: u64 = parse_num(opts_get(opts, "deadline-ms").unwrap_or("0"))?;
-    let seed: u64 = parse_num(opts_get(opts, "seed").unwrap_or("42"))?;
-    if threads == 0 {
-        return Err("--threads must be at least 1".to_string());
-    }
-    if queue == 0 {
-        return Err("--queue must be at least 1".to_string());
-    }
-    if requests == 0 {
-        return Err("--requests must be at least 1".to_string());
-    }
-    if blocks == 0 || heads == 0 {
-        return Err("--blocks and --heads must be at least 1".to_string());
-    }
+/// The workload knobs every serving command shares, plus `--out`.
+fn bench_opts(f: &mut Flags, default_requests: usize) -> Result<ServeBenchOpts, String> {
     Ok(ServeBenchOpts {
-        grid,
-        threads,
-        queue,
-        requests,
-        blocks,
-        heads,
-        budget,
-        block_edge,
-        deadline_ms,
-        seed,
-        plan: opts_get(opts, "plan").map(str::to_string),
-        // `--out` means different things per command (trace owns it for
-        // the Chrome JSON), so each arm fills it in itself.
-        out: None,
+        grid: f.grid("4x6x6")?,
+        threads: f.count("threads", 4)?,
+        queue: f.count("queue", 64)?,
+        requests: f.count("requests", default_requests)?,
+        blocks: f.count("blocks", 3)?,
+        heads: f.count("heads", 4)?,
+        budget: f.num("budget", 4.8)?,
+        block_edge: f.num("block", 6)?,
+        deadline_ms: f.num("deadline-ms", 0)?,
+        seed: f.num("seed", 42)?,
+        plan: f.opt("plan").map(str::to_string),
+        out: f.opt("out").map(str::to_string),
     })
+}
+
+/// The `--name value` pairs of one invocation. Every getter marks the
+/// flag it reads; [`Flags::finish`] then rejects the first flag that no
+/// getter read, so each command accepts exactly the flags it uses.
+struct Flags<'a> {
+    /// `(name, value, read)` in command-line order.
+    pairs: Vec<(&'a str, &'a str, bool)>,
+}
+
+impl<'a> Flags<'a> {
+    fn parse(args: &'a [String]) -> Result<Self, String> {
+        let mut pairs: Vec<(&str, &str, bool)> = Vec::new();
+        let mut it = args.iter();
+        while let Some(flag) = it.next() {
+            let Some(name) = flag.strip_prefix("--") else {
+                return Err(format!("expected --flag, got '{flag}'"));
+            };
+            let Some(value) = it.next() else {
+                return Err(format!("flag --{name} needs a value"));
+            };
+            if pairs.iter().any(|&(n, ..)| n == name) {
+                return Err(format!("flag --{name} given more than once"));
+            }
+            pairs.push((name, value, false));
+        }
+        Ok(Flags { pairs })
+    }
+
+    /// The raw value of `--name`, if given.
+    fn opt(&mut self, name: &str) -> Option<&'a str> {
+        let pair = self.pairs.iter_mut().find(|(n, ..)| *n == name)?;
+        pair.2 = true;
+        Some(pair.1)
+    }
+
+    fn string(&mut self, name: &str, default: &str) -> String {
+        self.opt(name).unwrap_or(default).to_string()
+    }
+
+    fn num<T: std::str::FromStr>(&mut self, name: &str, default: T) -> Result<T, String> {
+        self.opt(name).map_or(Ok(default), parse_num)
+    }
+
+    /// A count that must be at least 1.
+    fn count<T>(&mut self, name: &str, default: T) -> Result<T, String>
+    where
+        T: std::str::FromStr + PartialOrd + From<u8>,
+    {
+        let v = self.num(name, default)?;
+        if v < T::from(1) {
+            return Err(format!("--{name} must be at least 1"));
+        }
+        Ok(v)
+    }
+
+    /// A finite, positive number.
+    fn positive(&mut self, name: &str, default: f64) -> Result<f64, String> {
+        let v = self.num(name, default)?;
+        if !(v.is_finite() && v > 0.0) {
+            return Err(format!("--{name} must be positive, got {v}"));
+        }
+        Ok(v)
+    }
+
+    fn grid(&mut self, default: &str) -> Result<TokenGrid, String> {
+        parse_grid(self.opt("grid").unwrap_or(default))
+    }
+
+    /// Rejects the first flag no getter read.
+    fn finish(&self) -> Result<(), String> {
+        match self.pairs.iter().find(|&&(.., read)| !read) {
+            Some((name, ..)) => Err(format!("unknown flag --{name}")),
+            None => Ok(()),
+        }
+    }
 }
 
 fn parse_weights(s: &str) -> Result<(f64, f64), String> {
@@ -724,36 +620,6 @@ fn parse_weights(s: &str) -> Result<(f64, f64), String> {
     Ok((a, b))
 }
 
-fn parse_flags<'a>(rest: &[&'a String]) -> Result<Vec<(&'a str, &'a str)>, String> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < rest.len() {
-        let flag = rest[i].as_str();
-        let Some(name) = flag.strip_prefix("--") else {
-            return Err(format!("expected --flag, got '{flag}'"));
-        };
-        let Some(value) = rest.get(i + 1) else {
-            return Err(format!("flag --{name} needs a value"));
-        };
-        out.push((name, value.as_str()));
-        i += 2;
-    }
-    Ok(out)
-}
-
-fn opts_get<'a>(opts: &[(&'a str, &'a str)], name: &str) -> Option<&'a str> {
-    opts.iter().find(|(n, _)| *n == name).map(|&(_, v)| v)
-}
-
-fn reject_unknown(opts: &[(&str, &str)], allowed: &[&str]) -> Result<(), String> {
-    for (name, _) in opts {
-        if !allowed.contains(name) {
-            return Err(format!("unknown flag --{name}"));
-        }
-    }
-    Ok(())
-}
-
 fn parse_grid(s: &str) -> Result<TokenGrid, String> {
     let parts: Vec<&str> = s.split('x').collect();
     if parts.len() != 3 {
@@ -763,6 +629,18 @@ fn parse_grid(s: &str) -> Result<TokenGrid, String> {
     let dims = dims.map_err(|_| format!("grid must be FxHxW with integers, got '{s}'"))?;
     if dims.contains(&0) {
         return Err("grid dimensions must be positive".to_string());
+    }
+    // Every pipeline allocates the dense tokens × tokens f32 score map,
+    // so both sizes must be representable before anything is allocated.
+    let map_bytes = dims[0]
+        .checked_mul(dims[1])
+        .and_then(|n| n.checked_mul(dims[2]))
+        .and_then(|tokens| tokens.checked_mul(tokens))
+        .and_then(|n| n.checked_mul(4));
+    if map_bytes.is_none() {
+        return Err(format!(
+            "grid '{s}' is too large: its token count or dense map bytes (tokens² × 4) overflow usize"
+        ));
     }
     Ok(TokenGrid::new(dims[0], dims[1], dims[2]))
 }
@@ -921,6 +799,18 @@ mod tests {
         assert!(parse_args(&args(&["quantize", "--bits", "3"]))
             .unwrap_err()
             .contains("0/2/4/8"));
+        assert!(
+            parse_args(&args(&["serve-bench", "--threads", "2", "--threads", "8"]))
+                .unwrap_err()
+                .contains("--threads")
+        );
+        assert!(parse_args(&args(&[
+            "perf-bench",
+            "--grid",
+            "99999999999x99999999999x9999999999"
+        ]))
+        .unwrap_err()
+        .contains("too large"));
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! Implementation of `paro plan build/inspect/verify` and `paro tune`.
+//! The synthetic workload every `paro` subcommand runs, and the
+//! implementation of `paro plan build/inspect/verify` and `paro tune`.
 //!
 //! The logic lives here in the library so integration tests can drive
 //! artifact building and bit-budget tuning without shelling out to the
 //! binary; the `paro` binary's matching subcommands are thin wrappers
 //! adding file IO and printing. See `docs/ARTIFACT.md` for the artifact
-//! format contract and `docs/TELEMETRY.md` §8 for the tune report.
+//! format contract and `docs/TELEMETRY.md` for the tune report.
 
-use crate::cli::{PlanBuildOpts, TuneOpts};
-use crate::report::{PerfBenchReport, TuneHeadRow, TuneReport, TuneValidation};
+use crate::cli::{PlanBuildOpts, ServeBenchOpts, TuneOpts};
+use crate::report::{PerfBenchReport, RunInfo, TuneHeadRow, TuneReport, TuneValidation};
 use paro_artifact::{ArtifactBuilder, ArtifactError, ArtifactView};
 use paro_core::artifact::{head_record, order_from_code, plan_meta};
 use paro_core::calibration::{calibrate_head, HeadCalibration};
@@ -16,11 +17,17 @@ use paro_core::pipeline::AttentionInputs;
 use paro_model::patterns::{synthesize_head, PatternSpec};
 use paro_model::{ModelConfig, TokenGrid};
 use paro_quant::BlockGrid;
-use paro_serve::workload::{scaled_config, SyntheticSource};
-use paro_serve::{CalibrationSource, ServeConfig};
+use paro_serve::workload::{scaled_config, SyntheticSource, WorkloadSpec};
+use paro_serve::{
+    BatchOutcome, CalibrationSource, Engine, ServeConfig, ServeError, ServeRequest, ServeResponse,
+    TenantClass, WatchdogConfig,
+};
 use paro_sim::tune::{tune_budgets, BudgetOption, HeadCandidate, RooflineModel, TuneOutcome};
 use paro_sim::AttentionProfile;
-use std::time::Instant;
+use paro_trace::Trace;
+use std::path::PathBuf;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// The trial average-bit budgets `paro tune` calibrates each head at —
 /// the paper's discrete palette of mixed-precision operating points.
@@ -52,7 +59,7 @@ pub fn write_output(path: &str, bytes: &[u8]) -> Result<(), String> {
 }
 
 /// The scaled CogVideoX-2B workload model the synthetic commands share.
-fn workload_model(grid: &TokenGrid) -> ModelConfig {
+pub fn workload_model(grid: &TokenGrid) -> ModelConfig {
     scaled_config(
         &ModelConfig::cogvideox_2b(),
         grid.frames(),
@@ -61,12 +68,99 @@ fn workload_model(grid: &TokenGrid) -> ModelConfig {
     )
 }
 
+/// The calibration source of the synthetic workload with `seed`. Serving,
+/// `plan build`, `tune` and `perf-bench` all calibrate from it, so an
+/// artifact built with the same grid, seed and budget holds the very
+/// plans a serving engine would have calibrated in-process.
+pub fn synthetic_source(model: &ModelConfig, seed: u64) -> SyntheticSource {
+    SyntheticSource::new(model.clone(), 2, seed ^ 0xca11b)
+}
+
+/// The serving engine of a CLI workload: `opts`' worker, queue, block,
+/// budget, deadline and plan-artifact knobs over `source`, with the given
+/// tenant classes and an optional fidelity watchdog.
+///
+/// # Errors
+///
+/// [`ServeError`] from engine construction (invalid configuration, an
+/// unreadable or mismatched plan artifact).
+pub fn workload_engine(
+    opts: &ServeBenchOpts,
+    model: &ModelConfig,
+    source: Arc<dyn CalibrationSource>,
+    tenants: Vec<TenantClass>,
+    watchdog: Option<WatchdogConfig>,
+) -> Result<Engine, ServeError> {
+    let cfg = ServeConfig {
+        workers: opts.threads,
+        queue_capacity: opts.queue,
+        block_edge: opts.block_edge,
+        budget: opts.budget,
+        default_deadline: (opts.deadline_ms > 0).then(|| Duration::from_millis(opts.deadline_ms)),
+        plan_artifact: opts.plan.as_ref().map(PathBuf::from),
+        tenants,
+        watchdog,
+        ..ServeConfig::default()
+    };
+    Engine::new(cfg, model.clone(), source)
+}
+
+/// The request stream of a CLI workload: `requests` requests cycling
+/// through `opts`' blocks × heads.
+pub fn workload_spec(opts: &ServeBenchOpts, model: &ModelConfig, requests: usize) -> WorkloadSpec {
+    WorkloadSpec {
+        model: model.clone(),
+        requests,
+        blocks: opts.blocks,
+        heads: opts.heads,
+        seed: opts.seed,
+    }
+}
+
+/// A response's output tensor as raw bits, for bit-identity checks.
+pub fn output_bits(resp: &ServeResponse) -> Vec<u32> {
+    resp.run
+        .output
+        .as_slice()
+        .iter()
+        .map(|x| x.to_bits())
+        .collect()
+}
+
+/// Records the one-shot `kernel.dispatch` span: a zero-length marker at
+/// the head of the session whose `detail` names the micro-kernel every
+/// dispatched hot loop runs, so traces and summaries are self-describing.
+pub fn record_kernel_dispatch() {
+    let _d = paro_trace::span_detailed(
+        paro_trace::stage::KERNEL_DISPATCH,
+        paro_tensor::kernel::active_kernel().as_str(),
+    );
+}
+
+/// Runs one batch under a trace session and shuts the engine down,
+/// returning the outcome, the batch's wall time and the recorded trace.
+/// In a build with tracing compiled out the trace is empty.
+pub fn run_traced_batch(
+    engine: &Engine,
+    requests: Vec<ServeRequest>,
+) -> (BatchOutcome, Duration, Trace) {
+    let session = paro_trace::TraceSession::start();
+    record_kernel_dispatch();
+    let t0 = Instant::now();
+    let outcome = engine.run_batch(requests);
+    let wall = t0.elapsed();
+    // Joining the workers orders the final wave-close span (recorded
+    // after the last response is delivered) before the session snapshot.
+    engine.shutdown();
+    (outcome, wall, session.finish())
+}
+
 /// Calibrates every `(block, head)` of the synthetic workload and
 /// freezes the plans into artifact bytes.
 ///
-/// The calibration source seed is derived exactly as `serve-bench`
-/// derives it, so an artifact built with the same grid/seed/budget
-/// serves the very plans that engine would have calibrated in-process.
+/// The calibration source is [`synthetic_source`], so an artifact built
+/// with the same grid/seed/budget serves the very plans `serve-bench`
+/// would have calibrated in-process.
 ///
 /// # Errors
 ///
@@ -74,7 +168,7 @@ fn workload_model(grid: &TokenGrid) -> ModelConfig {
 pub fn build_plan_bytes(opts: &PlanBuildOpts) -> Result<Vec<u8>, Box<dyn std::error::Error>> {
     let model = workload_model(&opts.grid);
     let defaults = ServeConfig::default();
-    let source = SyntheticSource::new(model.clone(), 2, opts.seed ^ 0xca11b);
+    let source = synthetic_source(&model, opts.seed);
     let block_grid = BlockGrid::square(opts.block_edge)?;
     let meta = plan_meta(
         &model,
@@ -264,7 +358,7 @@ pub fn tune_with_bench(
     let model = workload_model(&opts.grid);
     let roofline = roofline_from_bench(bench, &model);
     let defaults = ServeConfig::default();
-    let source = SyntheticSource::new(model.clone(), 2, opts.seed ^ 0xca11b);
+    let source = synthetic_source(&model, opts.seed);
     let block_grid = BlockGrid::square(opts.block_edge)?;
 
     // One candidate operating point per head per trial budget, each a
@@ -335,9 +429,7 @@ pub fn tune_with_bench(
 
     let validation = validate_tuned_head(&model, &cals, &outcome, opts.seed, &defaults)?;
     let report = TuneReport {
-        model: model.name.clone(),
-        tokens: model.grid.len(),
-        head_dim: model.head_dim(),
+        run: RunInfo::new(&model, opts.seed),
         bench: opts.bench.clone(),
         slo_us: opts.slo_us,
         meets_slo: outcome.meets_slo,
@@ -417,15 +509,19 @@ mod tests {
             packed_map_gb_per_sec: 0.08,
         };
         PerfBenchReport {
+            run: RunInfo {
+                model: "CogVideoX-2B@6x8x8".to_string(),
+                tokens: 384,
+                head_dim: 64,
+                seed: 42,
+                kernel: "avx2".to_string(),
+                kernel_forced: false,
+                pool_threads: 8,
+                trace_compiled_in: true,
+                failpoints_compiled_in: false,
+            },
             label: "test".to_string(),
-            model: "CogVideoX-2B@6x8x8".to_string(),
-            tokens: 384,
-            head_dim: 64,
             iters: 5,
-            kernel: "avx2".to_string(),
-            kernel_forced: false,
-            pool_threads: 8,
-            trace_compiled_in: true,
             stages: vec![
                 PerfStageRow {
                     stage: paro_trace::stage::PIPELINE_REORDER.to_string(),

@@ -4,10 +4,83 @@
 //! `docs/TELEMETRY.md`: every field serialized here must appear in that
 //! document (a unit test in `tests/telemetry_contract.rs` diffs the two),
 //! so renaming or adding a field is a documented, reviewable change.
+//! Every report opens with the same [`RunInfo`] envelope, `run`.
 
+use paro_core::int_pipeline::IntPathStats;
+use paro_model::ModelConfig;
 use paro_serve::MetricsSnapshot;
 use paro_sim::tune::RooflineModel;
+use paro_trace::StageSummary;
 use serde::{Deserialize, Serialize};
+use std::time::Duration;
+
+/// The build and host identity every report carries first, as `run`: a
+/// number only means something next to the model, kernel and host width
+/// that produced it.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct RunInfo {
+    /// Scaled model name (e.g. `CogVideoX-2B@4x6x6`).
+    pub model: String,
+    /// Tokens per attention head (the scaled grid's volume).
+    pub tokens: usize,
+    /// Head dimension of the model.
+    pub head_dim: usize,
+    /// RNG seed of the workload and its calibration source (`--seed`).
+    pub seed: u64,
+    /// The micro-kernel runtime dispatch selected (`scalar`, `sse4.1` or
+    /// `avx2`).
+    pub kernel: String,
+    /// `true` when `PARO_KERNEL` overrode detection for this run —
+    /// a forced run is not comparable to a detected baseline.
+    pub kernel_forced: bool,
+    /// Effective compute-pool worker threads on this host
+    /// (`PARO_POOL_THREADS` or `available_parallelism`) — runs on hosts
+    /// of different widths are not comparable. `0` means the width was
+    /// not recorded (baselines predating the field carry it explicitly).
+    pub pool_threads: usize,
+    /// Whether span recording is compiled into this binary
+    /// (`paro-trace/enabled`).
+    pub trace_compiled_in: bool,
+    /// Whether fault injection is compiled into this binary
+    /// (`paro-failpoint/enabled`).
+    pub failpoints_compiled_in: bool,
+}
+
+impl RunInfo {
+    /// The identity of a run of `model` with `seed` in this process: the
+    /// dispatched kernel, the compute pool's width and the compiled-in
+    /// instrumentation.
+    pub fn new(model: &ModelConfig, seed: u64) -> Self {
+        let dispatch = paro_tensor::kernel::active();
+        RunInfo {
+            model: model.name.clone(),
+            tokens: model.grid.len(),
+            head_dim: model.head_dim(),
+            seed,
+            kernel: dispatch.kernel.as_str().to_string(),
+            kernel_forced: dispatch.forced,
+            pool_threads: paro_core::pool::ComputePool::global().threads(),
+            trace_compiled_in: paro_trace::COMPILED_IN,
+            failpoints_compiled_in: paro_failpoint::COMPILED_IN,
+        }
+    }
+}
+
+/// Prints `report` as pretty JSON on stdout, first writing it to `out`
+/// (creating missing parent directories) when given.
+///
+/// # Errors
+///
+/// A message naming the path that could not be written.
+pub fn emit<T: Serialize>(report: &T, out: Option<&str>) -> Result<(), String> {
+    let json =
+        serde_json::to_string_pretty(report).map_err(|e| format!("cannot encode report: {e}"))?;
+    if let Some(path) = out {
+        crate::plans::write_output(path, json.as_bytes())?;
+    }
+    println!("{json}");
+    Ok(())
+}
 
 /// Top-level JSON report `paro serve-bench` prints to stdout: the
 /// workload/engine configuration, the run's wall-clock throughput, the
@@ -16,12 +89,8 @@ use serde::{Deserialize, Serialize};
 /// regressions.
 #[derive(Debug, Serialize)]
 pub struct ServeBenchReport {
-    /// Scaled model name (e.g. `CogVideoX-2B@4x6x6`).
-    pub model: String,
-    /// Tokens per attention head (the scaled grid's volume).
-    pub tokens: usize,
-    /// Head dimension of the model.
-    pub head_dim: usize,
+    /// Build and host identity.
+    pub run: RunInfo,
     /// Serve worker threads.
     pub threads: usize,
     /// Submission-queue capacity.
@@ -38,41 +107,11 @@ pub struct ServeBenchReport {
     pub wall_ms: f64,
     /// Completed requests per wall-clock second.
     pub requests_per_sec: f64,
-    /// Whether span recording is compiled into this binary
-    /// (`paro-trace/enabled`); when `false`, `trace_stages` is empty.
-    pub trace_compiled_in: bool,
     /// Per-stage span aggregates recorded during the batch, largest total
     /// first. Empty when tracing is compiled out.
     pub trace_stages: Vec<StageSummaryRow>,
-    /// Single-head microbench of the packed-integer path.
-    pub int_path: IntPathComparison,
     /// The engine's full metrics snapshot.
     pub metrics: MetricsSnapshot,
-}
-
-/// Single-head microbench comparing the packed-integer execution path
-/// (what the engine serves) against the fake-quant f32 reference on the
-/// same frozen calibration, plus the packed-byte traffic one request
-/// moves. Part of the serve-bench JSON baseline.
-#[derive(Debug, Serialize)]
-pub struct IntPathComparison {
-    /// Timing iterations per path.
-    pub iters: usize,
-    /// Packed-integer path, milliseconds per head.
-    pub int_ms_per_head: f64,
-    /// Fake-quant f32 reference path, milliseconds per head.
-    pub f32_ms_per_head: f64,
-    /// `f32_ms_per_head / int_ms_per_head`.
-    pub int_over_f32_speedup: f64,
-    /// Packed attention-map bytes one request reads.
-    pub packed_map_bytes_per_head: u64,
-    /// Packed `V` bytes one request reads.
-    pub packed_v_bytes_per_head: u64,
-    /// Fraction of dense `AttnV` MACs skipped via 0-bit blocks.
-    pub macs_skipped_fraction: f64,
-    /// Stable name of the micro-kernel that executed the `AttnV` MACs
-    /// (`scalar`, `sse4.1` or `avx2`; see `paro_tensor::kernel`).
-    pub kernel: String,
 }
 
 /// Top-level JSON report `paro soak-bench` prints to stdout: a
@@ -82,12 +121,9 @@ pub struct IntPathComparison {
 /// repeats (docs/SCHEDULING.md).
 #[derive(Debug, Serialize)]
 pub struct SoakBenchReport {
-    /// Scaled model name (e.g. `CogVideoX-2B@4x6x6`).
-    pub model: String,
-    /// Tokens per attention head (the scaled grid's volume).
-    pub tokens: usize,
-    /// Head dimension of the model.
-    pub head_dim: usize,
+    /// Build and host identity; `run.seed` also seeds the arrival
+    /// schedule.
+    pub run: RunInfo,
     /// Serve worker threads.
     pub threads: usize,
     /// Submission-queue capacity.
@@ -96,8 +132,6 @@ pub struct SoakBenchReport {
     pub requests: usize,
     /// Offered arrival rate, requests per second (`--rate`).
     pub rate_per_sec: f64,
-    /// RNG seed for both the workload and the arrival schedule.
-    pub seed: u64,
     /// Runs aggregated into this report (`--repeat`): counters are
     /// summed, fractions and quantiles averaged.
     pub repeat: usize,
@@ -184,10 +218,8 @@ pub struct SoakTenantRow {
 /// job gates on the verdict booleans (see docs/LIFECYCLE.md).
 #[derive(Debug, Serialize)]
 pub struct DriftBenchReport {
-    /// Scaled model name (e.g. `CogVideoX-2B@4x6x6`).
-    pub model: String,
-    /// Tokens per attention head (the scaled grid's volume).
-    pub tokens: usize,
+    /// Build and host identity.
+    pub run: RunInfo,
     /// Serve worker threads.
     pub threads: usize,
     /// Requests per batch (`--requests`).
@@ -196,8 +228,6 @@ pub struct DriftBenchReport {
     pub blocks: usize,
     /// Heads per block in the workload.
     pub heads: usize,
-    /// RNG seed of the workload and calibration source.
-    pub seed: u64,
     /// Fresh batches served before drift injection (`--warmup`).
     pub warmup_batches: usize,
     /// Detection bound in drifted batches (`--detect-within`).
@@ -251,16 +281,14 @@ pub struct DriftBenchReport {
 /// never-faulted baseline bit for bit.
 #[derive(Debug, Serialize)]
 pub struct ChaosBenchReport {
-    /// Scaled model name (e.g. `CogVideoX-2B@4x6x6`).
-    pub model: String,
+    /// Build and host identity; when `run.failpoints_compiled_in` is
+    /// `false`, nothing fires and the run degenerates to a clean-vs-clean
+    /// determinism check.
+    pub run: RunInfo,
     /// Requests per batch (baseline, chaos and clean batches alike).
     pub requests: usize,
     /// Serve worker threads.
     pub threads: usize,
-    /// Whether fault injection is compiled into this binary
-    /// (`paro-failpoint/enabled`); when `false`, nothing fires and the
-    /// run degenerates to a clean-vs-clean determinism check.
-    pub failpoints_compiled_in: bool,
     /// The faults armed for the chaos batch, with their fire counts.
     pub injected: Vec<InjectedFaultRow>,
     /// Chaos-batch requests that resolved `Ok`.
@@ -346,33 +374,14 @@ pub fn stage_rows(summaries: &[paro_trace::StageSummary]) -> Vec<StageSummaryRow
 /// `BENCH_ci_baseline.json` with [`diff_stage_medians`].
 #[derive(Debug, Serialize, Deserialize)]
 pub struct PerfBenchReport {
+    /// Build and host identity; medians require tracing, so
+    /// `run.trace_compiled_in` is always `true` in a written report.
+    pub run: RunInfo,
     /// Free-form run label (`--label`), embedded so a directory of bench
     /// files stays self-describing.
     pub label: String,
-    /// Scaled model name (e.g. `CogVideoX-2B@6x8x8`).
-    pub model: String,
-    /// Tokens per attention head (the scaled grid's volume).
-    pub tokens: usize,
-    /// Head dimension of the model.
-    pub head_dim: usize,
     /// Timed pipeline iterations per pass (medians are taken over these).
     pub iters: usize,
-    /// The micro-kernel runtime dispatch selected (`scalar`, `sse4.1` or
-    /// `avx2`).
-    pub kernel: String,
-    /// `true` when `PARO_KERNEL` overrode detection for this run —
-    /// a forced run is not comparable to a detected baseline.
-    pub kernel_forced: bool,
-    /// Effective compute-pool worker threads on this host
-    /// (`PARO_POOL_THREADS` or `available_parallelism`) — baselines
-    /// measured on different-core-count hosts are not comparable, and
-    /// this pins the count the run actually used. `0` means the host
-    /// width was not recorded (baselines predating the field carry it
-    /// explicitly).
-    pub pool_threads: usize,
-    /// Whether span recording is compiled into this binary; medians
-    /// require it, so `perf-bench` refuses to run when `false`.
-    pub trace_compiled_in: bool,
     /// Median span duration per pipeline stage over the dispatched pass.
     pub stages: Vec<PerfStageRow>,
     /// Packed-`AttnV` throughput under the dispatched kernel.
@@ -414,18 +423,48 @@ pub struct AttnVThroughput {
     pub packed_map_gb_per_sec: f64,
 }
 
+impl AttnVThroughput {
+    /// Derives one pass's throughput from its span summary, its run's
+    /// MAC/byte accounting and its wall time over `iters` pipeline runs.
+    /// `attnv.mac` records one span per non-zero block, so throughput
+    /// comes from the stage's total kernel time per pipeline pass and the
+    /// median is the per-block duration. A pass that ran no MAC (every
+    /// block 0-bit) reports zero throughput.
+    pub fn from_summary(
+        summary: &[StageSummary],
+        stats: &IntPathStats,
+        wall: Duration,
+        iters: usize,
+    ) -> Self {
+        let mac = summary
+            .iter()
+            .find(|s| s.stage == paro_trace::stage::ATTNV_MAC);
+        let mac_secs = mac.map_or(0.0, |m| m.total_ns as f64 * 1e-9 / iters as f64);
+        let per_sec = |n: u64| {
+            if mac_secs > 0.0 {
+                n as f64 / mac_secs
+            } else {
+                0.0
+            }
+        };
+        AttnVThroughput {
+            kernel: stats.kernel.to_string(),
+            ms_per_head: wall.as_secs_f64() * 1e3 / iters as f64,
+            mac_p50_us: mac.map_or(0.0, |m| m.p50_ns as f64 / 1e3),
+            macs_per_sec: per_sec(stats.executed_macs),
+            packed_map_gb_per_sec: per_sec(stats.packed_map_bytes) / 1e9,
+        }
+    }
+}
+
 /// Top-level JSON report `paro tune` writes (`--report`): the bit-budget
 /// search outcome under the latency SLO, the roofline model seeded from
 /// the measured perf-bench baseline, the per-head chosen budgets, and a
 /// predicted-vs-measured validation of the first tuned head on this host.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct TuneReport {
-    /// Scaled model name the tune targeted (e.g. `CogVideoX-2B@6x8x8`).
-    pub model: String,
-    /// Tokens per attention head (the scaled grid's volume).
-    pub tokens: usize,
-    /// Head dimension of the model.
-    pub head_dim: usize,
+    /// Build and host identity of the tuned workload.
+    pub run: RunInfo,
     /// Path of the perf-bench baseline (`--bench`) that seeded the
     /// roofline model.
     pub bench: String,
@@ -680,15 +719,19 @@ mod tests {
     #[test]
     fn perf_report_round_trips_through_json() {
         let report = PerfBenchReport {
+            run: RunInfo {
+                model: "CogVideoX-2B@6x8x8".to_string(),
+                tokens: 384,
+                head_dim: 64,
+                seed: 42,
+                kernel: "avx2".to_string(),
+                kernel_forced: false,
+                pool_threads: 8,
+                trace_compiled_in: true,
+                failpoints_compiled_in: false,
+            },
             label: "ci_baseline".to_string(),
-            model: "CogVideoX-2B@6x8x8".to_string(),
-            tokens: 384,
-            head_dim: 64,
             iters: 5,
-            kernel: "avx2".to_string(),
-            kernel_forced: false,
-            pool_threads: 8,
-            trace_compiled_in: true,
             stages: vec![row("attnv.mac", 412.5)],
             attn_v: AttnVThroughput {
                 kernel: "avx2".to_string(),
@@ -713,6 +756,34 @@ mod tests {
         assert_eq!(back.stages[0].stage, "attnv.mac");
         assert_eq!(back.attn_v.kernel, "avx2");
         assert_eq!(back.scalar_attn_v.mac_p50_us, 1400.0);
-        assert_eq!(back.pool_threads, 8);
+        assert_eq!(back.run.pool_threads, 8);
+    }
+
+    #[test]
+    fn attn_v_throughput_is_zero_when_no_block_ran_a_mac() {
+        // At budget 0 every block is 0-bit: the summary has no
+        // `attnv.mac` row, which is a result, not a tracing failure.
+        let stats = IntPathStats {
+            packed_map_bytes: 0,
+            v_payload_bytes: 4_736,
+            executed_macs: 0,
+            dense_macs: 9_437_184,
+            skipped_blocks: 4_096,
+            kernel: "avx2",
+        };
+        let summary = [StageSummary {
+            stage: paro_trace::stage::PIPELINE_ATTN_V,
+            count: 2,
+            total_ns: 40_000,
+            p50_ns: 20_000,
+            p95_ns: 20_000,
+            max_ns: 20_000,
+        }];
+        let t = AttnVThroughput::from_summary(&summary, &stats, Duration::from_millis(4), 2);
+        assert_eq!(t.kernel, "avx2");
+        assert_eq!(t.ms_per_head, 2.0);
+        assert_eq!(t.mac_p50_us, 0.0);
+        assert_eq!(t.macs_per_sec, 0.0);
+        assert_eq!(t.packed_map_gb_per_sec, 0.0);
     }
 }

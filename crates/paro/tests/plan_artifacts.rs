@@ -4,8 +4,11 @@
 
 use paro::cli::{PlanBuildOpts, TuneOpts};
 use paro::model::TokenGrid;
-use paro::plans::{build_plan_bytes, inspect_text, run_tune, verify_text, write_output};
-use paro::serve::workload::{scaled_config, synthetic_requests, SyntheticSource, WorkloadSpec};
+use paro::plans::{
+    build_plan_bytes, inspect_text, run_tune, synthetic_source, verify_text, workload_model,
+    write_output,
+};
+use paro::serve::workload::{synthetic_requests, WorkloadSpec};
 use paro::serve::{Engine, ServeConfig};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -65,12 +68,7 @@ fn engine_serves_a_built_artifact_without_recalibrating() {
     let bytes = build_plan_bytes(&opts).unwrap();
     write_output(&opts.out, &bytes).unwrap();
 
-    let model = scaled_config(
-        &paro::model::ModelConfig::cogvideox_2b(),
-        opts.grid.frames(),
-        opts.grid.height(),
-        opts.grid.width(),
-    );
+    let model = workload_model(&opts.grid);
     // The engine must mirror the build's calibration knobs or the
     // artifact is (correctly) rejected at construction.
     let cfg = ServeConfig {
@@ -80,7 +78,7 @@ fn engine_serves_a_built_artifact_without_recalibrating() {
         plan_artifact: Some(out.clone()),
         ..ServeConfig::default()
     };
-    let source = Arc::new(SyntheticSource::new(model.clone(), 2, opts.seed ^ 0xca11b));
+    let source = Arc::new(synthetic_source(&model, opts.seed));
     let engine = Engine::new(cfg, model.clone(), source).unwrap();
     let spec = WorkloadSpec {
         model,

@@ -5,16 +5,19 @@
 //! rows. These tests serialize real report/trace values, walk every key
 //! path in the resulting JSON, and assert set equality both ways: a field
 //! added to the code without documenting it fails, and so does a
-//! documented field the code no longer emits.
+//! documented field the code no longer emits. Every report's `run.*`
+//! paths are checked against the one shared `run` section, the rest
+//! against the report's own section.
 
 use paro::report::{
-    AttnVThroughput, ChaosBenchReport, DriftBenchReport, InjectedFaultRow, IntPathComparison,
-    PerfBenchReport, PerfStageRow, ServeBenchReport, SoakBenchReport, SoakRunReport, SoakTenantRow,
+    AttnVThroughput, ChaosBenchReport, DriftBenchReport, InjectedFaultRow, PerfBenchReport,
+    PerfStageRow, RunInfo, ServeBenchReport, SoakBenchReport, SoakRunReport, SoakTenantRow,
     StageSummaryRow, TuneHeadRow, TuneReport, TuneValidation,
 };
 use paro::serve::{CacheStats, Metrics};
 use paro::sim::tune::RooflineModel;
 use paro::trace::{stage, SpanOutcome, SpanRecord, Trace, NO_CTX, NO_DETAIL};
+use serde::Serialize;
 use serde_json::Value;
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -86,6 +89,49 @@ fn assert_contract(emitted: &BTreeSet<String>, documented: &BTreeSet<String>, wh
     );
 }
 
+/// Every key path of `report` serialized to JSON.
+fn report_paths(report: &impl Serialize) -> BTreeSet<String> {
+    let json = serde_json::to_string(report).expect("report serializes");
+    let value = serde_json::parse_value(&json).expect("report JSON parses");
+    let mut paths = BTreeSet::new();
+    key_paths(&value, "", &mut paths);
+    paths
+}
+
+/// Checks a report's `run.*` paths against the shared `run` section and
+/// its other paths against the report's own `section`.
+fn assert_report_contract(report: &impl Serialize, section: &str) {
+    let (run, own): (BTreeSet<String>, BTreeSet<String>) = report_paths(report)
+        .into_iter()
+        .partition(|p| p == "run" || p.starts_with("run."));
+    let doc = telemetry_doc();
+    assert_contract(
+        &run,
+        &documented(&doc, "run"),
+        &format!("{section} run envelope"),
+    );
+    assert_contract(
+        &own,
+        &documented(&doc, section),
+        &format!("{section} report"),
+    );
+}
+
+/// The build and host identity every sample report carries.
+fn sample_run() -> RunInfo {
+    RunInfo {
+        model: "CogVideoX-2B@4x6x6".to_string(),
+        tokens: 144,
+        head_dim: 64,
+        seed: 42,
+        kernel: "avx2".to_string(),
+        kernel_forced: false,
+        pool_threads: 2,
+        trace_compiled_in: true,
+        failpoints_compiled_in: false,
+    }
+}
+
 /// A fully-populated report: one trace stage row so the array element
 /// fields serialize, and a snapshot off a live two-tenant `Metrics` so
 /// every latency block and the per-tenant rows are present.
@@ -113,9 +159,7 @@ fn sample_report() -> ServeBenchReport {
         },
     );
     ServeBenchReport {
-        model: "CogVideoX-2B@3x4x4".to_string(),
-        tokens: 48,
-        head_dim: 64,
+        run: sample_run(),
         threads: 2,
         queue_capacity: 32,
         requests: 2,
@@ -124,7 +168,6 @@ fn sample_report() -> ServeBenchReport {
         failed: 0,
         wall_ms: 1.5,
         requests_per_sec: 1333.3,
-        trace_compiled_in: paro::trace::COMPILED_IN,
         trace_stages: vec![StageSummaryRow {
             stage: stage::POOL_EXECUTE.to_string(),
             count: 2,
@@ -133,31 +176,13 @@ fn sample_report() -> ServeBenchReport {
             p95_us: 410.0,
             max_us: 410.0,
         }],
-        int_path: IntPathComparison {
-            iters: 3,
-            int_ms_per_head: 1.6,
-            f32_ms_per_head: 1.8,
-            int_over_f32_speedup: 1.125,
-            packed_map_bytes_per_head: 11_620,
-            packed_v_bytes_per_head: 4_736,
-            macs_skipped_fraction: 0.034,
-            kernel: "avx2".to_string(),
-        },
         metrics: snapshot,
     }
 }
 
 #[test]
 fn serve_bench_report_fields_match_docs() {
-    let json = serde_json::to_string(&sample_report()).expect("report serializes");
-    let value = serde_json::parse_value(&json).expect("report JSON parses");
-    let mut emitted = BTreeSet::new();
-    key_paths(&value, "", &mut emitted);
-    assert_contract(
-        &emitted,
-        &documented(&telemetry_doc(), "serve-bench"),
-        "serve-bench report",
-    );
+    assert_report_contract(&sample_report(), "serve-bench");
 }
 
 #[test]
@@ -206,10 +231,9 @@ fn chrome_trace_event_fields_match_docs() {
 /// element fields serialize.
 fn sample_chaos_report() -> ChaosBenchReport {
     ChaosBenchReport {
-        model: "CogVideoX-2B@3x4x4".to_string(),
+        run: sample_run(),
         requests: 24,
         threads: 4,
-        failpoints_compiled_in: true,
         injected: vec![InjectedFaultRow {
             site: "pool.job".to_string(),
             kind: "panic".to_string(),
@@ -231,15 +255,7 @@ fn sample_chaos_report() -> ChaosBenchReport {
 
 #[test]
 fn chaos_bench_report_fields_match_docs() {
-    let json = serde_json::to_string(&sample_chaos_report()).expect("report serializes");
-    let value = serde_json::parse_value(&json).expect("report JSON parses");
-    let mut emitted = BTreeSet::new();
-    key_paths(&value, "", &mut emitted);
-    assert_contract(
-        &emitted,
-        &documented(&telemetry_doc(), "chaos-bench"),
-        "chaos-bench report",
-    );
+    assert_report_contract(&sample_chaos_report(), "chaos-bench");
 }
 
 /// A fully-populated perf-bench report: one stage row so the array
@@ -253,15 +269,9 @@ fn sample_perf_report() -> PerfBenchReport {
         packed_map_gb_per_sec: 0.35,
     };
     PerfBenchReport {
+        run: sample_run(),
         label: "ci_baseline".to_string(),
-        model: "CogVideoX-2B@6x8x8".to_string(),
-        tokens: 384,
-        head_dim: 64,
         iters: 5,
-        kernel: "avx2".to_string(),
-        kernel_forced: false,
-        pool_threads: 8,
-        trace_compiled_in: true,
         stages: vec![PerfStageRow {
             stage: stage::ATTNV_MAC.to_string(),
             count: 5,
@@ -275,24 +285,14 @@ fn sample_perf_report() -> PerfBenchReport {
 
 #[test]
 fn perf_bench_report_fields_match_docs() {
-    let json = serde_json::to_string(&sample_perf_report()).expect("report serializes");
-    let value = serde_json::parse_value(&json).expect("report JSON parses");
-    let mut emitted = BTreeSet::new();
-    key_paths(&value, "", &mut emitted);
-    assert_contract(
-        &emitted,
-        &documented(&telemetry_doc(), "perf-bench"),
-        "perf-bench report",
-    );
+    assert_report_contract(&sample_perf_report(), "perf-bench");
 }
 
 /// A fully-populated tune report: one head row so the array element
 /// fields serialize.
 fn sample_tune_report() -> TuneReport {
     TuneReport {
-        model: "CogVideoX-2B@4x6x6".to_string(),
-        tokens: 144,
-        head_dim: 64,
+        run: sample_run(),
         bench: "BENCH_ci_baseline.json".to_string(),
         slo_us: 1500.0,
         meets_slo: true,
@@ -331,15 +331,7 @@ fn sample_tune_report() -> TuneReport {
 
 #[test]
 fn tune_report_fields_match_docs() {
-    let json = serde_json::to_string(&sample_tune_report()).expect("report serializes");
-    let value = serde_json::parse_value(&json).expect("report JSON parses");
-    let mut emitted = BTreeSet::new();
-    key_paths(&value, "", &mut emitted);
-    assert_contract(
-        &emitted,
-        &documented(&telemetry_doc(), "tune"),
-        "tune report",
-    );
+    assert_report_contract(&sample_tune_report(), "tune");
 }
 
 /// A fully-populated soak report: the run carries both tenant rows so
@@ -378,14 +370,11 @@ fn sample_soak_report() -> SoakBenchReport {
             .collect(),
     };
     SoakBenchReport {
-        model: "CogVideoX-2B@4x6x6".to_string(),
-        tokens: 144,
-        head_dim: 64,
+        run: sample_run(),
         threads: 4,
         queue_capacity: 64,
         requests: 64,
         rate_per_sec: 400.0,
-        seed: 42,
         repeat: 3,
         predicted_wave_occupancy: 1.0,
         continuous,
@@ -395,28 +384,18 @@ fn sample_soak_report() -> SoakBenchReport {
 
 #[test]
 fn soak_bench_report_fields_match_docs() {
-    let json = serde_json::to_string(&sample_soak_report()).expect("report serializes");
-    let value = serde_json::parse_value(&json).expect("report JSON parses");
-    let mut emitted = BTreeSet::new();
-    key_paths(&value, "", &mut emitted);
-    assert_contract(
-        &emitted,
-        &documented(&telemetry_doc(), "soak-bench"),
-        "soak-bench report",
-    );
+    assert_report_contract(&sample_soak_report(), "soak-bench");
 }
 
 /// A fully-populated drift report: `detected_after_batches` is `Some`
 /// so the optional field serializes and its path is walked.
 fn sample_drift_report() -> DriftBenchReport {
     DriftBenchReport {
-        model: "CogVideoX-2B@4x6x6".to_string(),
-        tokens: 144,
+        run: sample_run(),
         threads: 4,
         requests_per_batch: 24,
         blocks: 3,
         heads: 4,
-        seed: 42,
         warmup_batches: 3,
         detect_bound_batches: 2,
         post_batches: 3,
@@ -442,15 +421,34 @@ fn sample_drift_report() -> DriftBenchReport {
 
 #[test]
 fn drift_bench_report_fields_match_docs() {
-    let json = serde_json::to_string(&sample_drift_report()).expect("report serializes");
-    let value = serde_json::parse_value(&json).expect("report JSON parses");
-    let mut emitted = BTreeSet::new();
-    key_paths(&value, "", &mut emitted);
-    assert_contract(
-        &emitted,
-        &documented(&telemetry_doc(), "drift-bench"),
-        "drift-bench report",
-    );
+    assert_report_contract(&sample_drift_report(), "drift-bench");
+}
+
+#[test]
+fn every_report_opens_with_the_same_run_envelope() {
+    let reports: [(&str, Value); 6] = [
+        ("serve-bench", sample_report().to_value()),
+        ("chaos-bench", sample_chaos_report().to_value()),
+        ("perf-bench", sample_perf_report().to_value()),
+        ("tune", sample_tune_report().to_value()),
+        ("soak-bench", sample_soak_report().to_value()),
+        ("drift-bench", sample_drift_report().to_value()),
+    ];
+    let run_keys = |value: &Value| -> Vec<String> {
+        let Value::Map(entries) = value else {
+            panic!("a report serializes to a JSON object");
+        };
+        let (first, run) = entries.first().expect("a report has fields");
+        assert_eq!(first, "run", "run must be a report's first key");
+        let Value::Map(fields) = run else {
+            panic!("run serializes to a JSON object");
+        };
+        fields.iter().map(|(k, _)| k.clone()).collect()
+    };
+    let expected = run_keys(&reports[0].1);
+    for (name, value) in &reports {
+        assert_eq!(run_keys(value), expected, "{name} run envelope");
+    }
 }
 
 #[test]

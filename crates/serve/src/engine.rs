@@ -48,6 +48,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Base backoff slept before retry `k` after a transient fault; the sleep
+/// is `k × RETRY_BACKOFF`, linearly increasing.
+pub const RETRY_BACKOFF: Duration = Duration::from_micros(250);
+
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -73,10 +77,8 @@ pub struct ServeConfig {
     pub default_deadline: Option<Duration>,
     /// Maximum retries after a transient fault (contained panic or
     /// injected transient error) before the request degrades or fails.
+    /// Retry `k` first sleeps `k ×` [`RETRY_BACKOFF`].
     pub retry_limit: u32,
-    /// Base backoff slept before retry `k` (the sleep is `k *
-    /// retry_backoff`, linearly increasing).
-    pub retry_backoff: Duration,
     /// Whether a request whose packed-int path keeps faulting falls back
     /// to the f32 reference pipeline (marked `degraded` in the response,
     /// metrics and trace) instead of failing.
@@ -92,13 +94,6 @@ pub struct ServeConfig {
     /// single-tenant engine exactly. [`ServeRequest::tenant`] indexes
     /// into this list.
     pub tenants: Vec<TenantClass>,
-    /// Plan artifact pre-staged at the **coarse shed budget**: tier-1
-    /// shed requests fill their plan-cache misses from this artifact
-    /// instead of recalibrating, so degrading a tenant under overload
-    /// never pays a calibration. Requires every configured
-    /// `shed_budget` to be the same value, and the artifact to have
-    /// been tuned at it.
-    pub shed_plan_artifact: Option<std::path::PathBuf>,
     /// Staleness watchdog configuration. `None` disables the fidelity
     /// proxy entirely (no per-request sampling, responses never flag
     /// `stale_plan`). See `docs/LIFECYCLE.md`.
@@ -121,11 +116,9 @@ impl Default for ServeConfig {
             output_aware: false,
             default_deadline: None,
             retry_limit: 2,
-            retry_backoff: Duration::from_micros(250),
             degraded_fallback: true,
             plan_artifact: None,
             tenants: vec![TenantClass::default()],
-            shed_plan_artifact: None,
             watchdog: None,
             recalibration: RecalibrationPolicy::Off,
         }
@@ -186,19 +179,6 @@ impl ServeConfig {
                 )));
             }
         }
-        if self.shed_plan_artifact.is_some() {
-            let budgets: Vec<f32> = self.tenants.iter().filter_map(|t| t.shed_budget).collect();
-            if budgets.is_empty() {
-                return Err(ServeError::InvalidConfig(
-                    "shed plan artifact set but no tenant has a shed budget".into(),
-                ));
-            }
-            if budgets.iter().any(|b| b.to_bits() != budgets[0].to_bits()) {
-                return Err(ServeError::InvalidConfig(
-                    "shed plan artifact requires one common shed budget across tenants".into(),
-                ));
-            }
-        }
         if let Some(wd) = &self.watchdog {
             wd.validate()?;
         }
@@ -216,12 +196,6 @@ impl ServeConfig {
             _ => {}
         }
         Ok(())
-    }
-
-    /// The single shed budget shared by every shedding tenant, when a
-    /// shed plan artifact is configured (validated above).
-    fn common_shed_budget(&self) -> Option<f32> {
-        self.tenants.iter().find_map(|t| t.shed_budget)
     }
 }
 
@@ -462,22 +436,6 @@ impl Engine {
             }
             None => None,
         };
-        // The shed artifact is verified against the *shed* budget — it
-        // pre-stages the coarse plans tier-1 degradation serves from, so
-        // a mismatched file must fail construction just like the primary
-        // artifact.
-        let shed_plans = match &cfg.shed_plan_artifact {
-            Some(path) => {
-                let store = PlanStore::load(path)?;
-                let mut shed_cfg = cfg.clone();
-                shed_cfg.budget = cfg
-                    .common_shed_budget()
-                    .expect("validated: shed artifact implies a shed budget");
-                store.verify(&model, &shed_cfg)?;
-                Some(Arc::new(store))
-            }
-            None => None,
-        };
         let graph = Arc::new(WorkGraph::new(&cfg.tenants, cfg.queue_capacity));
         let cache = Arc::new(PlanCache::new(cfg.cache_capacity));
         let names: Vec<&str> = cfg.tenants.iter().map(|t| t.name.as_str()).collect();
@@ -504,7 +462,6 @@ impl Engine {
                 metrics: Arc::clone(&metrics),
                 source: Arc::clone(&source),
                 plans: plans.clone(),
-                shed_plans: shed_plans.clone(),
                 lifecycle: Arc::clone(&lifecycle),
             };
             let handle = std::thread::Builder::new()
@@ -846,7 +803,6 @@ struct WorkerCtx {
     metrics: Arc<Metrics>,
     source: Arc<dyn CalibrationSource>,
     plans: Option<Arc<PlanStore>>,
-    shed_plans: Option<Arc<PlanStore>>,
     lifecycle: Arc<Lifecycle>,
 }
 
@@ -1117,7 +1073,7 @@ fn run_recalibration(ctx: &RecalibCtx) -> Result<u64, ServeError> {
         }
         {
             let _backoff_span = paro_trace::span(paro_trace::stage::SERVE_RETRY_BACKOFF);
-            std::thread::sleep(ctx.cfg.retry_backoff * attempts);
+            std::thread::sleep(RETRY_BACKOFF * attempts);
         }
         attempts += 1;
         result = attempt_recalibration(ctx, &keys, new_epoch);
@@ -1253,7 +1209,7 @@ fn execute(ctx: &WorkerCtx, job: &Job) -> Result<Executed, ServeError> {
         ctx.metrics.retried.fetch_add(1, Relaxed);
         {
             let _backoff_span = paro_trace::span(paro_trace::stage::SERVE_RETRY_BACKOFF);
-            std::thread::sleep(ctx.cfg.retry_backoff * attempts);
+            std::thread::sleep(RETRY_BACKOFF * attempts);
         }
         attempts += 1;
         result = attempt_int(ctx, job, &key, deadline);
@@ -1319,18 +1275,11 @@ fn resolve_calibration(
     ctx.cache.get_or_calibrate(key, || {
         // A frozen artifact satisfies the miss without any computation:
         // thawing a record is pure decoding, so it runs on the worker
-        // thread, not the compute pool. Shed tasks consult the coarse
-        // pre-staged artifact; full-fidelity tasks the primary one.
-        // Artifacts only hold the epoch they were frozen at — misses on
-        // recalibrated epochs recompute from the live source instead.
-        let store = if job.epoch != ctx.lifecycle.base_epoch {
-            &None
-        } else if job.budget_override.is_some() {
-            &ctx.shed_plans
-        } else {
-            &ctx.plans
-        };
-        if let Some(store) = store {
+        // thread, not the compute pool. The artifact holds full-budget
+        // plans of the epoch it was frozen at only — shed tasks and misses
+        // on recalibrated epochs calibrate from the live source instead.
+        let frozen = job.epoch == ctx.lifecycle.base_epoch && job.budget_override.is_none();
+        if let Some(store) = ctx.plans.as_ref().filter(|_| frozen) {
             let _load_span = paro_trace::span(paro_trace::stage::PLAN_LOAD);
             if let Some(cal) = store.lookup(job.block, job.head)? {
                 return Ok(cal);
