@@ -17,6 +17,14 @@ pub enum CoreError {
         /// Tokens implied by the grid.
         grid_len: usize,
     },
+    /// A DiT forward's content has the right token count but not the
+    /// model's `[tokens, hidden]` shape.
+    ContentShape {
+        /// The model's `[tokens, hidden]`.
+        expected: Vec<usize>,
+        /// Shape of the supplied content.
+        actual: Vec<usize>,
+    },
     /// Q/K/V shapes disagree with each other.
     InconsistentQkv {
         /// Shape of Q.
@@ -64,6 +72,10 @@ impl fmt::Display for CoreError {
             CoreError::GridMismatch { tokens, grid_len } => write!(
                 f,
                 "embedding rows {tokens} do not match token grid size {grid_len}"
+            ),
+            CoreError::ContentShape { expected, actual } => write!(
+                f,
+                "content shape {actual:?} does not match the model's [tokens, hidden] {expected:?}"
             ),
             CoreError::InconsistentQkv { q, k, v } => {
                 write!(f, "inconsistent QKV shapes: q={q:?} k={k:?} v={v:?}")
@@ -117,6 +129,10 @@ mod tests {
             CoreError::GridMismatch {
                 tokens: 10,
                 grid_len: 12,
+            },
+            CoreError::ContentShape {
+                expected: vec![12, 8],
+                actual: vec![12, 9],
             },
             CoreError::InconsistentQkv {
                 q: vec![2, 2],

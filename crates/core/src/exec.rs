@@ -7,14 +7,27 @@
 //! isolated head. Linear layers optionally run under W8A8 fake
 //! quantization, matching the paper's "quantize everything" software
 //! configuration.
+//!
+//! Every layer but attention is row-local, so both forward passes keep
+//! the residual stream as one row panel per [`ComputePool`] thread. A
+//! block runs `rms_norm` → one activation quant shared by Q/K/V → the
+//! three projections on every panel at once, then the heads on the same
+//! pool, then O-proj → residual → `rms_norm` → up → GELU → down →
+//! residual on every panel again. Each block's weights are
+//! fake-quantized once and shared read-only by the panels. A row's
+//! result does not depend on which panel computes it, so the output is
+//! bit-identical to running each layer over all rows on one thread.
 
+use crate::calibration::HeadCalibration;
 use crate::methods::AttentionMethod;
-use crate::pipeline::{run_attention, AttentionInputs};
+use crate::pipeline::{run_attention, run_attention_calibrated, AttentionInputs, AttentionRun};
+use crate::pool::ComputePool;
 use crate::CoreError;
-use paro_model::dit::SyntheticDit;
-use paro_model::AxisOrder;
+use paro_model::dit::{BlockWeights, SyntheticDit};
+use paro_model::{AxisOrder, ModelConfig};
 use paro_quant::{fake_quant_2d, Bitwidth, Grouping};
 use paro_tensor::Tensor;
+use std::sync::Arc;
 
 /// Statistics collected during one forward pass.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,79 +90,30 @@ impl ForwardOptions {
 ///
 /// # Errors
 ///
-/// Returns shape errors if `content` does not match the model, and
-/// propagates pipeline errors.
+/// Returns [`CoreError::GridMismatch`] if `content` does not have one row
+/// per token, [`CoreError::ContentShape`] if it is not `[n, hidden]`
+/// otherwise, and propagates pipeline errors.
 pub fn forward(
     dit: &SyntheticDit,
     content: &Tensor,
     opts: &ForwardOptions,
 ) -> Result<(Tensor, ForwardStats), CoreError> {
     let cfg = dit.config();
-    let n = cfg.total_tokens();
-    let d = cfg.hidden;
-    if content.shape() != [n, d] {
-        return Err(CoreError::GridMismatch {
-            tokens: content.shape().first().copied().unwrap_or(0),
-            grid_len: n,
-        });
-    }
-    let hd = cfg.head_dim();
-    let mut x = content.add(dit.positional())?;
+    let bits = opts.linear_w8a8.then_some(opts.linear_bits);
+    let mut x = row_panels(cfg, content, dit.positional())?;
     let mut plans = Vec::with_capacity(cfg.blocks);
     let mut bits_sum = 0.0f32;
     let mut sparsity_sum = 0.0f32;
     let mut head_count = 0usize;
-
     for block in dit.blocks() {
-        // --- attention sub-layer (pre-norm residual) ---
-        let normed = rms_norm(&x);
-        let lb = if opts.linear_w8a8 {
-            Some(opts.linear_bits)
-        } else {
-            None
-        };
-        let q = linear(&normed, &block.w_q, lb)?;
-        let k = linear(&normed, &block.w_k, lb)?;
-        let v = linear(&normed, &block.w_v, lb)?;
-        // Heads are independent: fan them out on the shared compute pool
-        // (run_attention is pure), then assemble the concatenated output.
-        // The pool is sized by available_parallelism and reused across
-        // blocks and forward passes — no per-block thread spawning.
-        let mut jobs: Vec<
-            Box<dyn FnOnce() -> Result<crate::pipeline::AttentionRun, CoreError> + Send>,
-        > = Vec::with_capacity(cfg.heads);
-        for h in 0..cfg.heads {
-            let qs = q.block(0, h * hd, n, hd)?;
-            let ks = k.block(0, h * hd, n, hd)?;
-            let vs = v.block(0, h * hd, n, hd)?;
-            let grid = cfg.grid;
-            let text = cfg.text_tokens;
-            let method = opts.method;
-            jobs.push(Box::new(move || {
-                let inputs = AttentionInputs::with_text(qs, ks, vs, grid, text)?;
-                run_attention(&inputs, &method)
-            }));
-        }
-        let head_runs = crate::pool::ComputePool::global().run_many(jobs);
-        let mut attn_out = Tensor::zeros(&[n, d]);
-        let mut block_plans = Vec::with_capacity(cfg.heads);
-        for (h, run) in head_runs.into_iter().enumerate() {
-            let run = run?;
-            attn_out.set_block(0, h * hd, &run.output)?;
-            block_plans.push(run.plan.as_ref().map(|p| p.order()));
-            bits_sum += run.avg_bits;
-            sparsity_sum += run.map_sparsity;
+        let heads = block_forward(cfg, block, &mut x, bits, Heads::Online(opts.method))?;
+        let mut block_plans = Vec::with_capacity(heads.len());
+        for head in heads {
+            block_plans.push(head.plan);
+            bits_sum += head.avg_bits;
+            sparsity_sum += head.map_sparsity;
             head_count += 1;
         }
-        let o = linear(&attn_out, &block.w_o, lb)?;
-        x = x.add(&o)?;
-
-        // --- FFN sub-layer (pre-norm residual) ---
-        let normed = rms_norm(&x);
-        let up = linear(&normed, &block.w_ffn_up, lb)?;
-        let act = up.map(gelu);
-        let down = linear(&act, &block.w_ffn_down, lb)?;
-        x = x.add(&down)?;
         plans.push(block_plans);
     }
     let stats = ForwardStats {
@@ -157,7 +121,7 @@ pub fn forward(
         avg_bits: bits_sum / head_count.max(1) as f32,
         map_sparsity: sparsity_sum / head_count.max(1) as f32,
     };
-    Ok((x, stats))
+    Ok((stack_columns(x.iter().map(|p| &**p), 0, cfg.hidden)?, stats))
 }
 
 /// Runs the DiT with **frozen per-head calibrations** — the deployment
@@ -168,84 +132,233 @@ pub fn forward(
 /// # Errors
 ///
 /// Returns [`CoreError::EmptyAllocation`] if the calibration table does
-/// not cover every `(block, head)`, plus the usual shape errors.
+/// not cover every `(block, head)`, plus the content shape errors of
+/// [`forward`].
 pub fn forward_calibrated(
     dit: &SyntheticDit,
     content: &Tensor,
-    calibrations: &[Vec<crate::calibration::HeadCalibration>],
+    calibrations: &[Vec<HeadCalibration>],
     linear_w8a8: bool,
     output_aware: bool,
 ) -> Result<Tensor, CoreError> {
     let cfg = dit.config();
-    let n = cfg.total_tokens();
-    let d = cfg.hidden;
-    if content.shape() != [n, d] {
-        return Err(CoreError::GridMismatch {
-            tokens: content.shape().first().copied().unwrap_or(0),
-            grid_len: n,
-        });
-    }
+    let mut x = row_panels(cfg, content, dit.positional())?;
     if calibrations.len() != cfg.blocks || calibrations.iter().any(|b| b.len() != cfg.heads) {
         return Err(CoreError::EmptyAllocation);
     }
-    let hd = cfg.head_dim();
-    let lb = if linear_w8a8 {
-        Some(Bitwidth::B8)
-    } else {
-        None
-    };
-    let mut x = content.add(dit.positional())?;
-    for (bi, block) in dit.blocks().iter().enumerate() {
-        let normed = rms_norm(&x);
-        let q = linear(&normed, &block.w_q, lb)?;
-        let k = linear(&normed, &block.w_k, lb)?;
-        let v = linear(&normed, &block.w_v, lb)?;
-        let mut attn_out = Tensor::zeros(&[n, d]);
-        // Same shared-pool fan-out as the online forward pass: each head
-        // runs the packed-integer calibrated pipeline independently.
-        let mut jobs: Vec<
-            Box<dyn FnOnce() -> Result<crate::pipeline::AttentionRun, CoreError> + Send>,
-        > = Vec::with_capacity(cfg.heads);
-        for (h, cal) in calibrations[bi].iter().enumerate() {
-            let qs = q.block(0, h * hd, n, hd)?;
-            let ks = k.block(0, h * hd, n, hd)?;
-            let vs = v.block(0, h * hd, n, hd)?;
-            let grid = cfg.grid;
-            let text = cfg.text_tokens;
-            let cal = cal.clone();
-            jobs.push(Box::new(move || {
-                let inputs = AttentionInputs::with_text(qs, ks, vs, grid, text)?;
-                crate::pipeline::run_attention_calibrated(&inputs, &cal, output_aware)
-            }));
-        }
-        for (h, run) in crate::pool::ComputePool::global()
-            .run_many(jobs)
-            .into_iter()
-            .enumerate()
-        {
-            attn_out.set_block(0, h * hd, &run?.output)?;
-        }
-        let o = linear(&attn_out, &block.w_o, lb)?;
-        x = x.add(&o)?;
-        let normed = rms_norm(&x);
-        let up = linear(&normed, &block.w_ffn_up, lb)?;
-        let act = up.map(gelu);
-        let down = linear(&act, &block.w_ffn_down, lb)?;
-        x = x.add(&down)?;
+    let bits = linear_w8a8.then_some(Bitwidth::B8);
+    for (block, cals) in dit.blocks().iter().zip(calibrations) {
+        let heads = Heads::Calibrated { cals, output_aware };
+        block_forward(cfg, block, &mut x, bits, heads)?;
     }
-    Ok(x)
+    stack_columns(x.iter().map(|p| &**p), 0, cfg.hidden)
 }
 
-/// A linear layer, optionally quantized: per-token (row) activations x
-/// per-dimension (column) weights at the given bitwidth (`None` = full
-/// precision).
-fn linear(x: &Tensor, w: &Tensor, bits: Option<Bitwidth>) -> Result<Tensor, CoreError> {
-    let Some(bits) = bits else {
-        return Ok(x.matmul(w)?);
-    };
-    let (xq, _) = fake_quant_2d(x, Grouping::PerRow, bits)?;
-    let (wq, _) = fake_quant_2d(w, Grouping::PerCol, bits)?;
-    Ok(xq.matmul(&wq)?)
+/// How every head of one block attends.
+#[derive(Clone, Copy)]
+enum Heads<'a> {
+    /// Online plan search and allocation under one method ([`forward`]).
+    Online(AttentionMethod),
+    /// The block's frozen per-head calibrations ([`forward_calibrated`]).
+    Calibrated {
+        cals: &'a [HeadCalibration],
+        output_aware: bool,
+    },
+}
+
+/// What [`forward`]'s statistics keep of one head's run.
+struct HeadStats {
+    plan: Option<AxisOrder>,
+    avg_bits: f32,
+    map_sparsity: f32,
+}
+
+type Job<T> = Box<dyn FnOnce() -> Result<T, CoreError> + Send>;
+
+/// One transformer block over the residual stream's row panels `x`
+/// (pre-norm residual attention, then pre-norm residual FFN); replaces
+/// `x` with the block's output panels. Linear layers quantize their
+/// activations per row and their weights per column at `bits`, or run
+/// in f32 when `bits` is `None`.
+fn block_forward(
+    cfg: &ModelConfig,
+    block: &BlockWeights,
+    x: &mut Vec<Arc<Tensor>>,
+    bits: Option<Bitwidth>,
+    heads: Heads<'_>,
+) -> Result<Vec<HeadStats>, CoreError> {
+    let pool = ComputePool::global();
+    let hd = cfg.head_dim();
+
+    let w = Arc::new(dense_weights([&block.w_q, &block.w_k, &block.w_v], bits)?);
+    let jobs: Vec<Job<[Tensor; 3]>> = x
+        .iter()
+        .map(|panel| {
+            let (panel, w) = (Arc::clone(panel), Arc::clone(&w));
+            Box::new(move || {
+                let a = quant_rows(rms_norm(&panel), bits)?;
+                Ok([a.matmul(&w[0])?, a.matmul(&w[1])?, a.matmul(&w[2])?])
+            }) as Job<_>
+        })
+        .collect();
+    let qkv = pool
+        .run_many(jobs)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+    // Free the weights and, below, the panel projections before the heads
+    // run: their attention maps are the forward's largest buffers.
+    drop(w);
+
+    // Heads are independent: fan them out on the same pool.
+    let jobs: Vec<Job<AttentionRun>> = (0..cfg.heads)
+        .map(|h| {
+            let [q, k, v] = [0, 1, 2].map(|i| stack_columns(qkv.iter().map(|t| &t[i]), h * hd, hd));
+            let (grid, text) = (cfg.grid, cfg.text_tokens);
+            match heads {
+                Heads::Online(method) => Box::new(move || {
+                    run_attention(
+                        &AttentionInputs::with_text(q?, k?, v?, grid, text)?,
+                        &method,
+                    )
+                }) as Job<_>,
+                Heads::Calibrated { cals, output_aware } => {
+                    let cal = cals[h].clone();
+                    Box::new(move || {
+                        let inputs = AttentionInputs::with_text(q?, k?, v?, grid, text)?;
+                        run_attention_calibrated(&inputs, &cal, output_aware)
+                    })
+                }
+            }
+        })
+        .collect();
+    drop(qkv);
+    let runs = pool
+        .run_many(jobs)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+    let stats = runs
+        .iter()
+        .map(|run| HeadStats {
+            plan: run.plan.as_ref().map(|p| p.order()),
+            avg_bits: run.avg_bits,
+            map_sparsity: run.map_sparsity,
+        })
+        .collect();
+
+    let w = Arc::new(dense_weights(
+        [&block.w_o, &block.w_ffn_up, &block.w_ffn_down],
+        bits,
+    )?);
+    let outputs: Vec<&Tensor> = runs.iter().map(|run| &run.output).collect();
+    let mut r0 = 0;
+    let mut jobs: Vec<Job<Arc<Tensor>>> = Vec::with_capacity(x.len());
+    for panel in x.iter() {
+        let rows = panel.shape()[0];
+        let attn = side_by_side(&outputs, r0, rows)?;
+        r0 += rows;
+        let (panel, w) = (Arc::clone(panel), Arc::clone(&w));
+        jobs.push(Box::new(move || {
+            let x = panel.add(&quant_rows(attn, bits)?.matmul(&w[0])?)?;
+            let mut up = quant_rows(rms_norm(&x), bits)?.matmul(&w[1])?;
+            for v in up.as_mut_slice() {
+                *v = gelu(*v);
+            }
+            let down = quant_rows(up, bits)?.matmul(&w[2])?;
+            Ok(Arc::new(x.add(&down)?))
+        }));
+    }
+    drop(outputs);
+    drop(runs);
+    *x = pool.run_many(jobs).into_iter().collect::<Result<_, _>>()?;
+    Ok(stats)
+}
+
+/// `content + positional`, checked against the model's `[tokens,
+/// hidden]`, split into one contiguous row panel per pool thread.
+fn row_panels(
+    cfg: &ModelConfig,
+    content: &Tensor,
+    positional: &Tensor,
+) -> Result<Vec<Arc<Tensor>>, CoreError> {
+    let (n, d) = (cfg.total_tokens(), cfg.hidden);
+    match content.shape() {
+        &[rows, _] if rows != n => {
+            return Err(CoreError::GridMismatch {
+                tokens: rows,
+                grid_len: n,
+            })
+        }
+        &[_, cols] if cols == d => {}
+        shape => {
+            return Err(CoreError::ContentShape {
+                expected: vec![n, d],
+                actual: shape.to_vec(),
+            })
+        }
+    }
+    let x = content.add(positional)?;
+    let count = ComputePool::global().threads().min(n).max(1);
+    (0..count)
+        .map(|p| {
+            let (r0, r1) = (p * n / count, (p + 1) * n / count);
+            Ok(Arc::new(x.block(r0, 0, r1 - r0, d)?))
+        })
+        .collect()
+}
+
+/// Columns `c0..c0 + width` of row panels, stacked into one tensor: a
+/// head's slice of the projections, or the whole residual stream.
+fn stack_columns<'a>(
+    panels: impl Iterator<Item = &'a Tensor>,
+    c0: usize,
+    width: usize,
+) -> Result<Tensor, CoreError> {
+    let mut data = Vec::new();
+    let mut rows = 0;
+    for panel in panels {
+        let (r, cols) = (panel.shape()[0], panel.shape()[1]);
+        let a = panel.as_slice();
+        for i in 0..r {
+            data.extend_from_slice(&a[i * cols + c0..i * cols + c0 + width]);
+        }
+        rows += r;
+    }
+    Ok(Tensor::from_vec(&[rows, width], data)?)
+}
+
+/// Rows `r0..r0 + rows` of every head's output, side by side: one row
+/// panel of the concatenated attention output.
+fn side_by_side(heads: &[&Tensor], r0: usize, rows: usize) -> Result<Tensor, CoreError> {
+    let mut data = Vec::new();
+    for i in r0..r0 + rows {
+        for head in heads {
+            let w = head.shape()[1];
+            data.extend_from_slice(&head.as_slice()[i * w..(i + 1) * w]);
+        }
+    }
+    let width = heads.iter().map(|h| h.shape()[1]).sum();
+    Ok(Tensor::from_vec(&[rows, width], data)?)
+}
+
+/// The weights of one block's layers as the panels use them:
+/// fake-quantized per column (per output dimension) at `bits`, or as
+/// they are when `bits` is `None`.
+fn dense_weights(ws: [&Tensor; 3], bits: Option<Bitwidth>) -> Result<Vec<Tensor>, CoreError> {
+    ws.into_iter()
+        .map(|w| match bits {
+            Some(bits) => Ok(fake_quant_2d(w, Grouping::PerCol, bits)?.0),
+            None => Ok(w.clone()),
+        })
+        .collect()
+}
+
+/// A linear layer's activations: fake-quantized per row (per token) at
+/// `bits`, or as they are when `bits` is `None`.
+fn quant_rows(x: Tensor, bits: Option<Bitwidth>) -> Result<Tensor, CoreError> {
+    match bits {
+        Some(bits) => Ok(fake_quant_2d(&x, Grouping::PerRow, bits)?.0),
+        None => Ok(x),
+    }
 }
 
 /// Row-wise RMS normalization (the pre-norm that keeps residual scales
@@ -479,6 +592,16 @@ mod tests {
             forward(&dit, &bad, &ForwardOptions::reference()),
             Err(CoreError::GridMismatch { .. })
         ));
+        // The right token count at the wrong width names both shapes.
+        let wide = Tensor::zeros(&[64, 129]);
+        let want = CoreError::ContentShape {
+            expected: vec![64, 128],
+            actual: vec![64, 129],
+        };
+        let err = forward(&dit, &wide, &ForwardOptions::reference()).unwrap_err();
+        assert_eq!(err, want);
+        assert!(err.to_string().contains("[64, 129]") && err.to_string().contains("[64, 128]"));
+        assert_eq!(forward_calibrated(&dit, &wide, &[], true, true), Err(want));
     }
 
     #[test]

@@ -1,3 +1,4 @@
+use crate::params::{widen_range, FAKE_QUANT_CHUNK};
 use crate::{Bitwidth, QuantError, QuantParams};
 use paro_tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -134,6 +135,10 @@ pub struct GroupStats {
     pub len: usize,
 }
 
+/// Columns [`Grouping::PerCol`] calibrates and quantizes together: one
+/// 64-byte line of each row.
+const COL_BLOCK: usize = 16;
+
 /// Fake-quantizes a rank-2 tensor under a grouping at a uniform bitwidth.
 ///
 /// Returns the fake-quantized tensor and the per-group parameters, in
@@ -151,35 +156,58 @@ pub fn fake_quant_2d(
 ) -> Result<(Tensor, Vec<QuantParams>), QuantError> {
     require_rank2(t)?;
     let (m, n) = (t.shape()[0], t.shape()[1]);
+    let a = t.as_slice();
+    let kernel = crate::kernels::active_kernel();
     match grouping {
         Grouping::PerTensor => {
-            let p = QuantParams::calibrate_minmax(t.as_slice(), bits);
-            let out = Tensor::from_vec(&[m, n], p.fake_quant_slice(t.as_slice()))?;
+            let p = QuantParams::calibrate_minmax(a, bits);
+            let out = Tensor::from_vec(&[m, n], p.fake_quant_slice(a))?;
             Ok((out, vec![p]))
         }
         Grouping::PerRow => {
-            let mut out = vec![0.0f32; m * n];
+            let mut out = a.to_vec();
             let mut params = Vec::with_capacity(m);
-            let a = t.as_slice();
             for r in 0..m {
-                let row = &a[r * n..(r + 1) * n];
-                let p = QuantParams::calibrate_minmax(row, bits);
-                out[r * n..(r + 1) * n].copy_from_slice(&p.fake_quant_slice(row));
+                let p = QuantParams::calibrate_minmax(&a[r * n..(r + 1) * n], bits);
+                p.fake_quant_in_place(&mut out[r * n..(r + 1) * n], kernel);
                 params.push(p);
             }
             Ok((Tensor::from_vec(&[m, n], out)?, params))
         }
         Grouping::PerCol => {
+            // Columns are strided. A block of them is calibrated by
+            // streaming its rows, then quantized through a transposed
+            // stack tile, so every read and write of `t` walks a row and
+            // the quantize kernel still sees each column contiguously.
             let mut out = vec![0.0f32; m * n];
             let mut params = Vec::with_capacity(n);
-            let a = t.as_slice();
-            for c in 0..n {
-                let col: Vec<f32> = (0..m).map(|r| a[r * n + c]).collect();
-                let p = QuantParams::calibrate_minmax(&col, bits);
+            let mut tile = [[0.0f32; FAKE_QUANT_CHUNK]; COL_BLOCK];
+            for c0 in (0..n).step_by(COL_BLOCK) {
+                let cb = COL_BLOCK.min(n - c0);
+                let mut lo = [f32::INFINITY; COL_BLOCK];
+                let mut hi = [f32::NEG_INFINITY; COL_BLOCK];
                 for r in 0..m {
-                    out[r * n + c] = p.fake_quant(a[r * n + c]);
+                    widen_range(&mut lo, &mut hi, &a[r * n + c0..r * n + c0 + cb]);
                 }
-                params.push(p);
+                params.extend((0..cb).map(|j| QuantParams::from_finite_range(lo[j], hi[j], bits)));
+                for r0 in (0..m).step_by(FAKE_QUANT_CHUNK) {
+                    let rc = FAKE_QUANT_CHUNK.min(m - r0);
+                    for i in 0..rc {
+                        let row = &a[(r0 + i) * n + c0..(r0 + i) * n + c0 + cb];
+                        for (col, &v) in tile.iter_mut().zip(row) {
+                            col[i] = v;
+                        }
+                    }
+                    for (col, p) in tile.iter_mut().zip(&params[c0..c0 + cb]) {
+                        p.fake_quant_in_place(&mut col[..rc], kernel);
+                    }
+                    for i in 0..rc {
+                        let row = &mut out[(r0 + i) * n + c0..(r0 + i) * n + c0 + cb];
+                        for (o, col) in row.iter_mut().zip(&tile) {
+                            *o = col[i];
+                        }
+                    }
+                }
             }
             Ok((Tensor::from_vec(&[m, n], out)?, params))
         }

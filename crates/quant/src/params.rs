@@ -2,6 +2,44 @@ use crate::Bitwidth;
 use paro_tensor::kernel::Kernel;
 use serde::{Deserialize, Serialize};
 
+/// Values [`QuantParams::fake_quant_in_place`] quantizes per stack buffer.
+pub(crate) const FAKE_QUANT_CHUNK: usize = 256;
+
+/// Smallest and largest finite value of `values` (`+∞` and `−∞` when
+/// there is none). Eight independent lanes let the loop vectorize; they
+/// meet the values in another order than one sequential fold, which can
+/// change only the sign of a zero result.
+pub(crate) fn finite_range(values: &[f32]) -> (f32, f32) {
+    const LANES: usize = 8;
+    let mut lo = [f32::INFINITY; LANES];
+    let mut hi = [f32::NEG_INFINITY; LANES];
+    let chunks = values.chunks_exact(LANES);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        widen_range(&mut lo, &mut hi, chunk);
+    }
+    widen_range(&mut lo, &mut hi, tail);
+    (
+        lo.into_iter().fold(f32::INFINITY, f32::min),
+        hi.into_iter().fold(f32::NEG_INFINITY, f32::max),
+    )
+}
+
+/// Widens the per-lane ranges `lo[j]..=hi[j]` by the finite `values[j]`.
+#[inline(always)]
+pub(crate) fn widen_range(lo: &mut [f32], hi: &mut [f32], values: &[f32]) {
+    for ((l, h), &v) in lo.iter_mut().zip(hi.iter_mut()).zip(values) {
+        // Branch-free compare-and-select, so the lanes vectorize (the NaN
+        // rule of `f32::min`/`max` does not): a non-finite `v` becomes
+        // the neutral bound first.
+        let finite = v.abs() < f32::INFINITY;
+        let vl = if finite { v } else { f32::INFINITY };
+        let vh = if finite { v } else { f32::NEG_INFINITY };
+        *l = if vl < *l { vl } else { *l };
+        *h = if vh > *h { vh } else { *h };
+    }
+}
+
 /// Uniform affine quantization parameters for one group.
 ///
 /// Implements the paper's Sec. II-B scheme: a float `x` is approximated by
@@ -59,13 +97,17 @@ impl QuantParams {
         if bits == Bitwidth::B0 {
             return QuantParams::new(1.0, 0, bits);
         }
-        let mut lo = f32::INFINITY;
-        let mut hi = f32::NEG_INFINITY;
-        for &v in values {
-            if v.is_finite() {
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
+        let (lo, hi) = finite_range(values);
+        QuantParams::from_finite_range(lo, hi, bits)
+    }
+
+    /// [`QuantParams::calibrate_minmax`] of a group whose smallest and
+    /// largest finite values are `lo` and `hi` (`+∞` and `−∞` when it
+    /// has none). Either zero may carry either sign: `±0` gives the same
+    /// parameters.
+    pub(crate) fn from_finite_range(lo: f32, hi: f32, bits: Bitwidth) -> Self {
+        if bits == Bitwidth::B0 {
+            return QuantParams::new(1.0, 0, bits);
         }
         if !lo.is_finite() || !hi.is_finite() {
             return QuantParams::new(1.0, 0, bits);
@@ -197,9 +239,38 @@ impl QuantParams {
         self.dequantize(self.quantize(x))
     }
 
-    /// Fake-quantizes a slice in one pass.
+    /// Fake-quantizes a slice in one pass on the dispatched SIMD kernel.
+    /// Element for element bit-identical to [`QuantParams::fake_quant`].
     pub fn fake_quant_slice(&self, values: &[f32]) -> Vec<f32> {
-        values.iter().map(|&v| self.fake_quant(v)).collect()
+        let mut out = values.to_vec();
+        self.fake_quant_in_place(&mut out, crate::kernels::active_kernel());
+        out
+    }
+
+    /// `v = fake_quant(v)` for every value, without touching the heap:
+    /// codes come from the quantize kernel one stack-sized chunk at a
+    /// time and are dequantized by [`QuantParams::dequantize`], so the
+    /// result is bit-identical to [`QuantParams::fake_quant`].
+    pub(crate) fn fake_quant_in_place(&self, values: &mut [f32], kernel: Kernel) {
+        if self.bits == Bitwidth::B0 {
+            values.fill(0.0);
+            return;
+        }
+        let mut codes = [0u32; FAKE_QUANT_CHUNK];
+        for chunk in values.chunks_mut(FAKE_QUANT_CHUNK) {
+            let codes = &mut codes[..chunk.len()];
+            crate::kernels::quantize_codes(
+                kernel,
+                chunk,
+                self.scale,
+                self.zero_point,
+                self.bits.max_code(),
+                codes,
+            );
+            for (v, &code) in chunk.iter_mut().zip(codes.iter()) {
+                *v = self.dequantize(code);
+            }
+        }
     }
 
     /// Sum of squared quantization errors over a group.

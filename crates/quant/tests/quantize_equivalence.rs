@@ -7,7 +7,7 @@
 //! NaN/∞ and overflowing magnitudes. Test names are prefixed `kernel_` so
 //! the CI sanitizer job can select exactly this suite.
 
-use paro_quant::{Bitwidth, BlockGrid, MixedPrecisionMap, QuantParams};
+use paro_quant::{fake_quant_2d, Bitwidth, BlockGrid, Grouping, MixedPrecisionMap, QuantParams};
 use paro_tensor::kernel::Kernel;
 use paro_tensor::Tensor;
 use proptest::prelude::*;
@@ -129,5 +129,75 @@ fn kernel_quantize_b0_is_zero_on_every_kernel() {
     for kernel in Kernel::supported() {
         let got = MixedPrecisionMap::quantize_with(&map, grid, &bits, kernel).unwrap();
         assert_eq!(got, want, "{kernel}");
+    }
+}
+
+/// `fake_quant_2d`'s per-row and per-column arms on the dispatched
+/// kernel: every group's parameters equal `calibrate_minmax` of that
+/// row or column, and every element equals the scalar
+/// `QuantParams::fake_quant` bit for bit. 300 rows and columns cross the
+/// 256-value chunk the arms quantize per stack buffer and the 16-column
+/// blocks of the per-column arm; the tensor carries NaN, ±∞, −0, exact
+/// halves, a constant column and saturated zero points.
+#[test]
+fn kernel_fake_quant_rows_and_cols_match_elementwise() {
+    let (m, n) = (300, 300);
+    let mut s = 0x2d_u64;
+    let mut data: Vec<f32> = (0..m * n).map(|_| (unit_f32(&mut s) - 0.5) * 6.0).collect();
+    for (i, v) in [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        -0.0,
+        0.5,
+        -2.5,
+        3.0e12,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        data[(i * 41 % m) * n + i * 37 % n] = v;
+    }
+    // A constant column, and a row and a column far from zero with a
+    // tiny span, whose zero point saturates at `i32::MIN`.
+    for r in 0..m {
+        data[r * n + 5] = 1.25;
+        data[r * n + 9] = 1.0e6 + (r % 3) as f32 * 0.0625;
+    }
+    for c in 0..n {
+        data[7 * n + c] = 1.0e6 + (c % 3) as f32 * 0.0625;
+    }
+    let t = Tensor::from_vec(&[m, n], data).unwrap();
+    let a = t.as_slice();
+    for bits in Bitwidth::ALL.iter().copied() {
+        for grouping in [Grouping::PerRow, Grouping::PerCol] {
+            let (got, params) = fake_quant_2d(&t, grouping, bits).unwrap();
+            let groups = if grouping == Grouping::PerRow { m } else { n };
+            assert_eq!(params.len(), groups);
+            for (g, p) in params.iter().enumerate() {
+                let group: Vec<f32> = if grouping == Grouping::PerRow {
+                    a[g * n..(g + 1) * n].to_vec()
+                } else {
+                    (0..m).map(|r| a[r * n + g]).collect()
+                };
+                assert_eq!(
+                    *p,
+                    QuantParams::calibrate_minmax(&group, bits),
+                    "{grouping:?} {g}"
+                );
+            }
+            for (i, (&x, &y)) in a.iter().zip(got.as_slice()).enumerate() {
+                let p = params[if grouping == Grouping::PerRow {
+                    i / n
+                } else {
+                    i % n
+                }];
+                assert_eq!(
+                    y.to_bits(),
+                    p.fake_quant(x).to_bits(),
+                    "{grouping:?} {bits} element {i} ({x})"
+                );
+            }
+        }
     }
 }

@@ -10,16 +10,38 @@
 //! on the same [`Kernel`] value so one process always runs one
 //! consistent kernel set.
 //!
+//! # The f32 matmul
+//!
+//! The scalar driver is the reference: an axpy row stream that adds
+//! `a[i,p]·b[p,·]` into output row `i` for `p` ascending. The SIMD
+//! drivers are register-blocked instead. A column panel of `b` (16
+//! columns for AVX2, 8 for SSE4.1) is packed once into contiguous rows,
+//! and each 6-row tile of `a` runs over it with its 6×16 (or 6×8) sums in
+//! twelve vector registers: per `k` step, two panel loads, six broadcast
+//! `a` values, twelve multiplies and twelve adds. The output is written
+//! once per tile instead of loaded and stored for every `k`.
+//!
 //! # Bit-identity contract
 //!
 //! Every SIMD driver produces **bit-identical** results to the scalar
 //! reference:
 //!
 //! - integer kernels are exact by construction (i32 adds commute);
-//! - the f32 matmul vectorizes the *output-column* axis only, so each
-//!   output element accumulates its `k` products in exactly the scalar
-//!   order, and the drivers use separate multiply and add intrinsics
-//!   (never FMA, which rounds once instead of twice).
+//! - the f32 tiles vectorize the *output* axes only: each output element
+//!   still starts from `+0` and adds its `k` products one at a time in
+//!   ascending `k`, each product rounded by a separate multiply before a
+//!   separate add (never FMA, which rounds once instead of twice). A
+//!   tile's sums wait in registers, or in a stack buffer between `k`
+//!   segments, and f32 loads and stores are exact, so the sequence of
+//!   roundings per element is the scalar one;
+//! - skipping an all-zero `TILE_K` segment of `a` is exact whenever `b`
+//!   is finite: each skipped product is `±0`, an accumulator that starts
+//!   at `+0` can never become `-0` (round-to-nearest gives `+0` for
+//!   `x + (−x)` and for `+0 + −0`), and `x + ±0 == x` bit for bit for
+//!   every other `x`, NaN and ∞ included. So the scalar driver may skip
+//!   per row and a tile only when all six of its rows are zero, with the
+//!   same bits. When `b` holds NaN or ∞ the caller turns the bypass off,
+//!   so `0·NaN = NaN` reaches the output on every kernel.
 //!
 //! The equivalence suites (`tensor/tests/matmul_kernels.rs`,
 //! `quant/tests/kernel_equivalence.rs`) pin this contract on every
@@ -201,51 +223,18 @@ pub fn active_kernel() -> Kernel {
     active().kernel
 }
 
-/// k-dimension tile edge of the f32/i32 GEMM drivers. 256 f32 values =
-/// 1 KiB per operand row segment: one `A`-row segment plus the streamed
-/// `B` panel rows stay L1-resident, and a packed/sparse operand is
-/// swept exactly once per tile.
+/// k-dimension segment of the f32/i32 GEMM drivers. 256 f32 values =
+/// 1 KiB per operand row segment. It is the granularity of the f32
+/// zero-segment bypass, and the i32 drivers in `paro-quant` stream one
+/// `B` panel per segment.
 pub const TILE_K: usize = 256;
 
-/// Shared tiled-matmul body: rows of `a` are walked in `TILE_K`
-/// segments, a segment that is entirely zero is bypassed (the
-/// block-sparse fast path — B0 blocks of a quantized map are stored as
-/// zeros), and each surviving `a` element streams one row of `b`
-/// through the kernel's axpy. One body, three instantiations — so the
-/// scalar reference and the SIMD drivers cannot drift structurally.
-macro_rules! matmul_body {
-    ($axpy:ident, $a:ident, $b:ident, $out:ident, $m:ident, $k:ident, $n:ident, $skip:ident) => {{
-        for i in 0..$m {
-            let arow = &$a[i * $k..(i + 1) * $k];
-            let orow = &mut $out[i * $n..(i + 1) * $n];
-            let mut k0 = 0usize;
-            while k0 < $k {
-                let kt = TILE_K.min($k - k0);
-                let aseg = &arow[k0..k0 + kt];
-                // Zero-block bypass: a fully-zero segment contributes
-                // exactly zero (b is finite when skip_zeros holds), so
-                // its b panel is never touched.
-                if $skip && aseg.iter().all(|&v| v == 0.0) {
-                    k0 += kt;
-                    continue;
-                }
-                for (p, &av) in aseg.iter().enumerate() {
-                    let brow = &$b[(k0 + p) * $n..(k0 + p + 1) * $n];
-                    $axpy(orow, brow, av);
-                }
-                k0 += kt;
-            }
-        }
-    }};
-}
+/// Rows of every f32 register tile: six broadcast `a` values per `k` step.
+const MR: usize = 6;
 
-#[inline(always)]
-fn axpy_scalar(orow: &mut [f32], brow: &[f32], av: f32) {
-    for (o, &bv) in orow.iter_mut().zip(brow) {
-        *o += av * bv;
-    }
-}
-
+/// Scalar reference: `out = a·b` as an axpy row stream, one
+/// `out[i, ·] += a[i, p] · b[p, ·]` per `p` in ascending order, a row's
+/// all-zero `TILE_K` segment skipped when `skip_zeros` holds.
 fn matmul_driver_scalar(
     a: &[f32],
     b: &[f32],
@@ -255,92 +244,166 @@ fn matmul_driver_scalar(
     n: usize,
     skip_zeros: bool,
 ) {
-    matmul_body!(axpy_scalar, a, b, out, m, k, n, skip_zeros)
+    out.fill(0.0);
+    for i in 0..m {
+        let arow = &a[i * k..(i + 1) * k];
+        let orow = &mut out[i * n..(i + 1) * n];
+        for k0 in (0..k).step_by(TILE_K) {
+            let aseg = &arow[k0..k0 + TILE_K.min(k - k0)];
+            if skip_zeros && aseg.iter().all(|&v| v == 0.0) {
+                continue;
+            }
+            for (p, &av) in aseg.iter().enumerate() {
+                let brow = &b[(k0 + p) * n..(k0 + p + 1) * n];
+                for (o, &bv) in orow.iter_mut().zip(brow) {
+                    *o += av * bv;
+                }
+            }
+        }
+    }
+}
+
+/// Register-blocked `out = a·b` for the SIMD kernels. Columns are taken
+/// `NR` at a time: the column panel of `b` is packed once into `k` rows
+/// of `NR` floats (zero-padded past `n`), then every `MR`-row tile of `a`
+/// runs `tile` over it one `TILE_K` segment at a time, its sums carried
+/// in `acc` between segments. Row remainders repeat the last real row
+/// and column remainders compute on the zero padding; both extra results
+/// are discarded, so remainders run the same SIMD tile as full tiles.
+#[allow(clippy::too_many_arguments)]
+fn matmul_tiled<const NR: usize>(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    skip_zeros: bool,
+    tile: impl Fn(&[&[f32]; MR], &[f32], &mut [[f32; NR]; MR]),
+) {
+    let mut panel = vec![0.0f32; k * NR];
+    for j0 in (0..n).step_by(NR) {
+        let nr = NR.min(n - j0);
+        for (p, dst) in panel.chunks_exact_mut(NR).enumerate() {
+            dst[..nr].copy_from_slice(&b[p * n + j0..p * n + j0 + nr]);
+            dst[nr..].fill(0.0);
+        }
+        for i0 in (0..m).step_by(MR) {
+            let mr = MR.min(m - i0);
+            let rows: [&[f32]; MR] = std::array::from_fn(|r| {
+                let i = i0 + r.min(mr - 1);
+                &a[i * k..(i + 1) * k]
+            });
+            let mut acc = [[0.0f32; NR]; MR];
+            for k0 in (0..k).step_by(TILE_K) {
+                let k1 = k0 + TILE_K.min(k - k0);
+                if skip_zeros && rows.iter().all(|row| row[k0..k1].iter().all(|&v| v == 0.0)) {
+                    continue;
+                }
+                tile(
+                    &rows.map(|row| &row[k0..k1]),
+                    &panel[k0 * NR..k1 * NR],
+                    &mut acc,
+                );
+            }
+            for (r, sums) in acc[..mr].iter().enumerate() {
+                out[(i0 + r) * n + j0..(i0 + r) * n + j0 + nr].copy_from_slice(&sums[..nr]);
+            }
+        }
+    }
 }
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod x86 {
-    use super::{axpy_scalar, TILE_K};
+    use super::MR;
     #[cfg(target_arch = "x86")]
     use std::arch::x86::*;
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
 
-    /// `orow[j] += av · brow[j]`, 4 f32 lanes; separate mul/add so the
-    /// rounding matches scalar exactly.
-    #[inline]
-    #[target_feature(enable = "sse4.1")]
-    unsafe fn axpy_sse41(orow: &mut [f32], brow: &[f32], av: f32) {
-        let n = orow.len().min(brow.len());
-        let va = _mm_set1_ps(av);
-        let mut j = 0usize;
-        while j + 4 <= n {
-            let o = _mm_loadu_ps(orow.as_ptr().add(j));
-            let b = _mm_loadu_ps(brow.as_ptr().add(j));
-            _mm_storeu_ps(orow.as_mut_ptr().add(j), _mm_add_ps(o, _mm_mul_ps(va, b)));
-            j += 4;
-        }
-        axpy_scalar(&mut orow[j..n], &brow[j..n], av);
+    /// One `MR × 2·LANES` register tile: `acc[r][j] += rows[r][p] ·
+    /// panel[p·NR + j]` for `p` ascending, in `2·MR` vector accumulators
+    /// with a separate multiply and add (no FMA), so every sum rounds
+    /// exactly as the scalar reference's.
+    macro_rules! register_tile {
+        ($name:ident, $feature:literal, $lanes:literal, $zero:ident, $load:ident, $store:ident,
+         $set1:ident, $mul:ident, $add:ident) => {
+            /// # Safety
+            /// The CPU must support the tile's target feature.
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn $name(
+                rows: &[&[f32]; MR],
+                panel: &[f32],
+                acc: &mut [[f32; 2 * $lanes]; MR],
+            ) {
+                const NR: usize = 2 * $lanes;
+                let kt = panel.len() / NR;
+                // The raw reads below rely on these lengths.
+                assert!(
+                    panel.len() == kt * NR && rows.iter().all(|row| row.len() == kt),
+                    "register tile operands disagree"
+                );
+                let mut c = [[$zero(); 2]; MR];
+                for (cr, ar) in c.iter_mut().zip(acc.iter()) {
+                    // SAFETY: `ar` holds `NR = 2·LANES` floats.
+                    cr[0] = $load(ar.as_ptr());
+                    cr[1] = $load(ar.as_ptr().add($lanes));
+                }
+                for p in 0..kt {
+                    // SAFETY: `p < kt` and `panel` holds `kt` rows of `NR`
+                    // floats (asserted above).
+                    let bp = panel.as_ptr().add(p * NR);
+                    let b0 = $load(bp);
+                    let b1 = $load(bp.add($lanes));
+                    for (cr, row) in c.iter_mut().zip(rows) {
+                        // SAFETY: every row holds `kt > p` floats
+                        // (asserted above).
+                        let av = $set1(*row.as_ptr().add(p));
+                        cr[0] = $add(cr[0], $mul(av, b0));
+                        cr[1] = $add(cr[1], $mul(av, b1));
+                    }
+                }
+                for (cr, ar) in c.iter().zip(acc.iter_mut()) {
+                    // SAFETY: `ar` holds `NR = 2·LANES` floats.
+                    $store(ar.as_mut_ptr(), cr[0]);
+                    $store(ar.as_mut_ptr().add($lanes), cr[1]);
+                }
+            }
+        };
     }
 
-    /// `orow[j] += av · brow[j]`, 8 f32 lanes; separate mul/add, no FMA.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn axpy_avx2(orow: &mut [f32], brow: &[f32], av: f32) {
-        let n = orow.len().min(brow.len());
-        let va = _mm256_set1_ps(av);
-        let mut j = 0usize;
-        while j + 8 <= n {
-            let o = _mm256_loadu_ps(orow.as_ptr().add(j));
-            let b = _mm256_loadu_ps(brow.as_ptr().add(j));
-            _mm256_storeu_ps(
-                orow.as_mut_ptr().add(j),
-                _mm256_add_ps(o, _mm256_mul_ps(va, b)),
-            );
-            j += 8;
-        }
-        axpy_scalar(&mut orow[j..n], &brow[j..n], av);
-    }
-
-    /// # Safety
-    /// Caller must ensure the CPU supports SSE4.1.
-    #[target_feature(enable = "sse4.1")]
-    pub(super) unsafe fn matmul_driver_sse41(
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-        skip_zeros: bool,
-    ) {
-        matmul_body!(axpy_sse41, a, b, out, m, k, n, skip_zeros)
-    }
-
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn matmul_driver_avx2(
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-        skip_zeros: bool,
-    ) {
-        matmul_body!(axpy_avx2, a, b, out, m, k, n, skip_zeros)
-    }
+    register_tile!(
+        tile_sse41,
+        "sse4.1",
+        4,
+        _mm_setzero_ps,
+        _mm_loadu_ps,
+        _mm_storeu_ps,
+        _mm_set1_ps,
+        _mm_mul_ps,
+        _mm_add_ps
+    );
+    register_tile!(
+        tile_avx2,
+        "avx2",
+        8,
+        _mm256_setzero_ps,
+        _mm256_loadu_ps,
+        _mm256_storeu_ps,
+        _mm256_set1_ps,
+        _mm256_mul_ps,
+        _mm256_add_ps
+    );
 }
 
-/// Tiled `out[m,n] += a[m,k] · b[k,n]` dispatched to `kernel`.
+/// `out[m,n] = a[m,k] · b[k,n]` dispatched to `kernel`; `out`'s previous
+/// contents are overwritten.
+///
+/// AVX2 runs a 6×16 register tile, SSE4.1 a 6×8 one (see
+/// [`crate::kernel`] for why they match the scalar reference bit for bit).
 ///
 /// `skip_zeros` must be `false` when `b` contains non-finite values so
 /// IEEE `0·NaN = NaN` propagation survives; the caller checks this once.
-///
-/// Accumulation order per output element is identical for every kernel
-/// (the SIMD paths vectorize only the `n` axis, multiply and add
-/// separately), so outputs are bit-identical across kernels.
 #[allow(clippy::too_many_arguments)]
 pub fn matmul_f32(
     kernel: Kernel,
@@ -352,22 +415,28 @@ pub fn matmul_f32(
     n: usize,
     skip_zeros: bool,
 ) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
+    assert_eq!(a.len(), m * k, "a is not m×k");
+    assert_eq!(b.len(), k * n, "b is not k×n");
+    assert_eq!(out.len(), m * n, "out is not m×n");
+    assert!(
+        kernel.is_supported(),
+        "{kernel} is not supported by this CPU"
+    );
     match kernel {
         Kernel::Scalar => matmul_driver_scalar(a, b, out, m, k, n, skip_zeros),
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         Kernel::Sse41 => {
-            debug_assert!(Kernel::Sse41.is_supported());
-            // SAFETY: callers only pass kernels `is_supported` admits.
-            unsafe { x86::matmul_driver_sse41(a, b, out, m, k, n, skip_zeros) }
+            matmul_tiled::<8>(a, b, out, m, k, n, skip_zeros, |rows, panel, acc| {
+                // SAFETY: the CPU supports SSE4.1 (asserted above).
+                unsafe { x86::tile_sse41(rows, panel, acc) }
+            })
         }
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         Kernel::Avx2 => {
-            debug_assert!(Kernel::Avx2.is_supported());
-            // SAFETY: callers only pass kernels `is_supported` admits.
-            unsafe { x86::matmul_driver_avx2(a, b, out, m, k, n, skip_zeros) }
+            matmul_tiled::<16>(a, b, out, m, k, n, skip_zeros, |rows, panel, acc| {
+                // SAFETY: the CPU supports AVX2 (asserted above).
+                unsafe { x86::tile_avx2(rows, panel, acc) }
+            })
         }
         #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
         _ => matmul_driver_scalar(a, b, out, m, k, n, skip_zeros),
@@ -418,26 +487,49 @@ mod tests {
         }
     }
 
+    /// Rows 18..=23 are three full row tiles plus every row remainder,
+    /// columns 48..=63 three full 16-wide panels (six 8-wide ones) plus
+    /// every column remainder, and `k` crosses `TILE_K`. Every third
+    /// row has an all-zero second segment, so the bypass fires for some
+    /// tiles and mixes with computed rows in others; the non-finite pass
+    /// disables it and poisons one column per panel.
     #[test]
     fn drivers_match_scalar_bit_for_bit() {
-        let (m, k, n) = (5, TILE_K + 13, 11);
-        let a: Vec<f32> = (0..m * k)
-            .map(|i| {
-                if i % 7 == 0 {
-                    0.0
-                } else {
-                    (i as f32 * 0.37).sin()
+        let k = TILE_K + 13;
+        for m in 18..=23 {
+            for n in 48..=63 {
+                let a: Vec<f32> = (0..m * k)
+                    .map(|i| {
+                        let (r, p) = (i / k, i % k);
+                        if (r % 3 == 0 && p >= TILE_K) || i % 7 == 0 {
+                            0.0
+                        } else {
+                            (i as f32 * 0.37).sin()
+                        }
+                    })
+                    .collect();
+                let mut b: Vec<f32> = (0..k * n).map(|i| (i as f32 * 0.11).cos()).collect();
+                for skip_zeros in [true, false] {
+                    if !skip_zeros {
+                        for (j, poison) in (0..n).step_by(16).zip([
+                            f32::NAN,
+                            f32::INFINITY,
+                            f32::NEG_INFINITY,
+                            f32::NAN,
+                        ]) {
+                            b[(j * 5 % k) * n + (j + 3).min(n - 1)] = poison;
+                        }
+                    }
+                    let mut want = vec![0.0f32; m * n];
+                    matmul_f32(Kernel::Scalar, &a, &b, &mut want, m, k, n, skip_zeros);
+                    for kernel in Kernel::supported() {
+                        let mut got = vec![1.0f32; m * n];
+                        matmul_f32(kernel, &a, &b, &mut got, m, k, n, skip_zeros);
+                        for (x, y) in got.iter().zip(&want) {
+                            assert_eq!(x.to_bits(), y.to_bits(), "{kernel} m={m} n={n}");
+                        }
+                    }
                 }
-            })
-            .collect();
-        let b: Vec<f32> = (0..k * n).map(|i| (i as f32 * 0.11).cos()).collect();
-        let mut want = vec![0.0f32; m * n];
-        matmul_f32(Kernel::Scalar, &a, &b, &mut want, m, k, n, true);
-        for kernel in Kernel::supported() {
-            let mut got = vec![0.0f32; m * n];
-            matmul_f32(kernel, &a, &b, &mut got, m, k, n, true);
-            for (x, y) in got.iter().zip(&want) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{kernel}");
             }
         }
     }

@@ -5,8 +5,7 @@ impl Tensor {
     /// Dense matrix multiplication of two rank-2 tensors: `[m,k] x [k,n] -> [m,n]`.
     ///
     /// Dispatches to the widest micro-kernel the CPU supports (see
-    /// [`crate::kernel`]); all kernels tile the `k` dimension, stream each
-    /// left-operand row segment once, and produce bit-identical results.
+    /// [`crate::kernel`]); all kernels produce bit-identical results.
     ///
     /// Fully-zero left-operand `k`-segments bypass their `b` panel (the
     /// block-sparse fast path), which would drop `0·NaN` and `0·∞`
@@ -26,6 +25,19 @@ impl Tensor {
     /// dispatched one. Outputs are bit-identical across kernels; the
     /// equivalence tests and in-process benchmark comparisons use this to
     /// pin SIMD paths against the scalar reference.
+    ///
+    /// The SIMD kernels run a register tile — 6 rows × 16 columns on AVX2,
+    /// 6 × 8 on SSE4.1 — over a packed column panel of `other`. Each
+    /// output still adds its `k` products in ascending `k` from `+0`, with
+    /// a separate multiply and add (never FMA), so the roundings are the
+    /// scalar reference's. An all-zero 256-element `k` segment of `self`
+    /// is skipped; that is exact when `other` is finite, because every
+    /// skipped product is `±0` and an accumulator that starts at `+0` is
+    /// never `-0`, so adding `±0` changes no bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the CPU cannot run `kern` ([`Kernel::is_supported`]).
     ///
     /// # Errors
     ///
@@ -58,56 +70,6 @@ impl Tensor {
         let skip_zeros = b.iter().all(|v| v.is_finite());
         let mut out = vec![0.0f32; m * n];
         kernel::matmul_f32(kern, a, b, &mut out, m, k, n, skip_zeros);
-        Tensor::from_vec(&[m, n], out)
-    }
-
-    /// Matrix multiplication with the second operand transposed:
-    /// `[m,k] x [n,k]ᵀ -> [m,n]`.
-    ///
-    /// This is the natural layout for `Q·Kᵀ` (both `Q` and `K` are stored
-    /// `[tokens, dim]`): rows of both operands stream contiguously, no
-    /// explicit transpose materialization.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] for non-rank-2 operands and
-    /// [`TensorError::MatmulDimMismatch`] if the inner dimensions differ.
-    pub fn matmul_transposed_b(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        if self.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: self.rank(),
-            });
-        }
-        if other.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: other.rank(),
-            });
-        }
-        let (m, k) = (self.shape()[0], self.shape()[1]);
-        let (n, k2) = (other.shape()[0], other.shape()[1]);
-        if k != k2 {
-            return Err(TensorError::MatmulDimMismatch {
-                left: self.shape().to_vec(),
-                right: vec![k2, n],
-            });
-        }
-        let a = self.as_slice();
-        let b = other.as_slice();
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            let orow = &mut out[i * n..(i + 1) * n];
-            for (j, o) in orow.iter_mut().enumerate() {
-                let brow = &b[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&av, &bv) in arow.iter().zip(brow) {
-                    acc += av * bv;
-                }
-                *o = acc;
-            }
-        }
         Tensor::from_vec(&[m, n], out)
     }
 
@@ -187,22 +149,6 @@ mod tests {
         // Finite inputs still take the skip path and stay exact.
         let bf = Tensor::from_vec(&[2, 2], vec![4.0, 5.0, 2.0, 3.0]).unwrap();
         assert_eq!(a.matmul(&bf).unwrap().as_slice(), &[2.0, 3.0]);
-    }
-
-    #[test]
-    fn matmul_transposed_b_matches_explicit_transpose() {
-        let a = Tensor::from_fn(&[5, 7], |i| ((i[0] * 7 + i[1]) as f32 * 0.3).sin());
-        let b = Tensor::from_fn(&[6, 7], |i| ((i[0] + i[1] * 2) as f32 * 0.2).cos());
-        let fast = a.matmul_transposed_b(&b).unwrap();
-        let slow = a.matmul(&b.transpose2d().unwrap()).unwrap();
-        assert_eq!(fast.shape(), &[5, 6]);
-        for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
-            assert!((x - y).abs() < 1e-5);
-        }
-        // Shape errors.
-        let bad = Tensor::zeros(&[6, 8]);
-        assert!(a.matmul_transposed_b(&bad).is_err());
-        assert!(Tensor::zeros(&[3]).matmul_transposed_b(&b).is_err());
     }
 
     #[test]
