@@ -22,7 +22,7 @@ use crate::reorder::{select_plan, ReorderPlan};
 use crate::sensitivity::SensitivityTable;
 use crate::CoreError;
 use paro_model::{AxisOrder, TokenGrid};
-use paro_quant::{Bitwidth, BlockGrid};
+use paro_quant::{Bitwidth, BlockGrid, QuantError};
 use paro_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -35,7 +35,7 @@ use serde::{Deserialize, Serialize};
 /// use paro_core::pipeline::attention_map;
 /// use paro_model::patterns::{synthesize_head, PatternKind, PatternSpec};
 /// use paro_model::TokenGrid;
-/// use paro_quant::{Bitwidth, BlockGrid};
+/// use paro_quant::{Bitwidth, BlockGrid, QuantError};
 /// # fn main() -> Result<(), paro_core::CoreError> {
 /// let grid = TokenGrid::new(4, 4, 4);
 /// let spec = PatternSpec::new(PatternKind::Temporal);
@@ -66,6 +66,25 @@ impl HeadCalibration {
     /// Rebuilds the concrete reorder plan for this calibration.
     pub fn plan(&self, grid: &TokenGrid) -> ReorderPlan {
         ReorderPlan::new(grid, self.order)
+    }
+
+    /// Checks that the frozen allocation holds one bitwidth per block of a
+    /// `tokens × tokens` map, so a calibration made for another grid size
+    /// fails typed before any work instead of part-way through a head.
+    ///
+    /// # Errors
+    ///
+    /// [`QuantError::BitwidthCountMismatch`] (as [`CoreError::Quant`]).
+    pub fn check_tokens(&self, tokens: usize) -> Result<(), CoreError> {
+        let blocks = self.block.block_count(tokens, tokens);
+        if self.allocation.bits.len() != blocks {
+            return Err(QuantError::BitwidthCountMismatch {
+                supplied: self.allocation.bits.len(),
+                blocks,
+            }
+            .into());
+        }
+        Ok(())
     }
 }
 

@@ -132,8 +132,9 @@ pub fn forward(
 /// # Errors
 ///
 /// Returns [`CoreError::EmptyAllocation`] if the calibration table does
-/// not cover every `(block, head)`, plus the content shape errors of
-/// [`forward`].
+/// not cover every `(block, head)` and a bitwidth-count error if a head's
+/// allocation does not cover the model's block grid, both before any
+/// work, plus the content shape errors of [`forward`].
 pub fn forward_calibrated(
     dit: &SyntheticDit,
     content: &Tensor,
@@ -145,6 +146,10 @@ pub fn forward_calibrated(
     let mut x = row_panels(cfg, content, dit.positional())?;
     if calibrations.len() != cfg.blocks || calibrations.iter().any(|b| b.len() != cfg.heads) {
         return Err(CoreError::EmptyAllocation);
+    }
+    let tokens = cfg.grid.len() + cfg.text_tokens;
+    for cal in calibrations.iter().flatten() {
+        cal.check_tokens(tokens)?;
     }
     let bits = linear_w8a8.then_some(Bitwidth::B8);
     for (block, cals) in dit.blocks().iter().zip(calibrations) {
@@ -582,6 +587,33 @@ mod tests {
         assert!(err < 0.2, "frozen model-scope inference err {err}");
         // Wrong-shaped calibration table rejected.
         assert!(forward_calibrated(&dit, &content, &calibrations[..1], true, true).is_err());
+    }
+
+    /// Regression: a head calibrated for another grid size fails typed
+    /// before any work, in both `QKᵀ` modes, instead of panicking mid-head.
+    #[test]
+    fn calibration_for_another_grid_is_rejected_up_front() {
+        use crate::calibration::calibrate_head;
+        use crate::pipeline::attention_map;
+        use paro_model::patterns::{synthesize_head, PatternKind, PatternSpec};
+        let small = ModelConfig::tiny(4, 4, 4);
+        let spec = PatternSpec::new(PatternKind::Temporal);
+        let head = synthesize_head(&small.grid, small.head_dim(), &spec, 3);
+        let map = attention_map(&head.q, &head.k).unwrap();
+        let block = paro_quant::BlockGrid::square(4).unwrap();
+        let cal = calibrate_head(&[map], &small.grid, block, Bitwidth::B4, 4.8, 0.5).unwrap();
+        let cfg = ModelConfig::tiny(4, 4, 6);
+        let dit = SyntheticDit::build(&cfg, 5);
+        let content = Tensor::zeros(&[cfg.grid.len(), cfg.hidden]);
+        let cals = vec![vec![cal; cfg.heads]; cfg.blocks];
+        let want = CoreError::Quant(paro_quant::QuantError::BitwidthCountMismatch {
+            supplied: 256,
+            blocks: 576,
+        });
+        for output_aware in [false, true] {
+            let got = forward_calibrated(&dit, &content, &cals, true, output_aware);
+            assert_eq!(got, Err(want.clone()), "output_aware={output_aware}");
+        }
     }
 
     #[test]

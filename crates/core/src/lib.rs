@@ -62,6 +62,7 @@ pub mod methods;
 pub mod pipeline;
 pub mod pool;
 pub mod reorder;
+mod score;
 pub mod sensitivity;
 pub mod sparse;
 

@@ -8,9 +8,9 @@
 //! the inverse reorder of the output.
 
 use crate::allocate::{allocate_greedy, BitAllocation};
-use crate::ldz;
 use crate::methods::AttentionMethod;
 use crate::reorder::{select_plan, ReorderPlan};
+use crate::score::RowScorer;
 use crate::sensitivity::SensitivityTable;
 use crate::CoreError;
 use paro_model::TokenGrid;
@@ -281,8 +281,10 @@ pub fn run_attention(
 ///
 /// # Errors
 ///
-/// Returns shape errors if the calibration's block grid does not match the
-/// input size, and propagates quantization errors.
+/// Returns [`paro_quant::QuantError::BitwidthCountMismatch`] if the
+/// calibration's allocation does not cover the input's block grid, shape
+/// errors if its reorder plan does not fit the input, and propagates
+/// quantization errors.
 pub fn run_attention_calibrated(
     inputs: &AttentionInputs,
     cal: &crate::calibration::HeadCalibration,
@@ -303,6 +305,7 @@ pub fn run_attention_calibrated_reference(
     cal: &crate::calibration::HeadCalibration,
     output_aware: bool,
 ) -> Result<AttentionRun, CoreError> {
+    cal.check_tokens(inputs.tokens())?;
     let q8 = int8_rowwise(&inputs.q)?;
     let k8 = int8_rowwise(&inputs.k)?;
     let v8 = int8_colwise(&inputs.v)?;
@@ -477,27 +480,13 @@ fn run_sanger(inputs: &AttentionInputs, threshold: f32) -> Result<AttentionRun, 
 /// output block's allocated bitwidth (paper Fig. 5(b)).
 ///
 /// Works on the integer codes of a symmetric INT8 quantization of `Q`/`K`
-/// so the truncation is bit-exact with the hardware model. The cost
-/// scales with the quantization plan:
-///
-/// - **LDZ panel hoist** — a truncated `K` operand depends only on the
-///   key column and the kept bitwidth, never on the query row, so one
-///   truncated copy of each block-column's `K` panel is built per
-///   distinct bitwidth (under `qkt.ldz`) and shared by every block row
-///   at that width; 8-bit blocks reuse the raw codes (truncation at full
-///   width is the identity).
-/// - **True B0 bypass** — 0-bit blocks are never computed *or written*:
-///   the score buffer initializes to −∞ (what a bypassed score reads as
-///   post-softmax) and only live blocks are filled in.
-/// - The per-block i8×i8→i32 inner products run on the dispatched SIMD
-///   kernel, bit-identical to scalar; one `qkt.mac` span covers each
-///   panel group's blocks (a single block's MAC is shorter than a span
-///   record).
-///
-/// A block row that is *entirely* B0 has no finite score, and softmax of
-/// an all-−∞ row is 0/0 = NaN; those rows come back uniformly zero
-/// instead — the same contribution a fully-skipped row has in the sparse
-/// AttnV bypass.
+/// so the truncation is bit-exact with the hardware model. The map is
+/// scored block row by block row through the fused executor's own
+/// [`RowScorer`]: one truncated `K` per kept bitwidth (under `qkt.ldz`),
+/// 0-bit blocks never computed and read as −∞ by the masked softmax, and
+/// a block row that is *entirely* B0 — whose dense softmax would be
+/// 0/0 = NaN — uniformly zero, the contribution a fully-skipped row has
+/// in the sparse AttnV bypass.
 pub(crate) fn output_aware_map(
     q: &Tensor,
     k: &Tensor,
@@ -516,108 +505,9 @@ pub(crate) fn output_aware_map_with(
     bits: &[Bitwidth],
     kernel: Kernel,
 ) -> Result<Tensor, CoreError> {
-    let n = q.shape()[0];
-    let d = q.shape()[1];
-    let sq = paro_quant::SymmetricInt8::quantize_rowwise_with(q, kernel)?;
-    let sk = paro_quant::SymmetricInt8::quantize_rowwise_with(k, kernel)?;
-    let (q_codes, q_scales) = (sq.codes(), sq.scales());
-    let (k_codes, k_scales) = (sk.codes(), sk.scales());
-    let (gr, gc) = grid.grid_dims(n, n);
-    let scale = 1.0 / (d as f32).sqrt();
-    // Bypassed (never-written) scores read as −∞.
-    let mut scores = vec![f32::NEG_INFINITY; n * n];
-    let mut acc: Vec<i32> = Vec::new();
-    let mut panel_buf: Vec<i8> = Vec::new();
-    // Block rows of the current block-column, grouped by live bitwidth.
-    let mut rows_at: [Vec<usize>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    const KEEP_AT: [u32; 3] = [2, 4, 8];
-    for bj in 0..gc {
-        let (_, c0, _, w) = grid.block_bounds(0, bj, n, n);
-        let raw_panel = &k_codes[c0 * d..(c0 + w) * d];
-        for rows in rows_at.iter_mut() {
-            rows.clear();
-        }
-        for bi in 0..gr {
-            match bits[bi * gc + bj] {
-                // Dispatcher bypass: nothing computed, nothing written.
-                Bitwidth::B0 => {}
-                Bitwidth::B2 => rows_at[0].push(bi),
-                Bitwidth::B4 => rows_at[1].push(bi),
-                Bitwidth::B8 => rows_at[2].push(bi),
-            }
-        }
-        for (gi, rows) in rows_at.iter().enumerate() {
-            if rows.is_empty() {
-                continue;
-            }
-            let keep = KEEP_AT[gi];
-            // One truncated K panel per kept bitwidth, shared by every
-            // block row of the column at that width; B8 keeps every bit,
-            // so truncation is the identity and the raw codes serve.
-            let panel: &[i8] = if keep >= 8 {
-                raw_panel
-            } else {
-                let _ldz_span = paro_trace::span(paro_trace::stage::QKT_LDZ);
-                panel_buf.clear();
-                panel_buf.extend(raw_panel.iter().map(|&v| ldz::truncate(v, keep)));
-                &panel_buf
-            };
-            // One span per panel group, not per block: a 4×4 block's MAC
-            // is far shorter than a span record, so per-block spans would
-            // dominate the stage they are meant to measure.
-            let _mac_span = paro_trace::span_detailed(paro_trace::stage::QKT_MAC, kernel.as_str());
-            for &bi in rows {
-                let (r0, _, h, _) = grid.block_bounds(bi, bj, n, n);
-                acc.resize(h * w, 0);
-                paro_quant::qkt_block_i32_with(
-                    &q_codes[r0 * d..(r0 + h) * d],
-                    h,
-                    panel,
-                    w,
-                    d,
-                    &mut acc[..h * w],
-                    kernel,
-                )?;
-                for r in 0..h {
-                    let qs = q_scales[r0 + r];
-                    let srow = &mut scores[(r0 + r) * n + c0..(r0 + r) * n + c0 + w];
-                    for (c, slot) in srow.iter_mut().enumerate() {
-                        *slot = acc[r * w + c] as f32 * qs * k_scales[c0 + c] * scale;
-                    }
-                }
-            }
-        }
-    }
-    // Masked in-place softmax. `exp(−∞ − max)` is exactly `0.0`, so a
-    // bypassed lane contributes nothing to the row sum and skipping its
-    // exp is bit-identical to [`Tensor::softmax_rows`] over the same
-    // scores — the bypass majority never reaches the exp unit.
-    for r in 0..n {
-        let row = &mut scores[r * n..(r + 1) * n];
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        if max == f32::NEG_INFINITY {
-            // All-B0 block row: a dense softmax of an all-−∞ row is
-            // 0/0 = NaN. The row contributes nothing in the sparse AttnV
-            // bypass; make it read as exactly that — uniformly zero.
-            row.fill(0.0);
-            continue;
-        }
-        // At least one live lane sits at `max`, so the sum is ≥ 1.
-        let mut sum = 0.0f32;
-        for v in row.iter_mut() {
-            if *v == f32::NEG_INFINITY {
-                *v = 0.0;
-            } else {
-                let e = (*v - max).exp();
-                *v = e;
-                sum += e;
-            }
-        }
-        for v in row.iter_mut() {
-            *v /= sum;
-        }
-    }
-    Ok(Tensor::from_vec(&[n, n], scores)?)
+    let mut scorer = RowScorer::new(q, k, grid, Some(bits), kernel)?;
+    scorer.build_ldz();
+    scorer.whole_map()
 }
 
 /// The exact (non-output-aware) integer `QKᵀ` of the deployment path:
@@ -637,27 +527,13 @@ pub(crate) fn exact_int_map_with(
     k: &Tensor,
     kernel: Kernel,
 ) -> Result<Tensor, CoreError> {
-    let m = q.shape()[0];
-    let n = k.shape()[0];
-    let d = q.shape()[1];
-    let sq = paro_quant::SymmetricInt8::quantize_rowwise_with(q, kernel)?;
-    let sk = paro_quant::SymmetricInt8::quantize_rowwise_with(k, kernel)?;
-    let scale = 1.0 / (d as f32).sqrt();
-    let mut acc = vec![0i32; m * n];
-    {
-        let _mac_span = paro_trace::span_detailed(paro_trace::stage::QKT_MAC, kernel.as_str());
-        paro_quant::qkt_block_i32_with(sq.codes(), m, sk.codes(), n, d, &mut acc, kernel)?;
-    }
-    let mut scores = vec![0.0f32; m * n];
-    for r in 0..m {
-        let qs = sq.scales()[r];
-        let srow = &mut scores[r * n..(r + 1) * n];
-        for (c, slot) in srow.iter_mut().enumerate() {
-            *slot = acc[r * n + c] as f32 * qs * sk.scales()[c] * scale;
-        }
-    }
-    Ok(Tensor::from_vec(&[m, n], scores)?.softmax_rows()?)
+    // Any row panel scores the same map; this one bounds the scratch.
+    let rows = BlockGrid::square(EXACT_ROW_PANEL)?;
+    RowScorer::new(q, k, rows, None, kernel)?.whole_map()
 }
+
+/// Map rows per block row of [`exact_int_map`]'s scorer.
+const EXACT_ROW_PANEL: usize = 64;
 
 /// Subtracts the per-channel (column) mean: SageAttention2's "outlier
 /// smoothing" of `K`. Exactly softmax-invariant because the induced score

@@ -1,0 +1,353 @@
+//! Bit-identity oracle of the fused block-row attention executor.
+//!
+//! `run_attention_calibrated_int` scores, quantizes and multiplies one
+//! block row at a time and never holds the `n × n` map. This suite
+//! rebuilds the composition it replaced from public primitives — the
+//! whole map (`QKᵀ` + softmax over every row at once), then
+//! `MixedPrecisionMap::quantize`, `packed_attn_v` and the inverse
+//! reorder, with the map's sparsity counted on the dequantized map — and
+//! requires the output bits, the `map_sparsity` bits and every
+//! `IntPathStats` field to match: in both `QKᵀ` modes, on every kernel
+//! the host supports, with `n` not divisible by the block edge, with
+//! all-B0 block rows, with an all-B0 plan and on pools of one and three
+//! threads. CI also runs it forced to the scalar kernel
+//! (`PARO_KERNEL=scalar`) and on a one-thread pool
+//! (`PARO_POOL_THREADS=1`).
+
+use paro_core::calibration::{calibrate_head, HeadCalibration};
+use paro_core::cancel::Deadline;
+use paro_core::int_pipeline::{
+    run_attention_calibrated_int, run_attention_calibrated_int_on, IntAttentionRun,
+};
+use paro_core::ldz;
+use paro_core::pipeline::{attention_map, AttentionInputs};
+use paro_core::pool::ComputePool;
+use paro_model::patterns::{synthesize_head, PatternKind, PatternSpec};
+use paro_model::TokenGrid;
+use paro_quant::{
+    fake_quant_2d, fake_quant_blocks, packed_attn_v_with, qkt_block_i32_with, Bitwidth, BlockGrid,
+    Grouping, MixedPrecisionMap, PackedRow, PerColCodes, RowCounts, SymmetricInt8,
+};
+use paro_tensor::kernel::Kernel;
+use paro_tensor::Tensor;
+
+/// The whole `[n, n]` map as the int path scored it before fusion: one
+/// score buffer, −∞ for bypassed blocks, and a masked softmax that turns
+/// an all-−∞ row into zeros (output-aware); or one dense `QKᵀ` and
+/// `Tensor::softmax_rows` (exact).
+fn whole_map(
+    q: &Tensor,
+    k: &Tensor,
+    grid: BlockGrid,
+    bits: Option<&[Bitwidth]>,
+    kernel: Kernel,
+) -> Tensor {
+    let (n, d) = (q.shape()[0], q.shape()[1]);
+    let sq = SymmetricInt8::quantize_rowwise_with(q, kernel).unwrap();
+    let sk = SymmetricInt8::quantize_rowwise_with(k, kernel).unwrap();
+    let scale = 1.0 / (d as f32).sqrt();
+    let Some(bits) = bits else {
+        let mut acc = vec![0i32; n * n];
+        qkt_block_i32_with(sq.codes(), n, sk.codes(), n, d, &mut acc, kernel).unwrap();
+        let scores = (0..n * n)
+            .map(|i| acc[i] as f32 * sq.scales()[i / n] * sk.scales()[i % n] * scale)
+            .collect();
+        return Tensor::from_vec(&[n, n], scores)
+            .unwrap()
+            .softmax_rows()
+            .unwrap();
+    };
+    let (gr, gc) = grid.grid_dims(n, n);
+    let mut scores = vec![f32::NEG_INFINITY; n * n];
+    for bi in 0..gr {
+        for bj in 0..gc {
+            let b = bits[bi * gc + bj];
+            if b == Bitwidth::B0 {
+                continue;
+            }
+            let (r0, c0, h, w) = grid.block_bounds(bi, bj, n, n);
+            let panel: Vec<i8> = sk.codes()[c0 * d..(c0 + w) * d]
+                .iter()
+                .map(|&v| ldz::truncate(v, b.bits()))
+                .collect();
+            let mut acc = vec![0i32; h * w];
+            let q_rows = &sq.codes()[r0 * d..(r0 + h) * d];
+            qkt_block_i32_with(q_rows, h, &panel, w, d, &mut acc, kernel).unwrap();
+            for r in 0..h {
+                for c in 0..w {
+                    scores[(r0 + r) * n + c0 + c] =
+                        acc[r * w + c] as f32 * sq.scales()[r0 + r] * sk.scales()[c0 + c] * scale;
+                }
+            }
+        }
+    }
+    for row in scores.chunks_exact_mut(n) {
+        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        if max == f32::NEG_INFINITY {
+            row.fill(0.0);
+            continue;
+        }
+        let mut sum = 0.0f32;
+        for v in row.iter_mut() {
+            if *v == f32::NEG_INFINITY {
+                *v = 0.0;
+            } else {
+                *v = (*v - max).exp();
+                sum += *v;
+            }
+        }
+        for v in row.iter_mut() {
+            *v /= sum;
+        }
+    }
+    Tensor::from_vec(&[n, n], scores).unwrap()
+}
+
+/// Fraction of exact zeros in a dense map.
+fn dense_zero_fraction(map: &Tensor) -> f32 {
+    let zeros = map.as_slice().iter().filter(|&&x| x == 0.0).count();
+    zeros as f32 / map.len() as f32
+}
+
+/// The pre-fusion composition: quantize `Q`/`K` per token, reorder,
+/// quantize `V`, whole map, `MixedPrecisionMap::quantize`,
+/// `packed_attn_v`, inverse reorder.
+fn composed(
+    inputs: &AttentionInputs,
+    cal: &HeadCalibration,
+    output_aware: bool,
+    kernel: Kernel,
+) -> (Vec<u32>, f32, [u64; 5]) {
+    let int8 = |t: &Tensor| fake_quant_2d(t, Grouping::PerRow, Bitwidth::B8).unwrap().0;
+    let plan = cal.plan(inputs.grid());
+    let qr = plan.apply(&int8(inputs.q())).unwrap();
+    let kr = plan.apply(&int8(inputs.k())).unwrap();
+    let vq = PerColCodes::quantize(&plan.apply(inputs.v()).unwrap(), Bitwidth::B8).unwrap();
+    let bits = &cal.allocation.bits;
+    let map = whole_map(&qr, &kr, cal.block, output_aware.then_some(bits), kernel);
+    let packed = MixedPrecisionMap::quantize_with(&map, cal.block, bits, kernel).unwrap();
+    let dequantized = packed.dequantize().unwrap();
+    // The packed codes are the float path's fake quantization, bit for bit.
+    assert_eq!(
+        dequantized,
+        fake_quant_blocks(&map, cal.block, bits).unwrap().0
+    );
+    let attn = packed_attn_v_with(&packed, &vq, kernel).unwrap();
+    let output = plan.invert(&attn.output).unwrap();
+    (
+        output.as_slice().iter().map(|x| x.to_bits()).collect(),
+        dense_zero_fraction(&dequantized),
+        [
+            attn.packed_map_bytes,
+            vq.payload_bytes() as u64,
+            attn.executed_macs,
+            attn.dense_macs,
+            attn.skipped_blocks as u64,
+        ],
+    )
+}
+
+/// Asserts the fused run equals the composition on `kernel`.
+fn assert_fused_matches(
+    inputs: &AttentionInputs,
+    cal: &HeadCalibration,
+    output_aware: bool,
+    kernel: Kernel,
+    what: &str,
+) -> IntAttentionRun {
+    let fused = run_attention_calibrated_int_on(inputs, cal, output_aware, Deadline::NONE, kernel)
+        .unwrap_or_else(|e| panic!("{what}: fused run failed: {e}"));
+    let (output, sparsity, counts) = composed(inputs, cal, output_aware, kernel);
+    let what = format!("{what} output_aware={output_aware} kernel={kernel}");
+    let got: Vec<u32> = fused
+        .run
+        .output
+        .as_slice()
+        .iter()
+        .map(|x| x.to_bits())
+        .collect();
+    assert_eq!(got, output, "{what}: output bits");
+    assert_eq!(
+        fused.run.map_sparsity.to_bits(),
+        sparsity.to_bits(),
+        "{what}: map_sparsity {} vs {sparsity}",
+        fused.run.map_sparsity
+    );
+    let s = fused.stats;
+    assert_eq!(
+        [
+            s.packed_map_bytes,
+            s.v_payload_bytes,
+            s.executed_macs,
+            s.dense_macs,
+            s.skipped_blocks as u64,
+        ],
+        counts,
+        "{what}: [packed_map_bytes, v_payload_bytes, executed_macs, dense_macs, skipped_blocks]"
+    );
+    assert_eq!(s.kernel, kernel.as_str(), "{what}: kernel name");
+    assert_eq!(fused.run.avg_bits, cal.allocation.avg_bits);
+    assert_eq!(fused.run.allocation.as_ref(), Some(&cal.allocation));
+    fused
+}
+
+/// A head on `grid` plus a calibration from two other samples of the
+/// same pattern, at `edge`-token blocks and a `budget`-bit allocation.
+fn case(
+    grid: TokenGrid,
+    edge: usize,
+    budget: f32,
+    seed: u64,
+) -> (AttentionInputs, HeadCalibration) {
+    let d = 16;
+    let spec = PatternSpec::new(PatternKind::Temporal);
+    let head = synthesize_head(&grid, d, &spec, seed);
+    let inputs = AttentionInputs::new(head.q, head.k, head.v, grid).unwrap();
+    let maps: Vec<Tensor> = (0..2)
+        .map(|s| {
+            let other = synthesize_head(&grid, d, &spec, 500 + seed + s);
+            attention_map(&other.q, &other.k).unwrap()
+        })
+        .collect();
+    let block = BlockGrid::square(edge).unwrap();
+    let cal = calibrate_head(&maps, &grid, block, Bitwidth::B4, budget, 0.5).unwrap();
+    (inputs, cal)
+}
+
+/// `cal` with its allocation replaced by `bits`.
+fn with_bits(cal: &HeadCalibration, bits: Vec<Bitwidth>) -> HeadCalibration {
+    let mut cal = cal.clone();
+    cal.allocation.avg_bits =
+        bits.iter().map(|b| b.bits() as f32).sum::<f32>() / bits.len().max(1) as f32;
+    cal.allocation.bits = bits;
+    cal
+}
+
+#[test]
+fn fused_matches_composition_in_both_modes_on_every_kernel() {
+    // 64 tokens at 4-token blocks: a mixed 2/4/8-bit plan with 0-bit
+    // blocks from the tight budget.
+    let (inputs, cal) = case(TokenGrid::new(4, 4, 4), 4, 3.0, 21);
+    assert!(cal.allocation.bits.contains(&Bitwidth::B0));
+    for output_aware in [false, true] {
+        for kernel in Kernel::supported() {
+            assert_fused_matches(&inputs, &cal, output_aware, kernel, "mixed plan");
+        }
+    }
+}
+
+#[test]
+fn fused_matches_composition_on_ragged_block_edges() {
+    // 45 tokens at 4- and 7-token blocks: the last block row and column
+    // are clipped.
+    for (edge, seed) in [(4, 31), (7, 32)] {
+        let (inputs, cal) = case(TokenGrid::new(3, 3, 5), edge, 4.8, seed);
+        assert_ne!(inputs.tokens() % edge, 0);
+        for output_aware in [false, true] {
+            for kernel in Kernel::supported() {
+                assert_fused_matches(&inputs, &cal, output_aware, kernel, "ragged");
+            }
+        }
+    }
+}
+
+#[test]
+fn fused_matches_composition_with_all_b0_block_rows() {
+    let (inputs, cal) = case(TokenGrid::new(3, 3, 5), 4, 4.8, 41);
+    let n = inputs.tokens();
+    let (gr, gc) = cal.block.grid_dims(n, n);
+    let mut bits = cal.allocation.bits.clone();
+    // The first and the clipped last block rows bypass every block.
+    for bi in [0, gr - 1] {
+        bits[bi * gc..(bi + 1) * gc].fill(Bitwidth::B0);
+    }
+    // A lone live block in an otherwise bypassed row, at every width.
+    bits[gc..2 * gc].fill(Bitwidth::B0);
+    bits[gc + 1] = Bitwidth::B2;
+    bits[2 * gc..3 * gc].fill(Bitwidth::B0);
+    bits[3 * gc - 1] = Bitwidth::B8;
+    let cal = with_bits(&cal, bits);
+    for output_aware in [false, true] {
+        for kernel in Kernel::supported() {
+            let run = assert_fused_matches(&inputs, &cal, output_aware, kernel, "B0 rows");
+            assert!(run.run.output.as_slice().iter().all(|x| x.is_finite()));
+        }
+    }
+}
+
+#[test]
+fn fused_matches_composition_on_an_all_b0_plan() {
+    let (inputs, cal) = case(TokenGrid::new(4, 4, 4), 4, 4.8, 51);
+    let cal = with_bits(&cal, vec![Bitwidth::B0; cal.allocation.bits.len()]);
+    for output_aware in [false, true] {
+        for kernel in Kernel::supported() {
+            let run = assert_fused_matches(&inputs, &cal, output_aware, kernel, "all B0");
+            assert!(run.run.output.as_slice().iter().all(|&x| x == 0.0));
+            assert_eq!(run.stats.executed_macs, 0);
+            assert_eq!(run.stats.packed_map_bytes, 0);
+            assert_eq!(run.run.map_sparsity, 1.0);
+        }
+    }
+}
+
+#[test]
+fn fused_runs_are_identical_at_pool_widths_one_and_three() {
+    let (inputs, cal) = case(TokenGrid::new(3, 3, 5), 4, 4.8, 61);
+    for output_aware in [false, true] {
+        let direct = run_attention_calibrated_int(&inputs, &cal, output_aware).unwrap();
+        for threads in [1, 3] {
+            let pool = ComputePool::new(threads);
+            let jobs = (0..3)
+                .map(|_| {
+                    let (inputs, cal) = (inputs.clone(), cal.clone());
+                    Box::new(move || {
+                        run_attention_calibrated_int(&inputs, &cal, output_aware).unwrap()
+                    }) as Box<dyn FnOnce() -> IntAttentionRun + Send>
+                })
+                .collect();
+            for run in pool.run_many(jobs) {
+                assert_eq!(run, direct, "threads={threads} output_aware={output_aware}");
+            }
+        }
+    }
+}
+
+/// `RowCounts::zero_elems`, counted while quantizing, equals the dense
+/// zero count of the dequantized map: every element of a 0-bit block
+/// plus every code at its block's zero point.
+#[test]
+fn zero_counts_match_dense_count_of_dequantized_map() {
+    let n = 18;
+    let map = Tensor::from_fn(&[n, n], |i| {
+        if i[0] / 4 == i[1] / 4 {
+            0.2 + 0.01 * ((i[0] + i[1]) % 5) as f32
+        } else {
+            0.002 + 0.0005 * ((i[0] * 3 + i[1]) % 7) as f32 - 0.003 * (i[1] % 2) as f32
+        }
+    });
+    let grid = BlockGrid::square(4).unwrap();
+    let (gr, gc) = grid.grid_dims(n, n);
+    let bits: Vec<Bitwidth> = (0..gr * gc)
+        .map(|i| [Bitwidth::B8, Bitwidth::B4, Bitwidth::B2, Bitwidth::B0][i % 4])
+        .collect();
+    for kernel in Kernel::supported() {
+        let mut row = PackedRow::new();
+        let mut counts = RowCounts::default();
+        for bi in 0..gr {
+            let (r0, _, h, _) = grid.block_bounds(bi, 0, n, n);
+            let panel = &map.as_slice()[r0 * n..(r0 + h) * n];
+            counts += row
+                .quantize(panel, n, grid, &bits[bi * gc..(bi + 1) * gc], kernel)
+                .unwrap();
+        }
+        let dense = MixedPrecisionMap::quantize_with(&map, grid, &bits, kernel)
+            .unwrap()
+            .dequantize()
+            .unwrap();
+        let zeros = dense.as_slice().iter().filter(|&&v| v == 0.0).count() as u64;
+        assert_eq!(counts.zero_elems, zeros, "kernel={kernel}");
+        assert!(zeros > 0, "B0 blocks guarantee zeros");
+        let live = bits.iter().filter(|&&b| b != Bitwidth::B0).count();
+        assert_eq!(counts.skipped_blocks, bits.len() - live);
+    }
+}

@@ -70,9 +70,10 @@ pub mod site {
     /// `CoreError`; `Delay` holds the request mid-service so a deadline
     /// can expire between stages.
     pub const PIPELINE_INT_ATTN: &str = "pipeline.int_attn";
-    /// Entry of the packed block-sparse `AttnV` kernel
-    /// (`paro-quant::int_attn::packed_attn_v`). `Error` yields a
-    /// transient `QuantError`.
+    /// Entry of the packed block-sparse `AttnV` kernel: building its `V`
+    /// operand (`paro-quant::AttnVOperand::new`), once per head in the
+    /// fused int pipeline and once per `packed_attn_v` call. `Error`
+    /// yields a transient `QuantError`.
     pub const QUANT_PACK_ATTN_V: &str = "quant.pack_attn_v";
     /// Top of the serve worker's per-request execution
     /// (`paro-serve::engine`), before calibration resolution.

@@ -859,8 +859,7 @@ fn perf_bench(opts: &PerfBenchOpts) -> Result<(), Box<dyn std::error::Error>> {
     let dispatch = kernel::active();
     // Bench the output-aware (LDZ) `QKᵀ` regardless of the serving
     // default: it is the paper's headline datapath and the stage set the
-    // committed baseline gates on (`qkt.ldz`, `qkt.mac`,
-    // `pipeline.quantize_v` only exist on this path).
+    // committed baseline gates on (`qkt.ldz` only exists on this path).
     let output_aware = true;
     let dispatched = perf_pass(&inputs, &cal, output_aware, opts.iters, None)?;
     // The scalar reference runs in the same process and binary; when the

@@ -517,6 +517,8 @@ mod tests {
                 kernel: "avx2".to_string(),
                 kernel_forced: false,
                 pool_threads: 8,
+                cpu_model: "test cpu".to_string(),
+                nproc: 8,
                 trace_compiled_in: true,
                 failpoints_compiled_in: false,
             },

@@ -38,6 +38,12 @@ pub struct RunInfo {
     /// of different widths are not comparable. `0` means the width was
     /// not recorded (baselines predating the field carry it explicitly).
     pub pool_threads: usize,
+    /// The host CPU's model name (the first `model name` of
+    /// `/proc/cpuinfo`), or `unknown` where the OS does not report one.
+    pub cpu_model: String,
+    /// CPUs available to this process (`available_parallelism`, what
+    /// `nproc` prints); `0` when the OS does not report it.
+    pub nproc: usize,
     /// Whether span recording is compiled into this binary
     /// (`paro-trace/enabled`).
     pub trace_compiled_in: bool,
@@ -60,10 +66,25 @@ impl RunInfo {
             kernel: dispatch.kernel.as_str().to_string(),
             kernel_forced: dispatch.forced,
             pool_threads: paro_core::pool::ComputePool::global().threads(),
+            cpu_model: cpu_model(),
+            nproc: std::thread::available_parallelism().map_or(0, |n| n.get()),
             trace_compiled_in: paro_trace::COMPILED_IN,
             failpoints_compiled_in: paro_failpoint::COMPILED_IN,
         }
     }
+}
+
+/// The first `model name` of `/proc/cpuinfo`, or `unknown`.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|text| {
+            text.lines().find_map(|line| {
+                let (key, value) = line.split_once(':')?;
+                (key.trim() == "model name").then(|| value.trim().to_string())
+            })
+        })
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// Prints `report` as pretty JSON on stdout, first writing it to `out`
@@ -405,18 +426,19 @@ pub struct PerfStageRow {
 }
 
 /// Throughput of the packed-`AttnV` MAC micro-kernel in one perf-bench
-/// pass, derived from the total `attnv.mac` kernel time (one span per
-/// non-zero block) and the run's MAC/byte accounting.
+/// pass, derived from the total `attnv.mac` time (one span per block row
+/// with a live block, covering its MAC kernel calls and their
+/// dequantization) and the run's MAC/byte accounting.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AttnVThroughput {
     /// The micro-kernel that executed this pass.
     pub kernel: String,
     /// Whole-pipeline wall time per head, milliseconds.
     pub ms_per_head: f64,
-    /// Median per-block `attnv.mac` span duration, microseconds.
+    /// Median `attnv.mac` span duration (one block row), microseconds.
     pub mac_p50_us: f64,
-    /// Executed (non-bypassed) MACs per second through the kernel,
-    /// from the stage's total time per pipeline pass.
+    /// Executed (non-bypassed) MACs per second through the kernel and
+    /// its dequantization, from the stage's total time per pipeline pass.
     pub macs_per_sec: f64,
     /// Packed attention-map bytes streamed through the kernel per
     /// second, GB/s.
@@ -426,10 +448,11 @@ pub struct AttnVThroughput {
 impl AttnVThroughput {
     /// Derives one pass's throughput from its span summary, its run's
     /// MAC/byte accounting and its wall time over `iters` pipeline runs.
-    /// `attnv.mac` records one span per non-zero block, so throughput
-    /// comes from the stage's total kernel time per pipeline pass and the
-    /// median is the per-block duration. A pass that ran no MAC (every
-    /// block 0-bit) reports zero throughput.
+    /// `attnv.mac` records one span per block row with a live block, so
+    /// throughput comes from the stage's total time per pipeline pass and
+    /// the median is the per-row duration. A pass that ran no MAC (every
+    /// block 0-bit) records no `attnv.mac` span and reports zero
+    /// throughput.
     pub fn from_summary(
         summary: &[StageSummary],
         stats: &IntPathStats,
@@ -727,6 +750,8 @@ mod tests {
                 kernel: "avx2".to_string(),
                 kernel_forced: false,
                 pool_threads: 8,
+                cpu_model: "test cpu".to_string(),
+                nproc: 8,
                 trace_compiled_in: true,
                 failpoints_compiled_in: false,
             },

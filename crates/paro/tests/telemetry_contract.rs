@@ -127,6 +127,8 @@ fn sample_run() -> RunInfo {
         kernel: "avx2".to_string(),
         kernel_forced: false,
         pool_threads: 2,
+        cpu_model: "test cpu".to_string(),
+        nproc: 2,
         trace_compiled_in: true,
         failpoints_compiled_in: false,
     }

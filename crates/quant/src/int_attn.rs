@@ -13,6 +13,7 @@
 //! (the dispatcher bypass), with MAC accounting matching the float-side
 //! block-sparse reference.
 
+use crate::block_row::{AttnVOperand, BlockRef};
 use crate::kernels::{self, Kernel};
 use crate::mixed_map::PARAM_BYTES_PER_BLOCK;
 use crate::{Bitwidth, MixedPrecisionMap, PackedCodes, QuantError, QuantParams};
@@ -165,13 +166,16 @@ impl PackedAttnV {
 /// `(Σ_k (m[r][k] − z_b)·(v[k][c] − z_c)) · (s_b·s_c)` — i32 accumulation
 /// then one f32 scale application, the exact expression
 /// [`crate::quantized_gemm_i32`] + [`crate::dequantize_gemm`] compute, so
-/// on identical codes the two paths agree bit for bit.
+/// on identical codes the two paths agree bit for bit. Each block row
+/// runs through [`AttnVOperand::accumulate`]'s steps, the same ones the
+/// fused attention executor streams.
 ///
 /// # Errors
 ///
 /// Returns a matmul dimension mismatch if `v.rows()` differs from the
-/// map's column count, or [`QuantError::Transient`] when the
-/// `quant.pack_attn_v` failpoint is armed (chaos builds only).
+/// map's column count, a packed-length error for a malformed stored
+/// block, or [`QuantError::Transient`] when the `quant.pack_attn_v`
+/// failpoint is armed (chaos builds only).
 pub fn packed_attn_v(map: &MixedPrecisionMap, v: &PerColCodes) -> Result<PackedAttnV, QuantError> {
     packed_attn_v_with(map, v, kernels::active_kernel())
 }
@@ -189,11 +193,7 @@ pub fn packed_attn_v_with(
     v: &PerColCodes,
     kernel: Kernel,
 ) -> Result<PackedAttnV, QuantError> {
-    if paro_failpoint::fire(paro_failpoint::site::QUANT_PACK_ATTN_V) {
-        return Err(QuantError::Transient {
-            site: paro_failpoint::site::QUANT_PACK_ATTN_V,
-        });
-    }
+    let operand = AttnVOperand::new(v, kernel)?;
     let (m, n) = map.shape();
     if v.rows() != n {
         return Err(QuantError::Tensor(TensorError::MatmulDimMismatch {
@@ -204,59 +204,40 @@ pub fn packed_attn_v_with(
     let d = v.cols();
     let grid = map.grid();
     let (gr, gc) = grid.grid_dims(m, n);
-    let unpack_span = paro_trace::span(paro_trace::stage::ATTNV_UNPACK);
-    let v_centered = v.centered();
-    drop(unpack_span);
-    // Per-(block, column) scale product, rebuilt per block row-major —
-    // computed exactly as `dequantize_gemm`'s `a.scale() * b.scale()`.
-    let mut scale_row = vec![0.0f32; d];
-    let mut acc = vec![0i32; grid.block_rows * d];
     let mut out = vec![0.0f32; m * d];
+    let (mut acc, mut scale_row) = (Vec::new(), Vec::new());
+    for bi in 0..gr {
+        let (r0, _, h, _) = grid.block_bounds(bi, 0, m, n);
+        let blocks = (0..gc).map(|bj| {
+            let idx = bi * gc + bj;
+            let (_, c0, _, w) = grid.block_bounds(bi, bj, m, n);
+            let codes = map.block_codes(idx);
+            BlockRef {
+                c0,
+                w,
+                elems: codes.len(),
+                bits: map.block_bits(idx),
+                params: map.block_params(idx),
+                bytes: codes.as_bytes(),
+            }
+        });
+        operand.accumulate_blocks(
+            blocks,
+            h,
+            &mut acc,
+            &mut scale_row,
+            &mut out[r0 * d..(r0 + h) * d],
+        )?;
+    }
     let mut executed = 0u64;
     let mut packed_bytes = 0u64;
     let mut skipped = 0usize;
-    for bi in 0..gr {
-        for bj in 0..gc {
-            let idx = bi * gc + bj;
-            if map.block_bits(idx) == Bitwidth::B0 {
-                skipped += 1;
-                continue; // dispatcher bypass: bytes never touched
-            }
-            let (r0, c0, h, w) = grid.block_bounds(bi, bj, m, n);
-            let params = map.block_params(idx);
-            let codes = map.block_codes(idx);
-            executed += (h * w * d) as u64;
+    for idx in 0..map.block_count() {
+        if map.block_bits(idx) == Bitwidth::B0 {
+            skipped += 1;
+        } else {
+            executed += (map.block_codes(idx).len() * d) as u64;
             packed_bytes += map.block_payload_bytes(idx) as u64;
-            let block_acc = &mut acc[..h * d];
-            block_acc.fill(0);
-            // The `attnv.mac` span covers only the micro-kernel call, so
-            // its summary measures kernel throughput undiluted by the
-            // (kernel-independent) accumulator fill and f32 scatter.
-            let mac_span = paro_trace::span_detailed(paro_trace::stage::ATTNV_MAC, kernel.as_str());
-            packed_block_gemm_i32_with(
-                codes,
-                params.zero_point(),
-                h,
-                w,
-                &v_centered[c0 * d..(c0 + w) * d],
-                d,
-                block_acc,
-                kernel,
-            )?;
-            drop(mac_span);
-            let dequant_span = paro_trace::span(paro_trace::stage::ATTNV_DEQUANT);
-            let s_b = params.scale();
-            for (sr, p) in scale_row.iter_mut().zip(v.params()) {
-                *sr = s_b * p.scale();
-            }
-            for lr in 0..h {
-                let orow = &mut out[(r0 + lr) * d..(r0 + lr + 1) * d];
-                let arow = &block_acc[lr * d..(lr + 1) * d];
-                for ((o, &a), &s) in orow.iter_mut().zip(arow).zip(&scale_row) {
-                    *o += a as f32 * s;
-                }
-            }
-            drop(dequant_span);
         }
     }
     Ok(PackedAttnV {
@@ -320,35 +301,50 @@ pub fn packed_block_gemm_i32_with(
     acc: &mut [i32],
     kernel: Kernel,
 ) -> Result<(), QuantError> {
-    if codes.len() != h * w {
-        return Err(QuantError::PackedLengthMismatch {
-            bytes: codes.len(),
-            expected: h * w,
-        });
-    }
-    if v_centered.len() != w * d {
-        return Err(QuantError::PackedLengthMismatch {
-            bytes: v_centered.len(),
-            expected: w * d,
-        });
-    }
-    if acc.len() != h * d {
-        return Err(QuantError::PackedLengthMismatch {
-            bytes: acc.len(),
-            expected: h * d,
-        });
-    }
-    kernels::block_gemm(
-        kernel,
-        codes.bits(),
+    block_gemm_checked(
         codes.as_bytes(),
+        codes.len(),
+        codes.bits(),
         zero_point,
         h,
         w,
         v_centered,
         d,
         acc,
-    );
+        kernel,
+    )
+}
+
+/// [`packed_block_gemm_i32_with`] on a raw payload of `elems` codes at
+/// `bits`: checks every length the unchecked SIMD kernels rely on, then
+/// dispatches.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn block_gemm_checked(
+    bytes: &[u8],
+    elems: usize,
+    bits: Bitwidth,
+    zero_point: i32,
+    h: usize,
+    w: usize,
+    v_centered: &[i32],
+    d: usize,
+    acc: &mut [i32],
+    kernel: Kernel,
+) -> Result<(), QuantError> {
+    for (got, expected) in [
+        (elems, h * w),
+        (bytes.len(), PackedCodes::bytes_for(elems, bits)),
+        (v_centered.len(), w * d),
+        (acc.len(), h * d),
+    ] {
+        if got != expected {
+            return Err(QuantError::PackedLengthMismatch {
+                bytes: got,
+                expected,
+            });
+        }
+    }
+    kernels::block_gemm(kernel, bits, bytes, zero_point, h, w, v_centered, d, acc);
     Ok(())
 }
 

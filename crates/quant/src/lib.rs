@@ -29,6 +29,7 @@
 #![warn(missing_docs)]
 
 mod bitwidth;
+mod block_row;
 mod error;
 mod gemm;
 mod grouping;
@@ -41,6 +42,7 @@ mod qkt;
 mod symmetric;
 
 pub use bitwidth::{Bitwidth, ParseBitwidthError};
+pub use block_row::{AttnVOperand, PackedRow, RowCounts};
 pub use error::QuantError;
 pub use gemm::{
     dequantize_gemm, quantized_gemm_i32, quantized_gemm_i32_with, QuantizedGemmOperand,

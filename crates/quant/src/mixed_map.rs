@@ -8,7 +8,7 @@
 //! "average 4.80 bits" compression claim is about), and dequantizes back
 //! for computation.
 
-use crate::{Bitwidth, BlockGrid, PackedCodes, QuantError, QuantParams};
+use crate::{Bitwidth, BlockGrid, PackedCodes, PackedRow, QuantError, QuantParams};
 use paro_tensor::kernel::{active_kernel, Kernel};
 use paro_tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -79,39 +79,26 @@ impl MixedPrecisionMap {
         }
         let data = map.as_slice();
         let mut blocks = Vec::with_capacity(gr * gc);
-        // One scratch gather buffer reused across blocks — the per-block
-        // `Tensor` allocations were a measurable share of quantize_map.
-        let mut scratch: Vec<f32> = Vec::new();
-        let mut zeros: Vec<u32> = Vec::new();
+        // One block row at a time through the fused executor's own
+        // per-block step; its scratch is reused across rows.
+        let mut row = PackedRow::new();
         for bi in 0..gr {
-            for bj in 0..gc {
-                let (r0, c0, h, w) = grid.block_bounds(bi, bj, rows, cols);
-                let bits = bits_per_block[bi * gc + bj];
-                if bits == Bitwidth::B0 {
-                    // Bypassed block: calibration ignores the values and
-                    // every code is 0, so skip the gather and arithmetic
-                    // entirely (bit-identical to the general path).
-                    zeros.resize(h * w, 0);
-                    blocks.push(StoredBlock {
+            let (r0, _, h, _) = grid.block_bounds(bi, 0, rows, cols);
+            row.quantize(
+                &data[r0 * cols..(r0 + h) * cols],
+                cols,
+                grid,
+                &bits_per_block[bi * gc..(bi + 1) * gc],
+                kernel,
+            )?;
+            blocks.extend(
+                row.stored_blocks()
+                    .map(|(bits, params, codes)| StoredBlock {
                         bits,
-                        params: QuantParams::calibrate_minmax(&[], bits),
-                        codes: PackedCodes::pack(&zeros[..h * w], bits)?,
-                    });
-                    continue;
-                }
-                scratch.clear();
-                for r in r0..r0 + h {
-                    scratch.extend_from_slice(&data[r * cols + c0..r * cols + c0 + w]);
-                }
-                let params = QuantParams::calibrate_minmax(&scratch, bits);
-                let code_list = params.quantize_slice_with(&scratch, kernel);
-                let codes = PackedCodes::pack(&code_list, bits)?;
-                blocks.push(StoredBlock {
-                    bits,
-                    params,
-                    codes,
-                });
-            }
+                        params,
+                        codes,
+                    }),
+            );
         }
         Ok(MixedPrecisionMap {
             rows,
@@ -160,31 +147,6 @@ impl MixedPrecisionMap {
             0
         } else {
             b.codes.byte_len() + PARAM_BYTES_PER_BLOCK
-        }
-    }
-
-    /// Fraction of map elements that dequantize to exactly zero: every
-    /// element of a 0-bit block, plus every code equal to its block's zero
-    /// point (`s·(z − z) = 0`; a nonzero `code − z` never underflows to
-    /// zero because scales are clamped to at least `f32::MIN_POSITIVE`).
-    /// Equals `fraction_zero(self.dequantize())` without materializing the
-    /// dense map.
-    pub fn zero_fraction(&self) -> f32 {
-        let mut zeros = 0u64;
-        let mut elems = 0u64;
-        for b in &self.blocks {
-            elems += b.codes.len() as u64;
-            if b.bits == Bitwidth::B0 {
-                zeros += b.codes.len() as u64;
-            } else if b.params.zero_point() >= 0 {
-                let z = b.params.zero_point() as u32;
-                zeros += b.codes.unpack().iter().filter(|&&c| c == z).count() as u64;
-            }
-        }
-        if elems == 0 {
-            0.0
-        } else {
-            zeros as f32 / elems as f32
         }
     }
 
@@ -389,19 +351,6 @@ mod tests {
         ));
         let v = Tensor::zeros(&[4]);
         assert!(MixedPrecisionMap::quantize(&v, grid, &[]).is_err());
-    }
-
-    #[test]
-    fn zero_fraction_matches_dense_count() {
-        let map = softmax_like(16);
-        let grid = BlockGrid::square(4).unwrap();
-        let bits = mixed_bits(grid.block_count(16, 16));
-        let packed = MixedPrecisionMap::quantize(&map, grid, &bits).unwrap();
-        let dense = packed.dequantize().unwrap();
-        let expected = dense.as_slice().iter().filter(|&&v| v == 0.0).count() as f32
-            / dense.as_slice().len() as f32;
-        assert_eq!(packed.zero_fraction(), expected);
-        assert!(packed.zero_fraction() > 0.0, "B0 blocks guarantee zeros");
     }
 
     #[test]

@@ -44,22 +44,20 @@ impl PackedCodes {
                 return Err(QuantError::CodeOutOfRange { code: c, max });
             }
         }
-        let byte_len = Self::bytes_for(codes.len(), bits);
-        let mut bytes = vec![0u8; byte_len];
-        if bits != Bitwidth::B0 {
-            let b = bits.bits() as usize;
-            for (i, &c) in codes.iter().enumerate() {
-                let bit0 = i * b;
-                let byte = bit0 / 8;
-                let shift = bit0 % 8;
-                bytes[byte] |= (c as u8) << shift;
-            }
-        }
+        let mut bytes = Vec::with_capacity(Self::bytes_for(codes.len(), bits));
+        pack_append(codes, bits, &mut bytes);
         Ok(PackedCodes {
             bytes,
             len: codes.len(),
             bits,
         })
+    }
+
+    /// A packed store from a payload the caller packed itself (`bytes`
+    /// must hold exactly `bytes_for(len, bits)` bytes).
+    pub(crate) fn from_packed(bytes: Vec<u8>, len: usize, bits: Bitwidth) -> Self {
+        debug_assert_eq!(bytes.len(), Self::bytes_for(len, bits));
+        PackedCodes { bytes, len, bits }
     }
 
     /// Number of bytes needed to store `len` elements at `bits`.
@@ -136,6 +134,27 @@ impl PackedCodes {
             });
         }
         Ok(PackedCodes { bytes, len, bits })
+    }
+}
+
+/// Appends `codes` packed at `bits` to `bytes`: `bytes_for(codes.len(),
+/// bits)` new bytes, element 0 in the least-significant bits. Codes must
+/// already fit `bits` ([`PackedCodes::pack`] checks; the quantize kernels
+/// clamp).
+pub(crate) fn pack_append(codes: &[u32], bits: Bitwidth, bytes: &mut Vec<u8>) {
+    let start = bytes.len();
+    match bits {
+        Bitwidth::B0 => {}
+        Bitwidth::B8 => bytes.extend(codes.iter().map(|&c| c as u8)),
+        Bitwidth::B2 | Bitwidth::B4 => {
+            bytes.resize(start + PackedCodes::bytes_for(codes.len(), bits), 0);
+            let out = &mut bytes[start..];
+            let b = bits.bits() as usize;
+            for (i, &c) in codes.iter().enumerate() {
+                let bit0 = i * b;
+                out[bit0 / 8] |= (c as u8) << (bit0 % 8);
+            }
+        }
     }
 }
 

@@ -209,8 +209,16 @@ impl QuantParams {
     /// testing); results are bit-identical across kernels.
     pub fn quantize_slice_with(&self, values: &[f32], kernel: Kernel) -> Vec<u32> {
         let mut out = vec![0u32; values.len()];
+        self.quantize_into(values, kernel, &mut out);
+        out
+    }
+
+    /// `out[i] = quantize(values[i])` into a caller-owned buffer of the
+    /// same length, on `kernel`.
+    pub(crate) fn quantize_into(&self, values: &[f32], kernel: Kernel, out: &mut [u32]) {
         if self.bits == Bitwidth::B0 {
-            return out; // B0 always codes to 0, no arithmetic at all
+            out.fill(0); // B0 always codes to 0, no arithmetic at all
+            return;
         }
         crate::kernels::quantize_codes(
             kernel,
@@ -218,9 +226,8 @@ impl QuantParams {
             self.scale,
             self.zero_point,
             self.bits.max_code(),
-            &mut out,
+            out,
         );
-        out
     }
 
     /// Dequantizes an integer code back to a float `s·(code − z)`.

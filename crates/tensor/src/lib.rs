@@ -50,6 +50,6 @@ mod tensor;
 
 pub use error::TensorError;
 pub use kernel::Kernel;
-pub use ops::inverse_permutation;
+pub use ops::{inverse_permutation, row_max, softmax_in_place};
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -17,22 +17,13 @@ impl Tensor {
             });
         }
         let (m, n) = (self.shape()[0], self.shape()[1]);
-        let a = self.as_slice();
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let row = &a[i * n..(i + 1) * n];
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let orow = &mut out[i * n..(i + 1) * n];
-            let mut sum = 0.0f32;
-            for (o, &x) in orow.iter_mut().zip(row) {
-                let e = (x - max).exp();
-                *o = e;
-                sum += e;
-            }
-            if sum > 0.0 {
-                for o in orow.iter_mut() {
-                    *o /= sum;
-                }
+        let mut out = Vec::with_capacity(m * n);
+        if n > 0 {
+            // Copy and normalize one row at a time, while it is L1-hot.
+            for row in self.as_slice().chunks_exact(n) {
+                let start = out.len();
+                out.extend_from_slice(row);
+                softmax_in_place(&mut out[start..]);
             }
         }
         Tensor::from_vec(&[m, n], out)
@@ -217,6 +208,52 @@ impl Tensor {
         }
         Ok(())
     }
+}
+
+/// `row = softmax(row)` in place: the per-row arithmetic of
+/// [`Tensor::softmax_rows`], for callers that score a map a few rows at a
+/// time and must match the whole-tensor result bit for bit.
+///
+/// ```
+/// let mut row = [0.0f32, 0.0];
+/// paro_tensor::softmax_in_place(&mut row);
+/// assert_eq!(row, [0.5, 0.5]);
+/// ```
+pub fn softmax_in_place(row: &mut [f32]) {
+    let max = row_max(row);
+    let mut sum = 0.0f32;
+    for x in row.iter_mut() {
+        let e = (*x - max).exp();
+        *x = e;
+        sum += e;
+    }
+    if sum > 0.0 {
+        for x in row.iter_mut() {
+            *x /= sum;
+        }
+    }
+}
+
+/// The largest non-NaN value of `row` (`−∞` when there is none): the
+/// value `row.iter().fold(f32::NEG_INFINITY, f32::max)` returns, found
+/// with eight independent lanes so the scan vectorizes instead of
+/// waiting on one compare chain. Only the sign of a zero maximum may
+/// differ, which no `x − max` can observe.
+pub fn row_max(row: &[f32]) -> f32 {
+    const LANES: usize = 8;
+    let mut lanes = [f32::NEG_INFINITY; LANES];
+    let chunks = row.chunks_exact(LANES);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (m, &v) in lanes.iter_mut().zip(chunk) {
+            // NaN compares false and leaves the lane, as `f32::max` does.
+            *m = if v > *m { v } else { *m };
+        }
+    }
+    for (m, &v) in lanes.iter_mut().zip(tail) {
+        *m = if v > *m { v } else { *m };
+    }
+    lanes.into_iter().fold(f32::NEG_INFINITY, f32::max)
 }
 
 /// Returns the inverse of a permutation given as an index vector.

@@ -110,7 +110,8 @@ pub mod stage {
     pub const POOL_EXECUTE: &str = "pool.execute";
     /// INT8 quantization of `Q`/`K` (the online pipeline also folds `V`
     /// fake-quant into this span; the calibrated int path reports `V`
-    /// separately under [`PIPELINE_QUANTIZE_V`]).
+    /// separately under [`PIPELINE_QUANTIZE_V`], and here also builds the
+    /// symmetric INT8 codes its score kernel multiplies).
     pub const PIPELINE_QUANTIZE_QKV: &str = "pipeline.quantize_qkv";
     /// Packed per-column integer quantization of `V` (calibrated int
     /// path only — kept distinct from [`PIPELINE_QUANTIZE_QKV`] so the
@@ -121,32 +122,38 @@ pub mod stage {
     /// Token reorder of `Q`/`K`/`V` under the selected plan.
     pub const PIPELINE_REORDER: &str = "pipeline.reorder";
     /// `QKᵀ` score computation + softmax (LDZ-truncated when
-    /// output-aware).
+    /// output-aware): the whole map in the online pipeline, one block row
+    /// per span in the calibrated int path's fused loop.
     pub const PIPELINE_QKT: &str = "pipeline.qkt";
-    /// Block-wise (mixed-precision) quantization of the softmaxed map.
+    /// Block-wise (mixed-precision) quantization of the softmaxed map:
+    /// the whole map in the online pipeline, one block row per span in
+    /// the fused loop.
     pub const PIPELINE_QUANTIZE_MAP: &str = "pipeline.quantize_map";
-    /// `AttnV` — block-sparse, packed-integer in the deployment path.
+    /// `AttnV` — block-sparse: the whole map in the online pipeline, one
+    /// packed-integer block row per span in the fused loop.
     pub const PIPELINE_ATTN_V: &str = "pipeline.attn_v";
     /// Inverse reorder of the attention output.
     pub const PIPELINE_UNREORDER: &str = "pipeline.unreorder";
-    /// LDZ panel precompute inside the output-aware `QKᵀ`: one truncated
-    /// copy of a block-column's `K` codes per distinct kept bitwidth.
+    /// The calibrated int path's fused loop over one range of block rows
+    /// (today: all of a head's): per block row, [`PIPELINE_QKT`],
+    /// [`PIPELINE_QUANTIZE_MAP`] and [`PIPELINE_ATTN_V`].
+    pub const PIPELINE_BLOCK_ROWS: &str = "pipeline.block_rows";
+    /// LDZ precompute of the output-aware `QKᵀ`: one truncated copy of
+    /// the head's `K` codes per kept bitwidth below 8 that the allocation
+    /// uses (at most two per head).
     pub const QKT_LDZ: &str = "qkt.ldz";
-    /// The i8×i8→i32 score micro-kernel over one panel group — a
-    /// block-column's non-B0 blocks at one bitwidth (one block's MAC is
-    /// shorter than a span record, so per-block spans would dominate the
-    /// stage) — or the whole map on the exact path; `detail` names the
-    /// dispatched kernel.
+    /// The i8×i8→i32 score micro-kernel calls of one block row with their
+    /// scaling to f32 scores (one block's MAC is shorter than a span
+    /// record, so per-block spans would dominate the stage); `detail`
+    /// names the dispatched kernel.
     pub const QKT_MAC: &str = "qkt.mac";
     /// Zero-point centering ("unpack") of the per-column `V` codes.
     pub const ATTNV_UNPACK: &str = "attnv.unpack";
-    /// The per-bitwidth i32 MAC micro-kernel over one packed map block
-    /// (one span per non-zero block, so the summary isolates kernel time
-    /// from the surrounding dequantization).
+    /// The per-bitwidth i32 MAC micro-kernel calls of one packed block row
+    /// together with their per-block dequantization (scale product and
+    /// f32 add into the output rows); none for a row whose blocks are all
+    /// 0-bit. `detail` names the dispatched kernel.
     pub const ATTNV_MAC: &str = "attnv.mac";
-    /// Per-block dequantization of the i32 accumulators: scale-product
-    /// rebuild plus the f32 scatter into the output rows.
-    pub const ATTNV_DEQUANT: &str = "attnv.dequant";
     /// Multi-sample offline head calibration (`calibrate_head`).
     pub const CALIBRATE_HEAD: &str = "calibrate.head";
     /// Backoff sleep before one retry of a transiently-faulted request.
@@ -209,11 +216,11 @@ pub mod stage {
         PIPELINE_QUANTIZE_MAP,
         PIPELINE_ATTN_V,
         PIPELINE_UNREORDER,
+        PIPELINE_BLOCK_ROWS,
         QKT_LDZ,
         QKT_MAC,
         ATTNV_UNPACK,
         ATTNV_MAC,
-        ATTNV_DEQUANT,
         CALIBRATE_HEAD,
         SERVE_RETRY_BACKOFF,
         SERVE_FALLBACK,
