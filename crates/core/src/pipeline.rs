@@ -505,7 +505,7 @@ pub(crate) fn output_aware_map_with(
     bits: &[Bitwidth],
     kernel: Kernel,
 ) -> Result<Tensor, CoreError> {
-    let mut scorer = RowScorer::new(q, k, grid, Some(bits), kernel)?;
+    let mut scorer = RowScorer::new(q, k, grid, Some(bits.into()), kernel)?;
     scorer.build_ldz();
     scorer.whole_map()
 }

@@ -10,6 +10,7 @@ use crate::CoreError;
 use paro_quant::{qkt_block_i32_with, Bitwidth, BlockGrid, QuantError, SymmetricInt8};
 use paro_tensor::kernel::Kernel;
 use paro_tensor::Tensor;
+use std::sync::Arc;
 
 /// Kept `K` bits of the truncated panels, by slot.
 const LDZ_KEEP: [u32; 2] = [2, 4];
@@ -31,7 +32,10 @@ const RUN_BYTES: usize = 24 * 1024;
 ///   has no finite score (a dense softmax would be 0/0 = NaN) and comes
 ///   back uniformly zero, the contribution a fully bypassed row has in
 ///   the sparse `AttnV`.
-pub(crate) struct RowScorer<'a> {
+///
+/// The scorer owns its codes and allocation, so the fused executor's
+/// participants can share one read-only scorer across threads.
+pub(crate) struct RowScorer {
     q: SymmetricInt8,
     k: SymmetricInt8,
     /// `K` codes truncated to [`LDZ_KEEP`] bits, built once per head for
@@ -39,7 +43,7 @@ pub(crate) struct RowScorer<'a> {
     /// operand depends only on the key and the kept width, never on the
     /// query row.
     ldz: [Vec<i8>; 2],
-    bits: Option<&'a [Bitwidth]>,
+    bits: Option<Arc<[Bitwidth]>>,
     grid: BlockGrid,
     scale: f32,
     kernel: Kernel,
@@ -54,7 +58,7 @@ pub(crate) struct RowScratch {
     runs: Vec<(usize, usize, Bitwidth)>,
 }
 
-impl<'a> RowScorer<'a> {
+impl RowScorer {
     /// Symmetric INT8 codes of `q` (`[m, d]`) and `k` (`[n, d]`) for an
     /// `[m, n]` map scored in block rows of `grid`, output-aware when
     /// `bits` gives the per-block allocation.
@@ -68,12 +72,12 @@ impl<'a> RowScorer<'a> {
         q: &Tensor,
         k: &Tensor,
         grid: BlockGrid,
-        bits: Option<&'a [Bitwidth]>,
+        bits: Option<Arc<[Bitwidth]>>,
         kernel: Kernel,
     ) -> Result<Self, CoreError> {
         let q = SymmetricInt8::quantize_rowwise_with(q, kernel)?;
         let k = SymmetricInt8::quantize_rowwise_with(k, kernel)?;
-        if let Some(bits) = bits {
+        if let Some(bits) = &bits {
             let blocks = grid.block_count(q.rows(), k.rows());
             if bits.len() != blocks {
                 return Err(QuantError::BitwidthCountMismatch {
@@ -98,7 +102,7 @@ impl<'a> RowScorer<'a> {
     /// `qkt.ldz` span each); a no-op in exact mode. 8-bit blocks keep
     /// every bit, so they read the raw codes.
     pub(crate) fn build_ldz(&mut self) {
-        let Some(bits) = self.bits else { return };
+        let Some(bits) = &self.bits else { return };
         for (slot, keep) in LDZ_KEEP.iter().enumerate() {
             if bits.iter().any(|b| b.bits() == *keep) {
                 let _t = paro_trace::span(paro_trace::stage::QKT_LDZ);
@@ -170,7 +174,7 @@ impl<'a> RowScorer<'a> {
         let max_blocks = (RUN_BYTES / ((d + 4 * h) * block_cols).max(1)).max(1);
         let max_cols = (max_blocks * block_cols).min(n);
         runs.clear();
-        match self.bits {
+        match &self.bits {
             None => {
                 let runs_of = (0..n).step_by(max_cols);
                 runs.extend(runs_of.map(|c0| (c0, (c0 + max_cols).min(n), Bitwidth::B8)));

@@ -9,10 +9,10 @@
 //! requires the output bits, the `map_sparsity` bits and every
 //! `IntPathStats` field to match: in both `QKᵀ` modes, on every kernel
 //! the host supports, with `n` not divisible by the block edge, with
-//! all-B0 block rows, with an all-B0 plan and on pools of one and three
-//! threads. CI also runs it forced to the scalar kernel
-//! (`PARO_KERNEL=scalar`) and on a one-thread pool
-//! (`PARO_POOL_THREADS=1`).
+//! all-B0 block rows, with an all-B0 plan and with heads split into
+//! block-row ranges that pool workers share. CI also runs it forced to
+//! the scalar kernel (`PARO_KERNEL=scalar`) and on one- and three-thread
+//! compute pools (`PARO_POOL_THREADS=1` and `3`).
 
 use paro_core::calibration::{calibrate_head, HeadCalibration};
 use paro_core::cancel::Deadline;
@@ -292,9 +292,15 @@ fn fused_matches_composition_on_an_all_b0_plan() {
 
 #[test]
 fn fused_runs_are_identical_at_pool_widths_one_and_three() {
-    let (inputs, cal) = case(TokenGrid::new(3, 3, 5), 4, 4.8, 61);
+    // 105 tokens at 4-token blocks: three block-row ranges, so each head
+    // is split. The heads run as jobs on pools of one and three threads,
+    // and each shares its ranges with the global pool's idle workers
+    // (CI runs this suite with that pool at one and at three threads).
+    let (inputs, cal) = case(TokenGrid::new(3, 5, 7), 4, 4.8, 61);
     for output_aware in [false, true] {
         let direct = run_attention_calibrated_int(&inputs, &cal, output_aware).unwrap();
+        let kernel = paro_tensor::kernel::active_kernel();
+        assert_fused_matches(&inputs, &cal, output_aware, kernel, "split head");
         for threads in [1, 3] {
             let pool = ComputePool::new(threads);
             let jobs = (0..3)

@@ -236,7 +236,8 @@ pub struct PerfBenchOpts {
     pub label: String,
     /// Path the report JSON is written to (default `BENCH_<label>.json`).
     pub out: String,
-    /// Timed pipeline iterations per pass (medians are taken over these).
+    /// Timed pipeline iterations per pass (medians and totals per pass
+    /// are taken over these).
     pub iters: usize,
     /// Baseline report to diff against; a regression fails the command.
     pub compare: Option<String>,
@@ -342,11 +343,12 @@ build; see docs/TELEMETRY.md).
 perf-bench times the single-head packed-integer pipeline for --iters
 iterations under the runtime-dispatched SIMD micro-kernel, repeats the
 pass with the kernel forced to scalar in the same process, and writes
-per-stage span medians plus packed-AttnV MACs/s and packed-map GB/s to
---out (default BENCH_<label>.json). With --compare BASELINE.json it
-prints a diff table and fails on any per-stage median regression above
---tolerance percent (stages under the noise floor are reported but
-never gated); see docs/EXPERIMENTS.md \"Perf baselines\".
+per-stage span medians and totals per pass plus packed-AttnV MACs/s and
+packed-map GB/s to --out (default BENCH_<label>.json). With --compare
+BASELINE.json it prints a diff table and fails on any regression of a
+stage's total per pass above --tolerance percent (stages under the
+noise floor are reported but never gated); see EXPERIMENTS.md \"Perf
+baselines\".
 
 PATTERNS: temporal, spatial-row, spatial-col, window, diffuse
 METHODS:  fp16, sage, sage2, sanger, naive-int8, naive-int4,

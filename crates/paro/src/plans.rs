@@ -529,16 +529,19 @@ mod tests {
                     stage: paro_trace::stage::PIPELINE_REORDER.to_string(),
                     count: 5,
                     p50_us: 40.0,
+                    total_us: 40.0,
                 },
                 PerfStageRow {
                     stage: paro_trace::stage::ATTNV_UNPACK.to_string(),
                     count: 5,
                     p50_us: 15.0,
+                    total_us: 15.0,
                 },
                 PerfStageRow {
                     stage: paro_trace::stage::PIPELINE_UNREORDER.to_string(),
                     count: 5,
                     p50_us: 7.0,
+                    total_us: 7.0,
                 },
             ],
             attn_v: pass("avx2"),

@@ -392,7 +392,7 @@ pub fn stage_rows(summaries: &[paro_trace::StageSummary]) -> Vec<StageSummaryRow
 /// micro-kernel and a forced-scalar reference pass of the same binary.
 /// This file is the repository's performance trajectory — the CI
 /// `perf-smoke` job diffs a fresh run against the committed
-/// `BENCH_ci_baseline.json` with [`diff_stage_medians`].
+/// `BENCH_ci_baseline.json` with [`diff_stage_totals`].
 #[derive(Debug, Serialize, Deserialize)]
 pub struct PerfBenchReport {
     /// Build and host identity; medians require tracing, so
@@ -403,7 +403,8 @@ pub struct PerfBenchReport {
     pub label: String,
     /// Timed pipeline iterations per pass (medians are taken over these).
     pub iters: usize,
-    /// Median span duration per pipeline stage over the dispatched pass.
+    /// Median span and total time per pass of each pipeline stage over
+    /// the dispatched pass.
     pub stages: Vec<PerfStageRow>,
     /// Packed-`AttnV` throughput under the dispatched kernel.
     pub attn_v: AttnVThroughput,
@@ -414,7 +415,8 @@ pub struct PerfBenchReport {
     pub attn_v_speedup_vs_scalar: f64,
 }
 
-/// One per-stage median row of a perf-bench pass.
+/// One per-stage row of a perf-bench pass: the stage's median span and
+/// its total time per pipeline pass.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PerfStageRow {
     /// Stage name (see `paro_trace::stage` for the canonical set).
@@ -423,6 +425,10 @@ pub struct PerfStageRow {
     pub count: u64,
     /// Median span duration, microseconds.
     pub p50_us: f64,
+    /// Sum of the stage's span durations divided by the iterations
+    /// (every thread's spans counted), microseconds: the quantity the
+    /// regression gate diffs.
+    pub total_us: f64,
 }
 
 /// Throughput of the packed-`AttnV` MAC micro-kernel in one perf-bench
@@ -559,9 +565,9 @@ pub struct TuneValidation {
     pub predicted_over_measured: f64,
 }
 
-/// Stages whose baseline median sits under this floor are reported but
-/// never gated: a span this short is dominated by timer and scheduler
-/// noise, and a percentage threshold on it would flap.
+/// Stages whose baseline total per pass sits under this floor are
+/// reported but never gated: a stage this short is dominated by timer and
+/// scheduler noise, and a percentage threshold on it would flap.
 pub const PERF_GATE_FLOOR_US: f64 = 50.0;
 
 /// One row of a baseline-vs-current perf diff.
@@ -569,10 +575,12 @@ pub const PERF_GATE_FLOOR_US: f64 = 50.0;
 pub struct PerfDiffRow {
     /// Stage name.
     pub stage: String,
-    /// Baseline median, microseconds (`None` when the stage is new).
-    pub baseline_p50_us: Option<f64>,
-    /// Current median, microseconds (`None` when the stage disappeared).
-    pub current_p50_us: Option<f64>,
+    /// Baseline total per pass, microseconds (`None` when the stage is
+    /// new).
+    pub baseline_us: Option<f64>,
+    /// Current total per pass, microseconds (`None` when the stage
+    /// disappeared).
+    pub current_us: Option<f64>,
     /// Relative change in percent (`None` unless both sides are present
     /// and the baseline is positive).
     pub delta_pct: Option<f64>,
@@ -580,14 +588,18 @@ pub struct PerfDiffRow {
     pub regressed: bool,
 }
 
-/// Diffs current per-stage medians against a baseline.
+/// Diffs current per-stage totals per pass against a baseline.
 ///
-/// A stage regresses when both sides measured it, its baseline median is
-/// at least [`PERF_GATE_FLOOR_US`], and the current median exceeds the
-/// baseline by more than `tolerance_pct` percent. Stages present on only
-/// one side are reported (so renames are visible in the table) but do not
-/// gate. Rows follow the baseline's order, with new stages appended.
-pub fn diff_stage_medians(
+/// The gate compares each stage's total time per pipeline pass, not its
+/// median span: stages recorded once per block row or once per block-row
+/// range have medians of a few microseconds, under the floor, while
+/// their totals are what a regression moves. A stage regresses when both
+/// sides measured it, its baseline total is at least
+/// [`PERF_GATE_FLOOR_US`], and the current total exceeds the baseline by
+/// more than `tolerance_pct` percent. Stages present on only one side are
+/// reported (so renames are visible in the table) but do not gate. Rows
+/// follow the baseline's order, with new stages appended.
+pub fn diff_stage_totals(
     baseline: &[PerfStageRow],
     current: &[PerfStageRow],
     tolerance_pct: f64,
@@ -598,14 +610,14 @@ pub fn diff_stage_medians(
         .map(|b| {
             let c = cur(&b.stage);
             let delta_pct = c
-                .filter(|_| b.p50_us > 0.0)
-                .map(|c| (c.p50_us - b.p50_us) / b.p50_us * 100.0);
+                .filter(|_| b.total_us > 0.0)
+                .map(|c| (c.total_us - b.total_us) / b.total_us * 100.0);
             let regressed =
-                b.p50_us >= PERF_GATE_FLOOR_US && delta_pct.is_some_and(|d| d > tolerance_pct);
+                b.total_us >= PERF_GATE_FLOOR_US && delta_pct.is_some_and(|d| d > tolerance_pct);
             PerfDiffRow {
                 stage: b.stage.clone(),
-                baseline_p50_us: Some(b.p50_us),
-                current_p50_us: c.map(|c| c.p50_us),
+                baseline_us: Some(b.total_us),
+                current_us: c.map(|c| c.total_us),
                 delta_pct,
                 regressed,
             }
@@ -615,8 +627,8 @@ pub fn diff_stage_medians(
         if !baseline.iter().any(|b| b.stage == c.stage) {
             rows.push(PerfDiffRow {
                 stage: c.stage.clone(),
-                baseline_p50_us: None,
-                current_p50_us: Some(c.p50_us),
+                baseline_us: None,
+                current_us: Some(c.total_us),
                 delta_pct: None,
                 regressed: false,
             });
@@ -627,7 +639,7 @@ pub fn diff_stage_medians(
 
 /// Names of baseline stages the candidate report no longer measures.
 ///
-/// [`diff_stage_medians`] deliberately reports disappeared stages without
+/// [`diff_stage_totals`] deliberately reports disappeared stages without
 /// gating on them (so renames stay visible in the table) — but a CI
 /// comparison must not pass silently when a stage it used to watch has
 /// vanished: that usually means a stage was renamed or a code path stopped
@@ -654,7 +666,7 @@ pub fn format_diff_table(rows: &[PerfDiffRow]) -> String {
         let delta = r.delta_pct.map_or("-".to_string(), |d| format!("{d:+.1}%"));
         let mark = if r.regressed {
             "  REGRESSED"
-        } else if r.baseline_p50_us.is_some_and(|b| b < PERF_GATE_FLOOR_US) {
+        } else if r.baseline_us.is_some_and(|b| b < PERF_GATE_FLOOR_US) {
             "  (ungated)"
         } else {
             ""
@@ -662,8 +674,8 @@ pub fn format_diff_table(rows: &[PerfDiffRow]) -> String {
         out.push_str(&format!(
             "{:<24} {:>12} {:>12} {:>9}{}\n",
             r.stage,
-            num(r.baseline_p50_us),
-            num(r.current_p50_us),
+            num(r.baseline_us),
+            num(r.current_us),
             delta,
             mark
         ));
@@ -675,11 +687,13 @@ pub fn format_diff_table(rows: &[PerfDiffRow]) -> String {
 mod tests {
     use super::*;
 
-    fn row(stage: &str, p50_us: f64) -> PerfStageRow {
+    /// A stage recorded once per pass, so its median is its total.
+    fn row(stage: &str, total_us: f64) -> PerfStageRow {
         PerfStageRow {
             stage: stage.to_string(),
             count: 5,
-            p50_us,
+            p50_us: total_us,
+            total_us,
         }
     }
 
@@ -687,7 +701,7 @@ mod tests {
     fn diff_flags_only_gated_regressions() {
         let baseline = [row("attnv.mac", 400.0), row("pipeline.qkt", 1000.0)];
         let current = [row("attnv.mac", 560.0), row("pipeline.qkt", 1200.0)];
-        let rows = diff_stage_medians(&baseline, &current, 30.0);
+        let rows = diff_stage_totals(&baseline, &current, 30.0);
         // +40% on attnv.mac trips the gate, +20% on qkt stays inside it.
         assert!(rows[0].regressed, "{rows:?}");
         assert!(!rows[1].regressed, "{rows:?}");
@@ -698,19 +712,34 @@ mod tests {
     fn diff_never_gates_below_noise_floor() {
         let baseline = [row("pipeline.reorder", PERF_GATE_FLOOR_US / 2.0)];
         let current = [row("pipeline.reorder", PERF_GATE_FLOOR_US * 10.0)];
-        let rows = diff_stage_medians(&baseline, &current, 30.0);
+        let rows = diff_stage_totals(&baseline, &current, 30.0);
         assert!(!rows[0].regressed, "{rows:?}");
         assert!(rows[0].delta_pct.unwrap() > 30.0);
+    }
+
+    #[test]
+    fn diff_gates_per_pass_totals_of_stages_with_short_spans() {
+        // Recorded once per block row: a 20 µs median, 640 µs per pass.
+        let short = |total_us: f64| PerfStageRow {
+            stage: "pipeline.qkt".to_string(),
+            count: 32 * 5,
+            p50_us: total_us / 32.0,
+            total_us,
+        };
+        let rows = diff_stage_totals(&[short(640.0)], &[short(900.0)], 30.0);
+        assert!(rows[0].regressed, "{rows:?}");
+        let rows = diff_stage_totals(&[short(640.0)], &[short(700.0)], 30.0);
+        assert!(!rows[0].regressed, "{rows:?}");
     }
 
     #[test]
     fn diff_reports_added_and_removed_stages_without_gating() {
         let baseline = [row("attnv.mac", 400.0)];
         let current = [row("kernel.dispatch", 0.1)];
-        let rows = diff_stage_medians(&baseline, &current, 30.0);
+        let rows = diff_stage_totals(&baseline, &current, 30.0);
         assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].current_p50_us, None);
-        assert_eq!(rows[1].baseline_p50_us, None);
+        assert_eq!(rows[0].current_us, None);
+        assert_eq!(rows[1].baseline_us, None);
         assert!(rows.iter().all(|r| !r.regressed), "{rows:?}");
         let table = format_diff_table(&rows);
         assert!(table.contains("attnv.mac"));
@@ -734,7 +763,7 @@ mod tests {
     fn improvement_never_regresses() {
         let baseline = [row("attnv.mac", 1000.0)];
         let current = [row("attnv.mac", 100.0)];
-        let rows = diff_stage_medians(&baseline, &current, 30.0);
+        let rows = diff_stage_totals(&baseline, &current, 30.0);
         assert!(!rows[0].regressed);
         assert!(rows[0].delta_pct.unwrap() < 0.0);
     }

@@ -278,6 +278,7 @@ fn sample_perf_report() -> PerfBenchReport {
             stage: stage::ATTNV_MAC.to_string(),
             count: 5,
             p50_us: 410.0,
+            total_us: 410.0,
         }],
         attn_v: pass("avx2"),
         scalar_attn_v: pass("scalar"),

@@ -115,6 +115,60 @@ fn pool_panic_is_contained_and_retried_to_success() {
 }
 
 #[test]
+fn fault_in_a_heads_nested_work_fails_only_its_request_once() {
+    let _chaos = chaos_guard();
+    // 128 tokens at 4-token blocks: three block-row ranges per head, so a
+    // request's pool job submits its head's ranges as a nested batch.
+    let model = scaled_config(&ModelConfig::cogvideox_2b(), 2, 8, 8);
+    let source = Arc::new(SyntheticSource::new(model.clone(), 1, 7));
+    let engine =
+        Arc::new(Engine::new(test_config(1), model.clone(), source).expect("valid config"));
+    let requests = move || test_requests(&model, 3);
+    // The clean run also calibrates every head, so below the only pool
+    // jobs are each request's own job and its head's nested batch.
+    let clean_engine = Arc::clone(&engine);
+    let clean_requests = requests.clone();
+    let clean = with_watchdog("clean split heads", move || {
+        outputs_bits(&clean_engine.run_batch(clean_requests()))
+    });
+    // Call 0 is the first request's own pool job; call 1 is a job of its
+    // head's nested batch.
+    fp::arm(fp::site::POOL_JOB, FaultSpec::new(FaultKind::Panic, 1, 1));
+    // Zero-length delays fire without effect: they count site calls.
+    for site in [fp::site::PIPELINE_INT_ATTN, fp::site::QUANT_PACK_ATTN_V] {
+        fp::arm(site, FaultSpec::immediate(FaultKind::Delay(0), u64::MAX));
+    }
+    let chaos_engine = Arc::clone(&engine);
+    let chaos = with_watchdog("nested fault", move || chaos_engine.run_batch(requests()));
+    assert_eq!(fp::fired(fp::site::POOL_JOB), 1);
+    assert_eq!(chaos.completed(), 3, "{:?}", chaos.responses);
+    let attempts: Vec<u32> = chaos
+        .responses
+        .iter()
+        .map(|r| r.as_ref().unwrap().attempts)
+        .collect();
+    assert_eq!(
+        attempts.iter().filter(|&&a| a >= 2).count(),
+        1,
+        "only the faulted request retries: {attempts:?}"
+    );
+    assert!(chaos
+        .responses
+        .iter()
+        .all(|r| !r.as_ref().unwrap().degraded));
+    // Per-head sites still fire once per head attempt, not per range.
+    let heads: u64 = attempts.iter().map(|&a| u64::from(a)).sum();
+    assert_eq!(fp::fired(fp::site::PIPELINE_INT_ATTN), heads);
+    assert_eq!(fp::fired(fp::site::QUANT_PACK_ATTN_V), heads);
+    assert_eq!(
+        outputs_bits(&chaos),
+        clean,
+        "retried outputs match the clean run"
+    );
+    fp::reset();
+}
+
+#[test]
 fn calibration_panic_wakes_waiters_and_engine_survives() {
     let _chaos = chaos_guard();
     fp::arm(
