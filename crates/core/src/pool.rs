@@ -262,10 +262,9 @@ impl ComputePool {
     /// The process-wide shared pool, sized on first use by the
     /// `PARO_POOL_THREADS` environment variable when it holds a positive
     /// integer, else [`std::thread::available_parallelism`]. The override
-    /// lets benchmarks study pool occupancy at a fixed width regardless
-    /// of the host's core count (soak runs on one-core CI boxes
-    /// oversubscribe on purpose: idle-vs-busy pool threads are what the
-    /// scheduler comparison measures, not raw CPU throughput).
+    /// runs the test suites at a fixed width whatever the host's core
+    /// count: CI pins widths 1 (no nested batch finds an idle helper) and
+    /// 3 (a head's block-row ranges split across workers).
     pub fn global() -> &'static ComputePool {
         static GLOBAL: OnceLock<ComputePool> = OnceLock::new();
         GLOBAL.get_or_init(|| {

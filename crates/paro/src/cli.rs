@@ -52,14 +52,6 @@ pub enum CliCommand {
     /// `paro chaos-bench`: run a serving workload with deterministic
     /// fault injection and verify the engine's fault-tolerance contract.
     ChaosBench(ChaosBenchOpts),
-    /// `paro soak-bench`: drive a two-tenant open-loop arrival stream
-    /// against the continuous-batching engine and print per-tenant
-    /// latency histograms, pool occupancy and wave counts.
-    SoakBench(SoakBenchOpts),
-    /// `paro drift-bench`: inject calibration drift into a watchdog-armed
-    /// engine and verify the detect → recalibrate → recover loop plus
-    /// mid-batch hot-swap bit-identity, printing a JSON report.
-    DriftBench(DriftBenchOpts),
     /// `paro perf-bench`: time the single-head packed-integer pipeline
     /// under the dispatched micro-kernel (plus a forced-scalar reference
     /// pass), write a `BENCH_<label>.json` baseline, and optionally gate
@@ -185,41 +177,6 @@ pub struct ChaosBenchOpts {
     pub faults: u64,
 }
 
-/// Options for `paro soak-bench`: a serving workload plus the open-loop
-/// arrival rate and two-tenant weight split.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SoakBenchOpts {
-    /// The workload to run (same knobs as `paro serve-bench`; the request
-    /// stream is split across two tenants, even indices to the first).
-    pub bench: ServeBenchOpts,
-    /// Offered open-loop arrival rate, requests per second.
-    pub rate: f64,
-    /// WFQ weights of the two tenant classes (`--weights A,B`).
-    pub weights: (f64, f64),
-    /// Runs to aggregate (`--repeat N`).
-    pub repeat: usize,
-}
-
-/// Options for `paro drift-bench`: a serving workload driven in batches
-/// through the calibration-drift lifecycle (warm → drift → detect →
-/// recalibrate → recover).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DriftBenchOpts {
-    /// The per-batch workload (same knobs as `paro serve-bench`;
-    /// `--requests` is the batch size).
-    pub bench: ServeBenchOpts,
-    /// Fresh-traffic batches served before drift is injected
-    /// (`--warmup N`).
-    pub warmup: usize,
-    /// Drifted-traffic batches the watchdog gets to flag the plan
-    /// `Stale` (`--detect-within N`); detection past the bound fails
-    /// the command.
-    pub detect_within: usize,
-    /// Post-recalibration batches that must serve un-flagged
-    /// (`--post N`).
-    pub post: usize,
-}
-
 /// Options for `paro perf-bench`: the single-head workload, the run
 /// label/output path, and the optional baseline gate.
 #[derive(Debug, Clone, PartialEq)]
@@ -270,14 +227,6 @@ USAGE:
                    [--requests N] [--deadline-ms MS] [--grid FxHxW]
                    [--blocks N] [--heads N] [--budget B] [--block EDGE]
                    [--seed S] [--out FILE]
-  paro soak-bench [--rate R] [--weights A,B] [--repeat N] [--threads N]
-                  [--queue N] [--requests N] [--deadline-ms MS]
-                  [--grid FxHxW] [--blocks N] [--heads N] [--budget B]
-                  [--block EDGE] [--seed S] [--plan FILE] [--out FILE]
-  paro drift-bench [--warmup N] [--detect-within N] [--post N] [--threads N]
-                   [--queue N] [--requests N] [--deadline-ms MS]
-                   [--grid FxHxW] [--blocks N] [--heads N] [--budget B]
-                   [--block EDGE] [--seed S] [--out FILE]
   paro perf-bench [--label NAME] [--out FILE] [--iters N] [--grid FxHxW]
                   [--budget B] [--block EDGE] [--seed S]
                   [--compare FILE] [--tolerance PCT]
@@ -304,27 +253,6 @@ with a roofline model seeded from a measured perf-bench baseline
 an artifact (--out) plus a JSON report (--report) with the predicted
 latency of every head and a predicted-vs-measured validation pass, and
 exits non-zero when the SLO is infeasible.
-
-soak-bench submits the workload on a deterministic open-loop (Poisson)
-arrival clock at --rate requests/sec, split across two weighted-fair
-tenant classes (--weights, default 4,1), and runs it --repeat times to
-average out scheduler noise. The JSON report carries per-tenant latency
-histograms, the pool busy fraction next to the simulator's predicted
-wave occupancy, and wave/dispatch counts (docs/SCHEDULING.md); outputs
-must stay bit-identical across every repeat or the command fails.
-
-drift-bench drives the calibration-drift lifecycle end to end
-(docs/LIFECYCLE.md): a watchdog-armed engine serves --warmup fresh
-batches, the traffic's pattern families then rotate (calibration
-drift), and the watchdog must flag the plan Stale within
---detect-within batches, counting every request served meanwhile as
-stale_served. The bench then recalibrates against the drifted source —
-an atomic epoch hot-swap whose mid-batch bit-identity it also proves —
-and --post recovery batches must serve un-flagged with the fidelity
-proxy back in its fresh band. The JSON report (stdout, --out) carries
-the detection/recovery verdicts, the lifecycle counters and the
-measured per-observation watchdog overhead; any failed verdict exits
-non-zero.
 
 chaos-bench runs a baseline batch, injects deterministic faults
 (worker/pool panics, transient quant/pipeline errors) into a second
@@ -442,32 +370,6 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, String> {
             fault_seed: f.num("fault-seed", 1)?,
             faults: f.count("faults", 1)?,
         }),
-        // A soak is open-loop and time-bounded by requests/rate; the
-        // default stays well under the CI smoke budget.
-        "soak-bench" => CliCommand::SoakBench(SoakBenchOpts {
-            bench: bench_opts(&mut f, 48)?,
-            rate: f.positive("rate", 40.0)?,
-            weights: parse_weights(f.opt("weights").unwrap_or("4,1"))?,
-            repeat: f.count("repeat", 1)?,
-        }),
-        "drift-bench" => {
-            // Batches are small and the bench's watchdog knobs are
-            // fast-reacting, so the whole loop stays inside the CI
-            // smoke budget.
-            let bench = bench_opts(&mut f, 24)?;
-            if bench.plan.is_some() {
-                return Err(
-                    "drift-bench recalibrates live and cannot serve a frozen --plan artifact"
-                        .to_string(),
-                );
-            }
-            CliCommand::DriftBench(DriftBenchOpts {
-                bench,
-                warmup: f.count("warmup", 3)?,
-                detect_within: f.count("detect-within", 2)?,
-                post: f.count("post", 3)?,
-            })
-        }
         "perf-bench" => {
             let label = f.string("label", "local");
             if label.is_empty() || label.contains(['/', '\\']) {
@@ -609,19 +511,6 @@ impl<'a> Flags<'a> {
     }
 }
 
-fn parse_weights(s: &str) -> Result<(f64, f64), String> {
-    let parts: Vec<&str> = s.split(',').collect();
-    if parts.len() != 2 {
-        return Err(format!("--weights must be A,B (two numbers), got '{s}'"));
-    }
-    let a: f64 = parse_num(parts[0])?;
-    let b: f64 = parse_num(parts[1])?;
-    if !(a.is_finite() && a > 0.0 && b.is_finite() && b > 0.0) {
-        return Err(format!("--weights must both be positive, got '{s}'"));
-    }
-    Ok((a, b))
-}
-
 fn parse_grid(s: &str) -> Result<TokenGrid, String> {
     let parts: Vec<&str> = s.split('x').collect();
     if parts.len() != 3 {
@@ -632,8 +521,10 @@ fn parse_grid(s: &str) -> Result<TokenGrid, String> {
     if dims.contains(&0) {
         return Err("grid dimensions must be positive".to_string());
     }
-    // Every pipeline allocates the dense tokens × tokens f32 score map,
-    // so both sizes must be representable before anything is allocated.
+    // Calibration and the f32 reference pipelines allocate the dense
+    // tokens × tokens f32 score map (the packed-int path scores one block
+    // row at a time), so both sizes must be representable before anything
+    // is allocated.
     let map_bytes = dims[0]
         .checked_mul(dims[1])
         .and_then(|n| n.checked_mul(dims[2]))
@@ -995,142 +886,6 @@ mod tests {
     }
 
     #[test]
-    fn soak_bench_defaults_and_flags() {
-        let cmd = parse_args(&args(&["soak-bench"])).unwrap();
-        match cmd {
-            CliCommand::SoakBench(opts) => {
-                assert_eq!(opts.bench.requests, 48);
-                assert_eq!(opts.rate, 40.0);
-                assert_eq!(opts.weights, (4.0, 1.0));
-                assert_eq!(opts.repeat, 1);
-                assert_eq!(opts.bench.out, None);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        let cmd = parse_args(&args(&[
-            "soak-bench",
-            "--rate",
-            "25",
-            "--weights",
-            "8,0.5",
-            "--repeat",
-            "3",
-            "--requests",
-            "16",
-            "--out",
-            "soak.json",
-        ]))
-        .unwrap();
-        match cmd {
-            CliCommand::SoakBench(opts) => {
-                assert_eq!(opts.rate, 25.0);
-                assert_eq!(opts.weights, (8.0, 0.5));
-                assert_eq!(opts.repeat, 3);
-                assert_eq!(opts.bench.requests, 16);
-                assert_eq!(opts.bench.out.as_deref(), Some("soak.json"));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn soak_bench_rejects_degenerate_values() {
-        assert!(parse_args(&args(&["soak-bench", "--rate", "0"]))
-            .unwrap_err()
-            .contains("rate"));
-        assert!(parse_args(&args(&["soak-bench", "--rate", "-3"]))
-            .unwrap_err()
-            .contains("rate"));
-        assert!(parse_args(&args(&["soak-bench", "--weights", "4"]))
-            .unwrap_err()
-            .contains("weights"));
-        assert!(parse_args(&args(&["soak-bench", "--weights", "4,0"]))
-            .unwrap_err()
-            .contains("weights"));
-        assert!(parse_args(&args(&["soak-bench", "--weights", "a,b"]))
-            .unwrap_err()
-            .contains("invalid number"));
-        assert!(parse_args(&args(&["soak-bench", "--repeat", "0"]))
-            .unwrap_err()
-            .contains("repeat"));
-        assert!(parse_args(&args(&["soak-bench", "--requests", "0"]))
-            .unwrap_err()
-            .contains("requests"));
-    }
-
-    #[test]
-    fn usage_documents_soak_bench() {
-        assert!(USAGE.contains("soak-bench"));
-        assert!(USAGE.contains("--weights"));
-        assert!(USAGE.contains("docs/SCHEDULING.md"));
-    }
-
-    #[test]
-    fn drift_bench_defaults_and_flags() {
-        let cmd = parse_args(&args(&["drift-bench"])).unwrap();
-        match cmd {
-            CliCommand::DriftBench(opts) => {
-                assert_eq!(opts.bench.requests, 24);
-                assert_eq!(opts.warmup, 3);
-                assert_eq!(opts.detect_within, 2);
-                assert_eq!(opts.post, 3);
-                assert_eq!(opts.bench.out, None);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        let cmd = parse_args(&args(&[
-            "drift-bench",
-            "--warmup",
-            "5",
-            "--detect-within",
-            "4",
-            "--post",
-            "2",
-            "--requests",
-            "12",
-            "--out",
-            "drift.json",
-        ]))
-        .unwrap();
-        match cmd {
-            CliCommand::DriftBench(opts) => {
-                assert_eq!(opts.warmup, 5);
-                assert_eq!(opts.detect_within, 4);
-                assert_eq!(opts.post, 2);
-                assert_eq!(opts.bench.requests, 12);
-                assert_eq!(opts.bench.out.as_deref(), Some("drift.json"));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn drift_bench_rejects_degenerate_values() {
-        assert!(parse_args(&args(&["drift-bench", "--warmup", "0"]))
-            .unwrap_err()
-            .contains("warmup"));
-        assert!(parse_args(&args(&["drift-bench", "--detect-within", "0"]))
-            .unwrap_err()
-            .contains("detect-within"));
-        assert!(parse_args(&args(&["drift-bench", "--post", "0"]))
-            .unwrap_err()
-            .contains("post"));
-        assert!(parse_args(&args(&["drift-bench", "--requests", "0"]))
-            .unwrap_err()
-            .contains("requests"));
-        assert!(parse_args(&args(&["drift-bench", "--plan", "x.paro"]))
-            .unwrap_err()
-            .contains("--plan"));
-    }
-
-    #[test]
-    fn usage_documents_drift_bench() {
-        assert!(USAGE.contains("drift-bench"));
-        assert!(USAGE.contains("--detect-within"));
-        assert!(USAGE.contains("docs/LIFECYCLE.md"));
-    }
-
-    #[test]
     fn perf_bench_defaults() {
         let cmd = parse_args(&args(&["perf-bench"])).unwrap();
         match cmd {
@@ -1217,8 +972,6 @@ mod tests {
             "serve-bench",
             "trace",
             "chaos-bench",
-            "soak-bench",
-            "drift-bench",
             "perf-bench",
             "tune",
         ] {

@@ -20,7 +20,6 @@ use paro_quant::BlockGrid;
 use paro_serve::workload::{scaled_config, SyntheticSource, WorkloadSpec};
 use paro_serve::{
     BatchOutcome, CalibrationSource, Engine, ServeConfig, ServeError, ServeRequest, ServeResponse,
-    TenantClass, WatchdogConfig,
 };
 use paro_sim::tune::{tune_budgets, BudgetOption, HeadCandidate, RooflineModel, TuneOutcome};
 use paro_sim::AttentionProfile;
@@ -77,8 +76,8 @@ pub fn synthetic_source(model: &ModelConfig, seed: u64) -> SyntheticSource {
 }
 
 /// The serving engine of a CLI workload: `opts`' worker, queue, block,
-/// budget, deadline and plan-artifact knobs over `source`, with the given
-/// tenant classes and an optional fidelity watchdog.
+/// budget, deadline and plan-artifact knobs over `source`, with the
+/// default single tenant class and no fidelity watchdog.
 ///
 /// # Errors
 ///
@@ -88,8 +87,6 @@ pub fn workload_engine(
     opts: &ServeBenchOpts,
     model: &ModelConfig,
     source: Arc<dyn CalibrationSource>,
-    tenants: Vec<TenantClass>,
-    watchdog: Option<WatchdogConfig>,
 ) -> Result<Engine, ServeError> {
     let cfg = ServeConfig {
         workers: opts.threads,
@@ -98,8 +95,6 @@ pub fn workload_engine(
         budget: opts.budget,
         default_deadline: (opts.deadline_ms > 0).then(|| Duration::from_millis(opts.deadline_ms)),
         plan_artifact: opts.plan.as_ref().map(PathBuf::from),
-        tenants,
-        watchdog,
         ..ServeConfig::default()
     };
     Engine::new(cfg, model.clone(), source)

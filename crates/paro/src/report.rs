@@ -135,167 +135,6 @@ pub struct ServeBenchReport {
     pub metrics: MetricsSnapshot,
 }
 
-/// Top-level JSON report `paro soak-bench` prints to stdout: a
-/// two-tenant open-loop (Poisson-arrival) soak of the continuous-batching
-/// engine, its measured pool occupancy next to the simulator's predicted
-/// wave occupancy, and whether outputs stayed bit-identical across
-/// repeats (docs/SCHEDULING.md).
-#[derive(Debug, Serialize)]
-pub struct SoakBenchReport {
-    /// Build and host identity; `run.seed` also seeds the arrival
-    /// schedule.
-    pub run: RunInfo,
-    /// Serve worker threads.
-    pub threads: usize,
-    /// Submission-queue capacity.
-    pub queue_capacity: usize,
-    /// Requests in the open-loop arrival schedule (per run).
-    pub requests: usize,
-    /// Offered arrival rate, requests per second (`--rate`).
-    pub rate_per_sec: f64,
-    /// Runs aggregated into this report (`--repeat`): counters are
-    /// summed, fractions and quantiles averaged.
-    pub repeat: usize,
-    /// Simulator-predicted worker occupancy of one wave of this workload
-    /// under LPT dispatch (`paro_sim::dispatch::predicted_wave_occupancy`).
-    pub predicted_wave_occupancy: f64,
-    /// The aggregated continuous-batching runs (head-granular backfill).
-    pub continuous: SoakRunReport,
-    /// Whether every request index completed by more than one run
-    /// produced bit-identical output tensors.
-    pub outputs_bit_identical: bool,
-}
-
-/// The aggregated runs of a soak-bench: counters from the engine's
-/// metrics, scheduler accounting from the work graph, measured
-/// compute-pool occupancy, and flattened aggregate latency quantiles.
-#[derive(Debug, Serialize)]
-pub struct SoakRunReport {
-    /// Wall-clock time from first submission to last completion, ms.
-    pub wall_ms: f64,
-    /// Requests that completed successfully.
-    pub completed: u64,
-    /// Requests that failed (fault, deadline, pipeline error).
-    pub failed: u64,
-    /// Requests rejected at admission (queue full).
-    pub rejected: u64,
-    /// Requests cancelled mid-pipeline by their deadline.
-    pub timed_out: u64,
-    /// Requests that faulted without recovering.
-    pub faulted: u64,
-    /// Requests admitted degraded to a coarse shed budget.
-    pub shed_degraded: u64,
-    /// Requests rejected by the shedding ladder.
-    pub shed_rejected: u64,
-    /// Scheduler waves (busy periods) the run closed.
-    pub waves: u64,
-    /// Head tasks the work graph dispatched to workers.
-    pub dispatched: u64,
-    /// Fraction of worker-thread time the shared compute pool spent
-    /// executing jobs over the run's wall clock (`pool.execute` busy
-    /// fraction, 0..=1).
-    pub pool_busy_fraction: f64,
-    /// Aggregate end-to-end p50 latency across tenants, ms.
-    pub total_p50_ms: f64,
-    /// Aggregate end-to-end p95 latency across tenants, ms.
-    pub total_p95_ms: f64,
-    /// Aggregate end-to-end p99 latency across tenants, ms.
-    pub total_p99_ms: f64,
-    /// Per-tenant outcome rows, one per configured tenant class.
-    pub tenants: Vec<SoakTenantRow>,
-}
-
-/// One tenant's outcome in a soak-bench run.
-#[derive(Debug, Serialize)]
-pub struct SoakTenantRow {
-    /// The tenant class name.
-    pub name: String,
-    /// The tenant's weighted-fair-queuing weight.
-    pub weight: f64,
-    /// Requests accepted into the work graph.
-    pub submitted: u64,
-    /// Requests completed successfully.
-    pub completed: u64,
-    /// Requests admitted degraded to the tenant's shed budget.
-    pub shed_degraded: u64,
-    /// Requests rejected by the shedding ladder.
-    pub shed_rejected: u64,
-    /// Requests that failed for any non-shed reason.
-    pub failed: u64,
-    /// This tenant's mean end-to-end latency, ms.
-    pub mean_ms: f64,
-    /// This tenant's end-to-end p50 latency, ms.
-    pub p50_ms: f64,
-    /// This tenant's end-to-end p95 latency, ms.
-    pub p95_ms: f64,
-    /// This tenant's end-to-end p99 latency, ms.
-    pub p99_ms: f64,
-}
-
-/// Top-level JSON report `paro drift-bench` prints to stdout: the
-/// drift-injection schedule, the watchdog's detection/recovery verdicts,
-/// the hot-swap bit-identity check, the engine's lifecycle counters and
-/// the measured per-observation watchdog overhead. The CI drift-smoke
-/// job gates on the verdict booleans (see docs/LIFECYCLE.md).
-#[derive(Debug, Serialize)]
-pub struct DriftBenchReport {
-    /// Build and host identity.
-    pub run: RunInfo,
-    /// Serve worker threads.
-    pub threads: usize,
-    /// Requests per batch (`--requests`).
-    pub requests_per_batch: usize,
-    /// Transformer blocks in the workload.
-    pub blocks: usize,
-    /// Heads per block in the workload.
-    pub heads: usize,
-    /// Fresh batches served before drift injection (`--warmup`).
-    pub warmup_batches: usize,
-    /// Detection bound in drifted batches (`--detect-within`).
-    pub detect_bound_batches: usize,
-    /// Post-recalibration recovery batches (`--post`).
-    pub post_batches: usize,
-    /// Wall-clock time of the whole lifecycle run, ms.
-    pub wall_ms: f64,
-    /// Drifted batches served before the watchdog flagged `Stale`
-    /// (absent when the bound elapsed without detection).
-    pub detected_after_batches: Option<usize>,
-    /// Whether `Stale` was flagged within `detect_bound_batches`.
-    pub detected_within_bound: bool,
-    /// Whether recalibration succeeded and published a new epoch.
-    pub recalibrated: bool,
-    /// Whether every post-recalibration batch served un-flagged with
-    /// health back to `fresh` and the proxy inside the fresh band.
-    pub recovered: bool,
-    /// Whether requests in flight across the mid-batch hot-swap stayed
-    /// bit-identical to a never-swapped engine.
-    pub swap_bit_identical: bool,
-    /// Conjunction of the four verdicts above; `false` exits non-zero.
-    pub passed: bool,
-    /// Plan epoch before recalibration.
-    pub epoch_before: u64,
-    /// Plan epoch after recalibration (equals `epoch_before` when
-    /// recalibration never ran or failed).
-    pub epoch_after: u64,
-    /// Watchdog EWMA deviation at the end of warmup (the fresh band).
-    pub fresh_ewma: f64,
-    /// Watchdog EWMA deviation at detection time.
-    pub drift_ewma: f64,
-    /// Watchdog EWMA deviation after the recovery batches.
-    pub recovered_ewma: f64,
-    /// `stale_detected` counter from the engine's metrics.
-    pub stale_detected: u64,
-    /// `recalibrations` counter from the engine's metrics.
-    pub recalibrations: u64,
-    /// `recalib_failed` counter from the engine's metrics.
-    pub recalib_failed: u64,
-    /// `stale_served` counter from the engine's metrics.
-    pub stale_served: u64,
-    /// Measured cost of one `Watchdog::observe` call, nanoseconds —
-    /// the per-request overhead of arming the watchdog.
-    pub watchdog_observe_ns: f64,
-}
-
 /// Top-level JSON report `paro chaos-bench` prints to stdout: which
 /// faults were armed and fired, what the chaos batch resolved to, and
 /// whether a clean batch run on the same engine afterwards reproduced the

@@ -10,9 +10,8 @@
 //! against the report's own section.
 
 use paro::report::{
-    AttnVThroughput, ChaosBenchReport, DriftBenchReport, InjectedFaultRow, PerfBenchReport,
-    PerfStageRow, RunInfo, ServeBenchReport, SoakBenchReport, SoakRunReport, SoakTenantRow,
-    StageSummaryRow, TuneHeadRow, TuneReport, TuneValidation,
+    AttnVThroughput, ChaosBenchReport, InjectedFaultRow, PerfBenchReport, PerfStageRow, RunInfo,
+    ServeBenchReport, StageSummaryRow, TuneHeadRow, TuneReport, TuneValidation,
 };
 use paro::serve::{CacheStats, Metrics};
 use paro::sim::tune::RooflineModel;
@@ -337,105 +336,13 @@ fn tune_report_fields_match_docs() {
     assert_report_contract(&sample_tune_report(), "tune");
 }
 
-/// A fully-populated soak report: the run carries both tenant rows so
-/// every array element field serializes.
-fn sample_soak_report() -> SoakBenchReport {
-    let continuous = SoakRunReport {
-        wall_ms: 158.0,
-        completed: 192,
-        failed: 0,
-        rejected: 0,
-        timed_out: 0,
-        faulted: 0,
-        shed_degraded: 0,
-        shed_rejected: 0,
-        waves: 19,
-        dispatched: 192,
-        pool_busy_fraction: 0.65,
-        total_p50_ms: 65.5,
-        total_p95_ms: 83.5,
-        total_p99_ms: 83.5,
-        tenants: ["interactive", "batch"]
-            .iter()
-            .map(|name| SoakTenantRow {
-                name: name.to_string(),
-                weight: 1.0,
-                submitted: 96,
-                completed: 96,
-                shed_degraded: 0,
-                shed_rejected: 0,
-                failed: 0,
-                mean_ms: 44.4,
-                p50_ms: 65.5,
-                p95_ms: 79.2,
-                p99_ms: 79.2,
-            })
-            .collect(),
-    };
-    SoakBenchReport {
-        run: sample_run(),
-        threads: 4,
-        queue_capacity: 64,
-        requests: 64,
-        rate_per_sec: 400.0,
-        repeat: 3,
-        predicted_wave_occupancy: 1.0,
-        continuous,
-        outputs_bit_identical: true,
-    }
-}
-
-#[test]
-fn soak_bench_report_fields_match_docs() {
-    assert_report_contract(&sample_soak_report(), "soak-bench");
-}
-
-/// A fully-populated drift report: `detected_after_batches` is `Some`
-/// so the optional field serializes and its path is walked.
-fn sample_drift_report() -> DriftBenchReport {
-    DriftBenchReport {
-        run: sample_run(),
-        threads: 4,
-        requests_per_batch: 24,
-        blocks: 3,
-        heads: 4,
-        warmup_batches: 3,
-        detect_bound_batches: 2,
-        post_batches: 3,
-        wall_ms: 410.0,
-        detected_after_batches: Some(1),
-        detected_within_bound: true,
-        recalibrated: true,
-        recovered: true,
-        swap_bit_identical: true,
-        passed: true,
-        epoch_before: 0,
-        epoch_after: 1,
-        fresh_ewma: 0.012,
-        drift_ewma: 0.16,
-        recovered_ewma: 0.016,
-        stale_detected: 2,
-        recalibrations: 1,
-        recalib_failed: 0,
-        stale_served: 19,
-        watchdog_observe_ns: 31.0,
-    }
-}
-
-#[test]
-fn drift_bench_report_fields_match_docs() {
-    assert_report_contract(&sample_drift_report(), "drift-bench");
-}
-
 #[test]
 fn every_report_opens_with_the_same_run_envelope() {
-    let reports: [(&str, Value); 6] = [
+    let reports: [(&str, Value); 4] = [
         ("serve-bench", sample_report().to_value()),
         ("chaos-bench", sample_chaos_report().to_value()),
         ("perf-bench", sample_perf_report().to_value()),
         ("tune", sample_tune_report().to_value()),
-        ("soak-bench", sample_soak_report().to_value()),
-        ("drift-bench", sample_drift_report().to_value()),
     ];
     let run_keys = |value: &Value| -> Vec<String> {
         let Value::Map(entries) = value else {

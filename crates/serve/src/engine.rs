@@ -182,18 +182,10 @@ impl ServeConfig {
         if let Some(wd) = &self.watchdog {
             wd.validate()?;
         }
-        match self.recalibration {
-            RecalibrationPolicy::OnStale if self.watchdog.is_none() => {
-                return Err(ServeError::InvalidConfig(
-                    "recalibration policy OnStale requires a watchdog".into(),
-                ));
-            }
-            RecalibrationPolicy::Periodic { every_requests: 0 } => {
-                return Err(ServeError::InvalidConfig(
-                    "periodic recalibration interval must be >= 1 request".into(),
-                ));
-            }
-            _ => {}
+        if self.recalibration == RecalibrationPolicy::OnStale && self.watchdog.is_none() {
+            return Err(ServeError::InvalidConfig(
+                "recalibration policy OnStale requires a watchdog".into(),
+            ));
         }
         Ok(())
     }
@@ -379,9 +371,6 @@ struct Lifecycle {
     /// Handle of the most recent background recalibration thread, joined
     /// at shutdown so the engine never leaks a running recalibrator.
     recalib_thread: Mutex<Option<JoinHandle<()>>>,
-    /// Completed requests since the last recalibration started; drives
-    /// [`RecalibrationPolicy::Periodic`].
-    completed_since_recalib: AtomicU64,
 }
 
 /// The in-process attention-serving engine.
@@ -450,7 +439,6 @@ impl Engine {
             policy: cfg.recalibration,
             recalibrating: AtomicBool::new(false),
             recalib_thread: Mutex::new(None),
-            completed_since_recalib: AtomicU64::new(0),
         });
         let mut workers = Vec::with_capacity(cfg.workers);
         for i in 0..cfg.workers {
@@ -967,19 +955,8 @@ fn observe_lifecycle(ctx: &WorkerCtx, job: &Job, exec: &Executed) -> bool {
     if stale_plan {
         ctx.metrics.stale_served.fetch_add(1, Relaxed);
     }
-    match lc.policy {
-        RecalibrationPolicy::Off => {}
-        RecalibrationPolicy::OnStale => {
-            if went_stale {
-                trigger_background_recalibration(ctx);
-            }
-        }
-        RecalibrationPolicy::Periodic { every_requests } => {
-            let n = lc.completed_since_recalib.fetch_add(1, Relaxed) + 1;
-            if n >= every_requests {
-                trigger_background_recalibration(ctx);
-            }
-        }
+    if went_stale && lc.policy == RecalibrationPolicy::OnStale {
+        trigger_background_recalibration(ctx);
     }
     stale_plan
 }
@@ -1058,9 +1035,6 @@ fn recalibrate_guarded(ctx: &RecalibCtx) -> Result<u64, ServeError> {
 /// the serving path; a final failure leaves the old epoch serving.
 fn run_recalibration(ctx: &RecalibCtx) -> Result<u64, ServeError> {
     use std::sync::atomic::Ordering::Relaxed;
-    // Restart the periodic clock at the *start* so a failing run cannot
-    // re-trigger on every completed request.
-    ctx.lifecycle.completed_since_recalib.store(0, Relaxed);
     let recalib_span = paro_trace::span(paro_trace::stage::PLAN_RECALIBRATE);
     let old_epoch = ctx.lifecycle.epoch.load(Relaxed);
     let new_epoch = old_epoch + 1;

@@ -84,12 +84,6 @@ pub enum RecalibrationPolicy {
     /// Recalibrate in the background when the watchdog declares the
     /// current epoch [`PlanHealth::Stale`]. Requires a watchdog.
     OnStale,
-    /// Recalibrate in the background every `every_requests` completed
-    /// requests, regardless of watchdog state.
-    Periodic {
-        /// Completed-request interval between recalibrations.
-        every_requests: u64,
-    },
 }
 
 /// Watchdog tuning knobs. See `docs/LIFECYCLE.md` for the contract and

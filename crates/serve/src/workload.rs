@@ -117,7 +117,7 @@ pub fn synthetic_requests_at_phase(spec: &WorkloadSpec, phase: usize) -> Vec<Ser
 }
 
 /// Tags every request in a stream with the given tenant class index
-/// (streams generate under the default tenant 0; multi-tenant soak
+/// (streams generate under the default tenant 0; multi-tenant
 /// workloads retag per stream).
 pub fn with_tenant(mut requests: Vec<ServeRequest>, tenant: usize) -> Vec<ServeRequest> {
     for r in &mut requests {
@@ -137,9 +137,9 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// Deterministic open-loop (Poisson) arrival schedule: `count` absolute
 /// arrival offsets from the stream start, with exponential inter-arrival
 /// times at `rate_per_sec`. Open-loop means arrivals do not slow down
-/// when the server lags — the soak harness submits on this clock and
-/// measures the resulting queueing, exactly how production overload
-/// behaves (a closed loop would hide it).
+/// when the server lags — the repo benchmark's `serve_poisson` workload
+/// submits on this clock and measures the resulting queueing, exactly
+/// how production overload behaves (a closed loop would hide it).
 ///
 /// # Panics
 ///
@@ -251,12 +251,12 @@ fn phased_calibration_maps(
 }
 
 /// A calibration source whose underlying pattern families **rotate on a
-/// schedule**: the drift workload for lifecycle tests and
-/// `paro drift-bench`. At phase 0 it is bit-identical to
-/// [`SyntheticSource`]; advancing the phase (the "timestep index" of the
-/// drift schedule) rotates every head's pattern family via
-/// [`PatternSpec::for_head_phase`], modelling traffic whose
-/// block-sparsity structure has walked away from the calibration set.
+/// schedule**: the drift workload for the lifecycle and chaos tests. At
+/// phase 0 it is bit-identical to [`SyntheticSource`]; advancing the
+/// phase (the "timestep index" of the drift schedule) rotates every
+/// head's pattern family via [`PatternSpec::for_head_phase`], modelling
+/// traffic whose block-sparsity structure has walked away from the
+/// calibration set.
 ///
 /// Determinism caveat: maps depend on `(block, head, phase)` — the
 /// source stays arrival-order independent *within* a phase, which is

@@ -103,8 +103,7 @@ fn drift_is_detected_and_recalibration_restores_fresh() {
     assert_eq!(engine.plan_health(), Some(PlanHealth::Fresh));
     let fresh_ewma = engine.watchdog_stats().unwrap().ewma_deviation;
     // Drift: rotated pattern families served on phase-0 plans. The
-    // watchdog must flag Stale within two batches (the detection bound
-    // the drift-bench gate also uses).
+    // watchdog must flag Stale within two batches.
     let mut detected_within = None;
     for batch in 0..2 {
         engine.run_batch(test_requests(&model, 12, 1));
@@ -147,7 +146,9 @@ fn drift_is_detected_and_recalibration_restores_fresh() {
         recovered_ewma < fresh_ewma + 0.04,
         "proxy recovered to the pre-drift band: {recovered_ewma} vs fresh {fresh_ewma}"
     );
-    assert_eq!(engine.metrics_snapshot().recalibrations, 1);
+    let snap = engine.metrics_snapshot();
+    assert_eq!(snap.recalibrations, 1);
+    assert_eq!(snap.recalib_failed, 0, "no recalibration attempt failed");
 }
 
 proptest! {

@@ -128,42 +128,9 @@ pub fn block_costs(macs_per_block_int8: f64, bits: &[Bitwidth]) -> Vec<f64> {
         .collect()
 }
 
-/// Predicted pool occupancy of one scheduler wave: the utilization an LPT
-/// packing of the wave's head-task costs achieves on `workers` parallel
-/// workers.
-///
-/// The serving work graph admits head tasks in waves (see
-/// `docs/SCHEDULING.md`); this is the simulator-side prediction the
-/// `paro soak-bench` report pairs with the *measured* `pool.execute`
-/// busy fraction, so the continuous-batching claim has a model-side
-/// reference. An empty wave predicts zero occupancy.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-pub fn predicted_wave_occupancy(costs: &[f64], workers: usize) -> f64 {
-    assert!(workers > 0, "occupancy needs at least one worker");
-    if costs.iter().all(|&c| c <= 0.0) {
-        return 0.0;
-    }
-    dispatch(costs, workers, DispatchPolicy::GreedyLpt).utilization
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn predicted_occupancy_matches_lpt_utilization() {
-        let costs = [8.0, 4.0, 4.0];
-        let occ = predicted_wave_occupancy(&costs, 2);
-        assert!((occ - 1.0).abs() < 1e-9, "{occ}");
-        // One task on many workers: occupancy collapses to 1/workers.
-        let occ = predicted_wave_occupancy(&[8.0], 4);
-        assert!((occ - 0.25).abs() < 1e-9, "{occ}");
-        assert_eq!(predicted_wave_occupancy(&[], 4), 0.0);
-        assert_eq!(predicted_wave_occupancy(&[0.0, 0.0], 4), 0.0);
-    }
 
     #[test]
     fn lpt_beats_round_robin_on_skewed_costs() {
