@@ -54,7 +54,7 @@ pub struct IntPathStats {
     /// Number of 0-bit blocks bypassed by the dispatcher.
     pub skipped_blocks: usize,
     /// Stable name of the micro-kernel that executed the `AttnV` MACs
-    /// (`scalar`, `sse4.1` or `avx2`; see `paro_tensor::kernel`).
+    /// (`scalar` or `avx2`; see `paro_tensor::kernel`).
     pub kernel: &'static str,
 }
 
@@ -124,9 +124,12 @@ pub fn run_attention_calibrated_int_with(
 }
 
 /// [`run_attention_calibrated_int_with`] on an explicit [`Kernel`] for
-/// every hot loop (forced-kernel testing); outputs, sparsity and
-/// statistics are bit-identical across kernels, except
-/// [`IntPathStats::kernel`], which names `kernel`.
+/// the `Q`/`K` codes, the scores, the map quantization and `AttnV`
+/// (forced-kernel testing). The INT8 fake quantization of `Q` and `K`
+/// ahead of their codes still runs on the process's dispatched kernel
+/// ([`active_kernel`]). Outputs, sparsity and statistics are
+/// bit-identical across kernels, except [`IntPathStats::kernel`], which
+/// names `kernel`.
 ///
 /// # Errors
 ///

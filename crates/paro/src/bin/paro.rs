@@ -6,7 +6,8 @@ use paro::cli::{
     parse_args, ChaosBenchOpts, CliCommand, PerfBenchOpts, ServeBenchOpts, TraceOpts, USAGE,
 };
 use paro::core::calibration::{calibrate_head, HeadCalibration};
-use paro::core::int_pipeline::run_attention_calibrated_int;
+use paro::core::cancel::Deadline;
+use paro::core::int_pipeline::run_attention_calibrated_int_on;
 use paro::core::pipeline::attention_map;
 use paro::core::reorder::{reorder_map, select_plan, ReorderPlan};
 use paro::plans::{
@@ -357,34 +358,30 @@ struct PerfPass {
     attn_v: AttnVThroughput,
 }
 
-/// Runs the single-head packed-integer pipeline `iters` times under a
-/// trace session, optionally with the kernel dispatch forced, and derives
-/// per-stage medians and totals per iteration plus `attnv.mac`
-/// throughput. The forced dispatch is always restored before returning.
+/// Runs the single-head packed-integer pipeline `iters` times on
+/// `kernel` under a trace session and derives per-stage medians and
+/// totals per iteration plus `attnv.mac` throughput. `kernel` runs the
+/// score, map-quantize and `AttnV` loops; the `Q`/`K` fake quantization
+/// runs on the process's dispatched kernel either way.
 fn perf_pass(
     inputs: &AttentionInputs,
     cal: &HeadCalibration,
     output_aware: bool,
     iters: usize,
-    force: Option<kernel::Kernel>,
+    kernel: kernel::Kernel,
 ) -> Result<PerfPass, Box<dyn std::error::Error>> {
-    kernel::force(force);
-    let timed = (|| {
-        // Warm once so one-time costs (page faults, lazy init) stay out
-        // of the medians, and keep the run's MAC/byte accounting.
-        let stats = run_attention_calibrated_int(inputs, cal, output_aware)?.stats;
-        let session = paro::trace::TraceSession::start();
-        record_kernel_dispatch();
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            run_attention_calibrated_int(inputs, cal, output_aware)?;
-        }
-        let wall = t0.elapsed();
-        Ok::<_, Box<dyn std::error::Error>>((stats, session.finish(), wall))
-    })();
-    kernel::force(None);
-    let (stats, trace, wall) = timed?;
-    let summary = trace.summary();
+    let run = || run_attention_calibrated_int_on(inputs, cal, output_aware, Deadline::NONE, kernel);
+    // Warm once so one-time costs (page faults, lazy init) stay out of
+    // the medians, and keep the run's MAC/byte accounting.
+    let stats = run()?.stats;
+    let session = paro::trace::TraceSession::start();
+    record_kernel_dispatch();
+    let t0 = Instant::now();
+    for _ in 0..iters {
+        run()?;
+    }
+    let wall = t0.elapsed();
+    let summary = session.finish().summary();
     // Pool scheduling is left out: how many pool workers a head's block
     // rows spread over, and how long a worker takes to wake, depend on
     // the host, not on the pipeline.
@@ -431,7 +428,7 @@ fn perf_bench(opts: &PerfBenchOpts) -> Result<(), Box<dyn std::error::Error>> {
     // default: it is the paper's headline datapath and the stage set the
     // committed baseline gates on (`qkt.ldz` only exists on this path).
     let output_aware = true;
-    let dispatched = perf_pass(&inputs, &cal, output_aware, opts.iters, None)?;
+    let dispatched = perf_pass(&inputs, &cal, output_aware, opts.iters, dispatch.kernel)?;
     // The scalar reference runs in the same process and binary; when the
     // dispatch already resolved to scalar it IS the reference.
     let scalar = if dispatch.kernel == kernel::Kernel::Scalar {
@@ -442,7 +439,7 @@ fn perf_bench(opts: &PerfBenchOpts) -> Result<(), Box<dyn std::error::Error>> {
             &cal,
             output_aware,
             opts.iters,
-            Some(kernel::Kernel::Scalar),
+            kernel::Kernel::Scalar,
         )?
     };
     let speedup = if scalar.attn_v.macs_per_sec > 0.0 {

@@ -27,8 +27,7 @@ pub struct RunInfo {
     pub head_dim: usize,
     /// RNG seed of the workload and its calibration source (`--seed`).
     pub seed: u64,
-    /// The micro-kernel runtime dispatch selected (`scalar`, `sse4.1` or
-    /// `avx2`).
+    /// The micro-kernel runtime dispatch selected (`scalar` or `avx2`).
     pub kernel: String,
     /// `true` when `PARO_KERNEL` overrode detection for this run —
     /// a forced run is not comparable to a detected baseline.

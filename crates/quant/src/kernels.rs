@@ -7,8 +7,8 @@
 //! kernels in [`paro_tensor::kernel`], so one process runs one
 //! consistent kernel set.
 //!
-//! Structure shared by every kernel (one body macro, per-ISA
-//! instantiations):
+//! Every loop has two bodies: the scalar reference and AVX2. Structure
+//! shared by both:
 //!
 //! - rows are walked in [`TILE`]-code tiles; each tile is unpacked from
 //!   the packed bytes straight into a zero-point-centered stack buffer
@@ -22,13 +22,18 @@
 //!   the whole tile and stays branch-free, which is worth more than the
 //!   skipped work, and a zero term is exactly a no-op in i32;
 //! - the MAC itself is a `d`-wide i32 axpy (`vpmulld` + `vpaddd` on
-//!   SIMD paths).
+//!   AVX2).
 //!
 //! i32 addition is associative, and no kernel reorders the per-output
-//! accumulation anyway, so every path is **bit-identical** — pinned by
+//! accumulation anyway, so both paths are **bit-identical** — pinned by
 //! `tests/kernel_equivalence.rs` on all kernels the host supports.
+//!
+//! Each dispatcher asserts that the CPU supports the kernel it is given
+//! before any AVX2 body runs, so a safe caller passing
+//! [`Kernel::Avx2`] on a CPU without AVX2 panics instead of executing
+//! instructions the CPU lacks.
 
-// The SIMD paths need `unsafe` for intrinsics; bounds are established by
+// The AVX2 paths need `unsafe` for intrinsics; bounds are established by
 // the safe dispatchers (shapes validated by the callers).
 #![allow(unsafe_code)]
 
@@ -83,48 +88,45 @@ fn axpy_i32_scalar(arow: &mut [i32], vrow: &[i32], mv: i32) {
     }
 }
 
-/// Shared block-GEMM body: per block row, [`TILE`]-code tiles are
-/// unpacked (centered) and immediately MAC'd against the matching `V`
-/// rows. `$unpack` and `$axpy` select the ISA.
-macro_rules! block_body {
-    ($unpack:ident, $axpy:ident, $bytes:ident, $zp:ident, $h:ident, $w:ident, $v:ident, $d:ident, $acc:ident) => {{
-        let mut tile = [0i32; TILE];
-        for lr in 0..$h {
-            let row_base = lr * $w;
-            let arow = &mut $acc[lr * $d..(lr + 1) * $d];
-            let mut k0 = 0usize;
-            while k0 < $w {
-                let t = TILE.min($w - k0);
-                $unpack($bytes, row_base + k0, $zp, &mut tile[..t]);
-                for (ti, &mv) in tile[..t].iter().enumerate() {
-                    if mv == 0 {
-                        continue; // zero operand: no contribution in exact i32
-                    }
-                    let vrow = &$v[(k0 + ti) * $d..(k0 + ti + 1) * $d];
-                    $axpy(arow, vrow, mv);
+/// Scalar block GEMM: per block row, [`TILE`]-code tiles are unpacked
+/// (centered) by `unpack` and immediately MAC'd against the matching `V`
+/// rows.
+#[allow(clippy::too_many_arguments)]
+fn block_gemm_scalar(
+    unpack: impl Fn(&[u8], usize, i32, &mut [i32]),
+    bytes: &[u8],
+    zp: i32,
+    h: usize,
+    w: usize,
+    v: &[i32],
+    d: usize,
+    acc: &mut [i32],
+) {
+    let mut tile = [0i32; TILE];
+    for lr in 0..h {
+        let row_base = lr * w;
+        let arow = &mut acc[lr * d..(lr + 1) * d];
+        let mut k0 = 0usize;
+        while k0 < w {
+            let t = TILE.min(w - k0);
+            unpack(bytes, row_base + k0, zp, &mut tile[..t]);
+            for (ti, &mv) in tile[..t].iter().enumerate() {
+                if mv == 0 {
+                    continue; // zero operand: no contribution in exact i32
                 }
-                k0 += t;
+                let vrow = &v[(k0 + ti) * d..(k0 + ti + 1) * d];
+                axpy_i32_scalar(arow, vrow, mv);
             }
+            k0 += t;
         }
-    }};
+    }
 }
 
-macro_rules! scalar_block_driver {
-    ($name:ident, $unpack:ident) => {
-        fn $name(bytes: &[u8], zp: i32, h: usize, w: usize, v: &[i32], d: usize, acc: &mut [i32]) {
-            block_body!($unpack, axpy_i32_scalar, bytes, zp, h, w, v, d, acc)
-        }
-    };
-}
-
-scalar_block_driver!(block_gemm_scalar_b2, unpack_b2_scalar);
-scalar_block_driver!(block_gemm_scalar_b4, unpack_b4_scalar);
-scalar_block_driver!(block_gemm_scalar_b8, unpack_b8_scalar);
-
-/// Shared unpacked-operand GEMM body ([`crate::quantized_gemm_i32`]'s
-/// inner loops): `A` codes are centered on the fly, rows walk the `k`
-/// dimension in [`TILE_K`] segments so each `B` panel is streamed once
-/// per tile, zero `A` operands skip their row.
+/// Unpacked-operand GEMM body ([`crate::quantized_gemm_i32`]'s inner
+/// loops) shared by the scalar and AVX2 kernels, `$axpy` selecting the
+/// ISA: `A` codes are centered on the fly, rows walk the `k` dimension in
+/// [`TILE_K`] segments so each `B` panel is streamed once per tile, zero
+/// `A` operands skip their row.
 macro_rules! gemm_body {
     ($axpy:ident, $a:ident, $za:ident, $b:ident, $m:ident, $k:ident, $n:ident, $out:ident) => {{
         for i in 0..$m {
@@ -189,26 +191,6 @@ mod x86 {
     use std::arch::x86::*;
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
-
-    /// `arow[j] += mv · vrow[j]`, 4 i32 lanes (`pmulld` is the SSE4.1
-    /// requirement).
-    #[inline]
-    #[target_feature(enable = "sse4.1")]
-    unsafe fn axpy_i32_sse41(arow: &mut [i32], vrow: &[i32], mv: i32) {
-        let n = arow.len().min(vrow.len());
-        let vm = _mm_set1_epi32(mv);
-        let mut j = 0usize;
-        while j + 4 <= n {
-            let o = _mm_loadu_si128(arow.as_ptr().add(j) as *const __m128i);
-            let v = _mm_loadu_si128(vrow.as_ptr().add(j) as *const __m128i);
-            _mm_storeu_si128(
-                arow.as_mut_ptr().add(j) as *mut __m128i,
-                _mm_add_epi32(o, _mm_mullo_epi32(vm, v)),
-            );
-            j += 4;
-        }
-        axpy_i32_scalar(&mut arow[j..n], &vrow[j..n], mv);
-    }
 
     /// `arow[j] += mv · vrow[j]`, 8 i32 lanes.
     #[inline]
@@ -404,49 +386,9 @@ mod x86 {
         unpack_b8_scalar(bytes, elem0 + ti, zp, &mut tile[ti..]);
     }
 
-    macro_rules! simd_block_driver {
-        ($name:ident, $feature:literal, $unpack:ident, $axpy:ident) => {
-            /// # Safety
-            /// Caller must ensure the CPU supports the named feature.
-            #[target_feature(enable = $feature)]
-            pub(super) unsafe fn $name(
-                bytes: &[u8],
-                zp: i32,
-                h: usize,
-                w: usize,
-                v: &[i32],
-                d: usize,
-                acc: &mut [i32],
-            ) {
-                block_body!($unpack, $axpy, bytes, zp, h, w, v, d, acc)
-            }
-        };
-    }
-
-    // SSE4.1 keeps the scalar unpack (no variable shifts before AVX2) and
-    // vectorizes the d-wide MAC, which dominates: O(t·d) vs O(t) per tile.
-    simd_block_driver!(
-        block_gemm_sse41_b2,
-        "sse4.1",
-        unpack_b2_scalar,
-        axpy_i32_sse41
-    );
-    simd_block_driver!(
-        block_gemm_sse41_b4,
-        "sse4.1",
-        unpack_b4_scalar,
-        axpy_i32_sse41
-    );
-    simd_block_driver!(
-        block_gemm_sse41_b8,
-        "sse4.1",
-        unpack_b8_scalar,
-        axpy_i32_sse41
-    );
-
     /// The AVX2 block drivers swap the per-code axpy for the
     /// register-blocked [`tile_mac_avx2`] — same tile walk as
-    /// `block_body!`, different MAC shape.
+    /// `block_gemm_scalar`, different MAC shape.
     macro_rules! avx2_block_driver {
         ($name:ident, $unpack:ident) => {
             /// # Safety
@@ -482,21 +424,6 @@ mod x86 {
     avx2_block_driver!(block_gemm_avx2_b8, unpack_b8_avx2);
 
     /// # Safety
-    /// Caller must ensure the CPU supports SSE4.1.
-    #[target_feature(enable = "sse4.1")]
-    pub(super) unsafe fn gemm_i32_sse41(
-        a: &[u32],
-        za: i32,
-        b: &[i32],
-        m: usize,
-        k: usize,
-        n: usize,
-        out: &mut [i32],
-    ) {
-        gemm_body!(axpy_i32_sse41, a, za, b, m, k, n, out)
-    }
-
-    /// # Safety
     /// Caller must ensure the CPU supports AVX2.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn gemm_i32_avx2(
@@ -511,7 +438,7 @@ mod x86 {
         gemm_body!(axpy_i32_avx2, a, za, b, m, k, n, out)
     }
 
-    // Bit-identical SIMD replication of the scalar quantize map. IEEE
+    // Bit-identical AVX2 replication of the scalar quantize map. IEEE
     // division is correctly rounded, so `divps` matches scalar `/` lane
     // for lane; `f32::round` (half away from zero) is *not* a hardware
     // rounding mode, so it is rebuilt as truncate + bump: a lane whose
@@ -521,50 +448,6 @@ mod x86 {
     // reaches [`QUANTIZE_SAFE_BOUND`] — including NaN/∞, which fail the
     // ordered compare — is redone through the scalar map instead of
     // trusting `cvtps` out-of-range behavior.
-
-    /// # Safety
-    /// Caller must ensure SSE4.1 and `|zp| ≤ 2³⁰`.
-    #[target_feature(enable = "sse4.1")]
-    pub(super) unsafe fn quantize_codes_sse41(
-        values: &[f32],
-        scale: f32,
-        zp: i32,
-        max_code: u32,
-        out: &mut [u32],
-    ) {
-        let sv = _mm_set1_ps(scale);
-        let half = _mm_set1_ps(0.5);
-        let one = _mm_set1_ps(1.0);
-        let signmask = _mm_set1_ps(-0.0);
-        let bound = _mm_set1_ps(QUANTIZE_SAFE_BOUND);
-        let zpv = _mm_set1_epi32(zp);
-        let zero = _mm_setzero_si128();
-        let maxv = _mm_set1_epi32(max_code as i32);
-        let n = values.len().min(out.len());
-        let mut j = 0usize;
-        while j + 4 <= n {
-            let x = _mm_loadu_ps(values.as_ptr().add(j));
-            let r = _mm_div_ps(x, sv);
-            let t = _mm_round_ps(r, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
-            let frac = _mm_andnot_ps(signmask, _mm_sub_ps(r, t));
-            let bump = _mm_and_ps(
-                _mm_cmpge_ps(frac, half),
-                _mm_or_ps(_mm_and_ps(signmask, r), one),
-            );
-            let rounded = _mm_add_ps(t, bump);
-            let safe = _mm_cmplt_ps(_mm_andnot_ps(signmask, rounded), bound);
-            if _mm_movemask_ps(safe) != 0xF {
-                quantize_codes_scalar(&values[j..j + 4], scale, zp, max_code, &mut out[j..j + 4]);
-                j += 4;
-                continue;
-            }
-            let code = _mm_add_epi32(_mm_cvtps_epi32(rounded), zpv);
-            let clamped = _mm_min_epi32(_mm_max_epi32(code, zero), maxv);
-            _mm_storeu_si128(out.as_mut_ptr().add(j) as *mut __m128i, clamped);
-            j += 4;
-        }
-        quantize_codes_scalar(&values[j..n], scale, zp, max_code, &mut out[j..n]);
-    }
 
     /// # Safety
     /// Caller must ensure AVX2 and `|zp| ≤ 2³⁰`.
@@ -616,42 +499,6 @@ mod x86 {
     // compare rejects NaN too), and the ±127 clamp happens in f32 *before*
     // the i32 convert — even an ∞ quotient (subnormal scale) clamps to
     // exactly what the scalar map produces.
-
-    /// # Safety
-    /// Caller must ensure SSE4.1 and a positive finite `scale`.
-    #[target_feature(enable = "sse4.1")]
-    pub(super) unsafe fn quantize_symmetric_sse41(values: &[f32], scale: f32, out: &mut [i8]) {
-        let sv = _mm_set1_ps(scale);
-        let half = _mm_set1_ps(0.5);
-        let one = _mm_set1_ps(1.0);
-        let signmask = _mm_set1_ps(-0.0);
-        let inf = _mm_set1_ps(f32::INFINITY);
-        let lim = _mm_set1_ps(127.0);
-        let nlim = _mm_set1_ps(-127.0);
-        let n = values.len().min(out.len());
-        let mut tmp = [0i32; 4];
-        let mut j = 0usize;
-        while j + 4 <= n {
-            let x = _mm_loadu_ps(values.as_ptr().add(j));
-            let finite = _mm_cmplt_ps(_mm_andnot_ps(signmask, x), inf);
-            let r = _mm_div_ps(x, sv);
-            let t = _mm_round_ps(r, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
-            let frac = _mm_andnot_ps(signmask, _mm_sub_ps(r, t));
-            let bump = _mm_and_ps(
-                _mm_cmpge_ps(frac, half),
-                _mm_or_ps(_mm_and_ps(signmask, r), one),
-            );
-            let rounded = _mm_add_ps(t, bump);
-            let clamped = _mm_min_ps(_mm_max_ps(rounded, nlim), lim);
-            let q = _mm_cvtps_epi32(_mm_and_ps(clamped, finite));
-            _mm_storeu_si128(tmp.as_mut_ptr() as *mut __m128i, q);
-            for (o, &c) in out[j..j + 4].iter_mut().zip(&tmp) {
-                *o = c as i8;
-            }
-            j += 4;
-        }
-        quantize_symmetric_scalar(&values[j..n], scale, &mut out[j..n]);
-    }
 
     /// # Safety
     /// Caller must ensure AVX2 and a positive finite `scale`.
@@ -706,27 +553,14 @@ pub(crate) fn block_gemm(
     d: usize,
     acc: &mut [i32],
 ) {
-    debug_assert!(kernel.is_supported());
+    assert!(
+        kernel.is_supported(),
+        "{kernel} is not supported by this CPU"
+    );
     match (kernel, bits) {
         (_, Bitwidth::B0) => {} // nothing stored, nothing accumulated
-        (Kernel::Scalar, Bitwidth::B2) => block_gemm_scalar_b2(bytes, zp, h, w, v, d, acc),
-        (Kernel::Scalar, Bitwidth::B4) => block_gemm_scalar_b4(bytes, zp, h, w, v, d, acc),
-        (Kernel::Scalar, Bitwidth::B8) => block_gemm_scalar_b8(bytes, zp, h, w, v, d, acc),
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        // SAFETY: `kernel` comes from `active_kernel`/`is_supported`
-        // checks, so the required CPU feature is present.
-        (Kernel::Sse41, Bitwidth::B2) => unsafe {
-            x86::block_gemm_sse41_b2(bytes, zp, h, w, v, d, acc)
-        },
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        (Kernel::Sse41, Bitwidth::B4) => unsafe {
-            x86::block_gemm_sse41_b4(bytes, zp, h, w, v, d, acc)
-        },
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        (Kernel::Sse41, Bitwidth::B8) => unsafe {
-            x86::block_gemm_sse41_b8(bytes, zp, h, w, v, d, acc)
-        },
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        // SAFETY: the CPU supports AVX2 (asserted above).
         (Kernel::Avx2, Bitwidth::B2) => unsafe {
             x86::block_gemm_avx2_b2(bytes, zp, h, w, v, d, acc)
         },
@@ -738,12 +572,9 @@ pub(crate) fn block_gemm(
         (Kernel::Avx2, Bitwidth::B8) => unsafe {
             x86::block_gemm_avx2_b8(bytes, zp, h, w, v, d, acc)
         },
-        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        (_, Bitwidth::B2) => block_gemm_scalar_b2(bytes, zp, h, w, v, d, acc),
-        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        (_, Bitwidth::B4) => block_gemm_scalar_b4(bytes, zp, h, w, v, d, acc),
-        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        (_, Bitwidth::B8) => block_gemm_scalar_b8(bytes, zp, h, w, v, d, acc),
+        (_, Bitwidth::B2) => block_gemm_scalar(unpack_b2_scalar, bytes, zp, h, w, v, d, acc),
+        (_, Bitwidth::B4) => block_gemm_scalar(unpack_b4_scalar, bytes, zp, h, w, v, d, acc),
+        (_, Bitwidth::B8) => block_gemm_scalar(unpack_b8_scalar, bytes, zp, h, w, v, d, acc),
     }
 }
 
@@ -760,19 +591,17 @@ pub(crate) fn gemm_i32(
     n: usize,
     out: &mut [i32],
 ) {
-    debug_assert!(kernel.is_supported());
+    assert!(
+        kernel.is_supported(),
+        "{kernel} is not supported by this CPU"
+    );
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
     match kernel {
-        Kernel::Scalar => gemm_i32_scalar(a, za, b, m, k, n, out),
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        // SAFETY: `kernel` comes from `active_kernel`/`is_supported`
-        // checks, so the required CPU feature is present.
-        Kernel::Sse41 => unsafe { x86::gemm_i32_sse41(a, za, b, m, k, n, out) },
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        // SAFETY: the CPU supports AVX2 (asserted above).
         Kernel::Avx2 => unsafe { x86::gemm_i32_avx2(a, za, b, m, k, n, out) },
-        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
         _ => gemm_i32_scalar(a, za, b, m, k, n, out),
     }
 }
@@ -791,37 +620,22 @@ pub(crate) fn quantize_codes(
     max_code: u32,
     out: &mut [u32],
 ) {
-    debug_assert!(kernel.is_supported());
+    assert!(
+        kernel.is_supported(),
+        "{kernel} is not supported by this CPU"
+    );
     debug_assert_eq!(values.len(), out.len());
-    // The SIMD paths add `zp` in i32; a zero point past the safe bound
+    // The AVX2 path adds `zp` in i32; a zero point past the safe bound
     // could overflow the add, so such a block runs scalar end to end.
     // (Min-max calibration never produces one — correctness just must
     // not depend on that.)
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    let zp_safe = zp.unsigned_abs() <= 1 << 30;
     match kernel {
-        Kernel::Scalar => quantize_codes_scalar(values, scale, zp, max_code, out),
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        Kernel::Sse41 => {
-            if zp_safe {
-                // SAFETY: `kernel` comes from `active_kernel`/
-                // `is_supported` checks, so the required CPU feature is
-                // present; `zp` was just bounds-checked.
-                unsafe { x86::quantize_codes_sse41(values, scale, zp, max_code, out) }
-            } else {
-                quantize_codes_scalar(values, scale, zp, max_code, out)
-            }
-        }
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        Kernel::Avx2 => {
-            if zp_safe {
-                // SAFETY: as above.
-                unsafe { x86::quantize_codes_avx2(values, scale, zp, max_code, out) }
-            } else {
-                quantize_codes_scalar(values, scale, zp, max_code, out)
-            }
-        }
-        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+        // SAFETY: the CPU supports AVX2 (asserted above) and the guard
+        // bounds `zp`.
+        Kernel::Avx2 if zp.unsigned_abs() <= 1 << 30 => unsafe {
+            x86::quantize_codes_avx2(values, scale, zp, max_code, out)
+        },
         _ => quantize_codes_scalar(values, scale, zp, max_code, out),
     }
 }
@@ -831,36 +645,21 @@ pub(crate) fn quantize_codes(
 /// of [`crate::SymmetricInt8::quantize_rowwise`]. Bit-identical to the
 /// scalar map on every kernel.
 pub(crate) fn quantize_symmetric_i8(kernel: Kernel, values: &[f32], scale: f32, out: &mut [i8]) {
-    debug_assert!(kernel.is_supported());
+    assert!(
+        kernel.is_supported(),
+        "{kernel} is not supported by this CPU"
+    );
     debug_assert_eq!(values.len(), out.len());
     // A non-positive or non-finite scale routes NaN quotients through the
     // scalar map's NaN semantics; rowwise calibration never produces one
     // — correctness just must not depend on that.
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    let scale_safe = scale.is_finite() && scale > 0.0;
     match kernel {
-        Kernel::Scalar => quantize_symmetric_scalar(values, scale, out),
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        Kernel::Sse41 => {
-            if scale_safe {
-                // SAFETY: `kernel` comes from `active_kernel`/
-                // `is_supported` checks, so the required CPU feature is
-                // present; `scale` was just bounds-checked.
-                unsafe { x86::quantize_symmetric_sse41(values, scale, out) }
-            } else {
-                quantize_symmetric_scalar(values, scale, out)
-            }
-        }
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        Kernel::Avx2 => {
-            if scale_safe {
-                // SAFETY: as above.
-                unsafe { x86::quantize_symmetric_avx2(values, scale, out) }
-            } else {
-                quantize_symmetric_scalar(values, scale, out)
-            }
-        }
-        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+        // SAFETY: the CPU supports AVX2 (asserted above) and the guard
+        // bounds `scale`.
+        Kernel::Avx2 if scale.is_finite() && scale > 0.0 => unsafe {
+            x86::quantize_symmetric_avx2(values, scale, out)
+        },
         _ => quantize_symmetric_scalar(values, scale, out),
     }
 }

@@ -7,18 +7,20 @@
 //! row-major panels, dispatched on the same [`Kernel`] value as every
 //! other hot loop in the workspace.
 //!
-//! The SIMD paths widen 16 (SSE4.1) or 32 (AVX2) signed bytes to i16
-//! lanes (`pmovsxbw`) and multiply-accumulate pairs into i32 lanes
-//! (`pmaddwd` — exact: |product| ≤ 127² = 16129, and a pair sum fits
+//! The AVX2 path widens 32 signed bytes at a time to i16 lanes
+//! (`vpmovsxbw`) and multiply-accumulates pairs into i32 lanes
+//! (`vpmaddwd` — exact: |product| ≤ 127² = 16129, and a pair sum fits
 //! i16×2 comfortably inside i32). Every product is exact and i32
 //! addition is associative, so the horizontal lane sum equals the
 //! scalar left-to-right sum **bit for bit** on any input — pinned by
-//! `tests/qkt_equivalence.rs` on all kernels the host supports.
+//! `tests/qkt_equivalence.rs` on all kernels the host supports. The
+//! dispatcher asserts that the CPU supports the kernel it is given
+//! before the AVX2 body runs.
 //!
 //! Accumulators do not overflow for any realistic head dimension:
 //! |acc| ≤ d·127², so i32 holds every `d` up to ~133 000.
 
-// The SIMD paths need `unsafe` for intrinsics; bounds are established by
+// The AVX2 path needs `unsafe` for intrinsics; bounds are established by
 // the safe dispatchers (shapes validated by the public wrappers).
 #![allow(unsafe_code)]
 
@@ -49,35 +51,10 @@ mod x86 {
 
     /// Horizontal sum of 4 i32 lanes (exact — i32 addition commutes).
     #[inline]
-    #[target_feature(enable = "sse4.1")]
+    #[target_feature(enable = "avx2")]
     unsafe fn hsum_epi32_sse(v: __m128i) -> i32 {
         let hi = _mm_add_epi32(v, _mm_shuffle_epi32(v, 0b01_00_11_10));
         _mm_cvtsi128_si32(_mm_add_epi32(hi, _mm_shuffle_epi32(hi, 0b00_00_00_01)))
-    }
-
-    /// i8 dot product over `n` elements, 16 bytes per step.
-    #[inline]
-    #[target_feature(enable = "sse4.1")]
-    unsafe fn dot_i8_sse41(a: *const i8, b: *const i8, n: usize) -> i32 {
-        let mut accv = _mm_setzero_si128();
-        let mut j = 0usize;
-        while j + 16 <= n {
-            let av = _mm_loadu_si128(a.add(j) as *const __m128i);
-            let bv = _mm_loadu_si128(b.add(j) as *const __m128i);
-            let alo = _mm_cvtepi8_epi16(av);
-            let ahi = _mm_cvtepi8_epi16(_mm_srli_si128(av, 8));
-            let blo = _mm_cvtepi8_epi16(bv);
-            let bhi = _mm_cvtepi8_epi16(_mm_srli_si128(bv, 8));
-            accv = _mm_add_epi32(accv, _mm_madd_epi16(alo, blo));
-            accv = _mm_add_epi32(accv, _mm_madd_epi16(ahi, bhi));
-            j += 16;
-        }
-        let mut sum = hsum_epi32_sse(accv);
-        while j < n {
-            sum += *a.add(j) as i32 * *b.add(j) as i32;
-            j += 1;
-        }
-        sum
     }
 
     /// i8 dot product over `n` elements, 32 bytes per step.
@@ -119,26 +96,6 @@ mod x86 {
     }
 
     /// # Safety
-    /// Caller must ensure SSE4.1 and validated panel shapes.
-    #[target_feature(enable = "sse4.1")]
-    pub(super) unsafe fn qkt_sse41(
-        q: &[i8],
-        h: usize,
-        k: &[i8],
-        w: usize,
-        d: usize,
-        acc: &mut [i32],
-    ) {
-        for r in 0..h {
-            let qp = q.as_ptr().add(r * d);
-            let arow = &mut acc[r * w..(r + 1) * w];
-            for (c, slot) in arow.iter_mut().enumerate() {
-                *slot = dot_i8_sse41(qp, k.as_ptr().add(c * d), d);
-            }
-        }
-    }
-
-    /// # Safety
     /// Caller must ensure AVX2 and validated panel shapes.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn qkt_avx2(
@@ -164,17 +121,15 @@ mod x86 {
 /// are *keys*, i.e. the panel is already transposed relative to the
 /// score matrix). Results overwrite `acc` (`h·w`).
 fn qkt_i8_i32(kernel: Kernel, q: &[i8], h: usize, k: &[i8], w: usize, d: usize, acc: &mut [i32]) {
-    debug_assert!(kernel.is_supported());
+    assert!(
+        kernel.is_supported(),
+        "{kernel} is not supported by this CPU"
+    );
     match kernel {
-        Kernel::Scalar => qkt_scalar(q, h, k, w, d, acc),
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        // SAFETY: `kernel` comes from `active_kernel`/`is_supported`
-        // checks, so the required CPU feature is present; shapes are
-        // validated by the public wrappers.
-        Kernel::Sse41 => unsafe { x86::qkt_sse41(q, h, k, w, d, acc) },
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        // SAFETY: the CPU supports AVX2 (asserted above); shapes are
+        // validated by the public wrapper.
         Kernel::Avx2 => unsafe { x86::qkt_avx2(q, h, k, w, d, acc) },
-        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
         _ => qkt_scalar(q, h, k, w, d, acc),
     }
 }
@@ -245,7 +200,7 @@ mod tests {
 
     #[test]
     fn kernels_agree_on_ragged_depths() {
-        // Depths straddling the 16/32-byte SIMD steps, including tails.
+        // Depths straddling the 16/32-byte AVX2 steps, including tails.
         for d in [1usize, 7, 15, 16, 17, 31, 32, 33, 48, 64, 100] {
             let (h, w) = (3usize, 5usize);
             let q: Vec<i8> = (0..h * d).map(|i| ((i * 37 + 11) % 255) as i8).collect();

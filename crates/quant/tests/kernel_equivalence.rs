@@ -1,8 +1,8 @@
-//! Bit-exactness of the SIMD micro-kernels against the scalar reference.
+//! Bit-exactness of the AVX2 micro-kernels against the scalar reference.
 //!
-//! Every dispatchable kernel (`scalar`, `sse4.1`, `avx2` where the host
-//! supports them) must produce **bit-identical i32 accumulators** — the
-//! SIMD paths reorder additions and multiply zero codes instead of
+//! Every dispatchable kernel (`scalar`, and `avx2` where the host
+//! supports it) must produce **bit-identical i32 accumulators** — the
+//! AVX2 paths reorder additions and multiply zero codes instead of
 //! skipping them, both of which are exact in wrapping i32 arithmetic, so
 //! any divergence is a bug, not rounding. Test names are prefixed
 //! `kernel_` so the CI sanitizer job can select exactly this suite.

@@ -3,27 +3,27 @@
 //! The PARO accelerator maps mixed-bitwidth blocks onto reconfigurable
 //! multipliers; the software analogue on a CPU is per-ISA micro-kernels
 //! picked once at startup. This module is the dispatch substrate shared
-//! by every hot loop in the workspace: it detects the widest available
-//! x86 vector extension (AVX2 > SSE4.1 > scalar), honors the
-//! `PARO_KERNEL` environment variable as a downgrade override, and hosts
-//! the f32 matmul drivers. The integer kernels in `paro-quant` dispatch
-//! on the same [`Kernel`] value so one process always runs one
-//! consistent kernel set.
+//! by every hot loop in the workspace: it runs AVX2 when the x86 CPU has
+//! it and the scalar reference otherwise, honors the `PARO_KERNEL`
+//! environment variable as a downgrade override, and hosts the f32
+//! matmul drivers. The integer kernels in `paro-quant` dispatch on the
+//! same [`Kernel`] value so one process always runs one consistent
+//! kernel set.
 //!
 //! # The f32 matmul
 //!
 //! The scalar driver is the reference: an axpy row stream that adds
-//! `a[i,p]·b[p,·]` into output row `i` for `p` ascending. The SIMD
-//! drivers are register-blocked instead. A column panel of `b` (16
-//! columns for AVX2, 8 for SSE4.1) is packed once into contiguous rows,
-//! and each 6-row tile of `a` runs over it with its 6×16 (or 6×8) sums in
-//! twelve vector registers: per `k` step, two panel loads, six broadcast
-//! `a` values, twelve multiplies and twelve adds. The output is written
-//! once per tile instead of loaded and stored for every `k`.
+//! `a[i,p]·b[p,·]` into output row `i` for `p` ascending. The AVX2
+//! driver is register-blocked instead. A 16-column panel of `b` is
+//! packed once into contiguous rows, and each 6-row tile of `a` runs
+//! over it with its 6×16 sums in twelve ymm registers: per `k` step, two
+//! panel loads, six broadcast `a` values, twelve multiplies and twelve
+//! adds. The output is written once per tile instead of loaded and
+//! stored for every `k`.
 //!
 //! # Bit-identity contract
 //!
-//! Every SIMD driver produces **bit-identical** results to the scalar
+//! The AVX2 driver produces **bit-identical** results to the scalar
 //! reference:
 //!
 //! - integer kernels are exact by construction (i32 adds commute);
@@ -45,7 +45,7 @@
 //!
 //! The equivalence suites (`tensor/tests/matmul_kernels.rs`,
 //! `quant/tests/kernel_equivalence.rs`) pin this contract on every
-//! kernel the host can run.
+//! kernel the host can run; a CPU without AVX2 runs only the reference.
 
 // SIMD intrinsics are the one place the workspace needs `unsafe`; every
 // block is bounded by explicit slice lengths checked in the safe callers.
@@ -60,8 +60,6 @@ pub enum Kernel {
     /// Portable scalar reference — always available, the semantic ground
     /// truth every SIMD path must match bit for bit.
     Scalar,
-    /// x86-64 SSE4.1: 4×f32 / 4×i32 lanes (`_mm_mullo_epi32` needs 4.1).
-    Sse41,
     /// x86-64 AVX2: 8×f32 / 8×i32 lanes plus variable shifts for the
     /// packed-code unpack.
     Avx2,
@@ -70,24 +68,23 @@ pub enum Kernel {
 impl Kernel {
     /// Every kernel this build knows about, in preference order
     /// (scalar first).
-    pub const ALL: &'static [Kernel] = &[Kernel::Scalar, Kernel::Sse41, Kernel::Avx2];
+    pub const ALL: &'static [Kernel] = &[Kernel::Scalar, Kernel::Avx2];
 
     /// Stable lowercase name, as printed in reports and accepted by
     /// `PARO_KERNEL`.
     pub fn as_str(self) -> &'static str {
         match self {
             Kernel::Scalar => "scalar",
-            Kernel::Sse41 => "sse4.1",
             Kernel::Avx2 => "avx2",
         }
     }
 
-    /// Whether the running CPU can execute this kernel.
+    /// Whether the running CPU can execute this kernel. Inlined: every
+    /// kernel dispatcher checks it once per call, that is once per block.
+    #[inline]
     pub fn is_supported(self) -> bool {
         match self {
             Kernel::Scalar => true,
-            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            Kernel::Sse41 => is_x86_feature_detected!("sse4.1"),
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
             Kernel::Avx2 => is_x86_feature_detected!("avx2"),
             #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
@@ -117,11 +114,7 @@ pub struct ParseKernelError(pub String);
 
 impl std::fmt::Display for ParseKernelError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown kernel '{}' (use scalar, sse4.1 or avx2)",
-            self.0
-        )
+        write!(f, "unknown kernel '{}' (use scalar or avx2)", self.0)
     }
 }
 
@@ -133,7 +126,6 @@ impl FromStr for Kernel {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "scalar" => Ok(Kernel::Scalar),
-            "sse4.1" | "sse41" | "sse" => Ok(Kernel::Sse41),
             "avx2" => Ok(Kernel::Avx2),
             other => Err(ParseKernelError(other.to_string())),
         }
@@ -155,67 +147,29 @@ pub fn detected() -> Kernel {
 pub struct Dispatch {
     /// The kernel every dispatched hot loop runs.
     pub kernel: Kernel,
-    /// `true` when `PARO_KERNEL` (or [`force`]) overrode detection.
+    /// `true` when `PARO_KERNEL` overrode detection.
     pub forced: bool,
 }
 
-fn env_dispatch() -> Dispatch {
-    let best = detected();
-    match std::env::var("PARO_KERNEL") {
-        // The override can only *downgrade*: forcing a kernel the CPU
-        // lacks would fault on the first intrinsic, so unknown names and
-        // unsupported kernels clamp to the detected best.
-        Ok(name) => match name.parse::<Kernel>() {
-            Ok(k) if k.is_supported() => Dispatch {
-                kernel: k.min(best),
-                forced: k.min(best) != best,
-            },
-            Ok(_) | Err(_) => Dispatch {
-                kernel: best,
-                forced: false,
-            },
-        },
-        Err(_) => Dispatch {
-            kernel: best,
-            forced: false,
-        },
+/// Resolves a `PARO_KERNEL` value against the `detected` kernel. The
+/// override can only *downgrade*: an unknown name, or a kernel wider
+/// than `detected` (one the CPU cannot run), leaves `detected` in place
+/// and the run unforced.
+fn env_dispatch(raw: Option<&str>, detected: Kernel) -> Dispatch {
+    let kernel = raw
+        .and_then(|name| name.parse::<Kernel>().ok())
+        .map_or(detected, |k| k.min(detected));
+    Dispatch {
+        kernel,
+        forced: kernel != detected,
     }
 }
 
-/// Process-wide dispatch override installed by [`force`]; 0 = none,
-/// otherwise `1 + kernel index`.
-static FORCED: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-/// Forces every subsequent [`active`] resolution to `kernel` (pass
-/// `None` to restore `PARO_KERNEL`/detection). Benchmarks use this to
-/// measure the scalar reference in the same process as the dispatched
-/// path; the override is ignored if the CPU cannot run `kernel`.
-pub fn force(kernel: Option<Kernel>) {
-    let v = match kernel {
-        Some(k) if k.is_supported() => 1 + k as u8,
-        _ => 0,
-    };
-    FORCED.store(v, std::sync::atomic::Ordering::SeqCst);
-}
-
-/// The dispatch decision for this process: the forced kernel if [`force`]
-/// is in effect, else the `PARO_KERNEL`-aware detection result (computed
-/// once and cached).
+/// The dispatch decision for this process: the `PARO_KERNEL`-aware
+/// detection result, computed once and cached.
 pub fn active() -> Dispatch {
-    match FORCED.load(std::sync::atomic::Ordering::SeqCst) {
-        0 => {
-            static ENV: OnceLock<Dispatch> = OnceLock::new();
-            *ENV.get_or_init(env_dispatch)
-        }
-        v => Dispatch {
-            kernel: match v - 1 {
-                0 => Kernel::Scalar,
-                1 => Kernel::Sse41,
-                _ => Kernel::Avx2,
-            },
-            forced: true,
-        },
-    }
+    static ENV: OnceLock<Dispatch> = OnceLock::new();
+    *ENV.get_or_init(|| env_dispatch(std::env::var("PARO_KERNEL").ok().as_deref(), detected()))
 }
 
 /// The kernel every dispatched hot loop currently runs.
@@ -229,8 +183,11 @@ pub fn active_kernel() -> Kernel {
 /// `B` panel per segment.
 pub const TILE_K: usize = 256;
 
-/// Rows of every f32 register tile: six broadcast `a` values per `k` step.
+/// Rows of the f32 register tile: six broadcast `a` values per `k` step.
 const MR: usize = 6;
+
+/// Columns of the f32 register tile: two 8-lane ymm registers per row.
+const NR: usize = 16;
 
 /// Scalar reference: `out = a·b` as an axpy row stream, one
 /// `out[i, ·] += a[i, p] · b[p, ·]` per `p` in ascending order, a row's
@@ -263,7 +220,7 @@ fn matmul_driver_scalar(
     }
 }
 
-/// Register-blocked `out = a·b` for the SIMD kernels. Columns are taken
+/// Register-blocked `out = a·b` for the AVX2 kernel. Columns are taken
 /// `NR` at a time: the column panel of `b` is packed once into `k` rows
 /// of `NR` floats (zero-padded past `n`), then every `MR`-row tile of `a`
 /// runs `tile` over it one `TILE_K` segment at a time, its sums carried
@@ -271,7 +228,7 @@ fn matmul_driver_scalar(
 /// and column remainders compute on the zero padding; both extra results
 /// are discarded, so remainders run the same SIMD tile as full tiles.
 #[allow(clippy::too_many_arguments)]
-fn matmul_tiled<const NR: usize>(
+fn matmul_tiled(
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
@@ -300,8 +257,11 @@ fn matmul_tiled<const NR: usize>(
                 if skip_zeros && rows.iter().all(|row| row[k0..k1].iter().all(|&v| v == 0.0)) {
                     continue;
                 }
+                // `from_fn` rather than `rows.map`: the compiler left the
+                // `map` an out-of-line call per segment, which slowed a
+                // 1152×256×1024 product by about a fifth.
                 tile(
-                    &rows.map(|row| &row[k0..k1]),
+                    &std::array::from_fn(|r| &rows[r][k0..k1]),
                     &panel[k0 * NR..k1 * NR],
                     &mut acc,
                 );
@@ -315,92 +275,59 @@ fn matmul_tiled<const NR: usize>(
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod x86 {
-    use super::MR;
+    use super::{MR, NR};
     #[cfg(target_arch = "x86")]
     use std::arch::x86::*;
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
 
-    /// One `MR × 2·LANES` register tile: `acc[r][j] += rows[r][p] ·
-    /// panel[p·NR + j]` for `p` ascending, in `2·MR` vector accumulators
+    /// One `MR × NR` register tile: `acc[r][j] += rows[r][p] ·
+    /// panel[p·NR + j]` for `p` ascending, in `2·MR` ymm accumulators
     /// with a separate multiply and add (no FMA), so every sum rounds
     /// exactly as the scalar reference's.
-    macro_rules! register_tile {
-        ($name:ident, $feature:literal, $lanes:literal, $zero:ident, $load:ident, $store:ident,
-         $set1:ident, $mul:ident, $add:ident) => {
-            /// # Safety
-            /// The CPU must support the tile's target feature.
-            #[target_feature(enable = $feature)]
-            pub(super) unsafe fn $name(
-                rows: &[&[f32]; MR],
-                panel: &[f32],
-                acc: &mut [[f32; 2 * $lanes]; MR],
-            ) {
-                const NR: usize = 2 * $lanes;
-                let kt = panel.len() / NR;
-                // The raw reads below rely on these lengths.
-                assert!(
-                    panel.len() == kt * NR && rows.iter().all(|row| row.len() == kt),
-                    "register tile operands disagree"
-                );
-                let mut c = [[$zero(); 2]; MR];
-                for (cr, ar) in c.iter_mut().zip(acc.iter()) {
-                    // SAFETY: `ar` holds `NR = 2·LANES` floats.
-                    cr[0] = $load(ar.as_ptr());
-                    cr[1] = $load(ar.as_ptr().add($lanes));
-                }
-                for p in 0..kt {
-                    // SAFETY: `p < kt` and `panel` holds `kt` rows of `NR`
-                    // floats (asserted above).
-                    let bp = panel.as_ptr().add(p * NR);
-                    let b0 = $load(bp);
-                    let b1 = $load(bp.add($lanes));
-                    for (cr, row) in c.iter_mut().zip(rows) {
-                        // SAFETY: every row holds `kt > p` floats
-                        // (asserted above).
-                        let av = $set1(*row.as_ptr().add(p));
-                        cr[0] = $add(cr[0], $mul(av, b0));
-                        cr[1] = $add(cr[1], $mul(av, b1));
-                    }
-                }
-                for (cr, ar) in c.iter().zip(acc.iter_mut()) {
-                    // SAFETY: `ar` holds `NR = 2·LANES` floats.
-                    $store(ar.as_mut_ptr(), cr[0]);
-                    $store(ar.as_mut_ptr().add($lanes), cr[1]);
-                }
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn tile_avx2(rows: &[&[f32]; MR], panel: &[f32], acc: &mut [[f32; NR]; MR]) {
+        let kt = panel.len() / NR;
+        // The raw reads below rely on these lengths.
+        assert!(
+            panel.len() == kt * NR && rows.iter().all(|row| row.len() == kt),
+            "register tile operands disagree"
+        );
+        let mut c = [[_mm256_setzero_ps(); 2]; MR];
+        for (cr, ar) in c.iter_mut().zip(acc.iter()) {
+            // SAFETY: `ar` holds `NR = 16` floats.
+            cr[0] = _mm256_loadu_ps(ar.as_ptr());
+            cr[1] = _mm256_loadu_ps(ar.as_ptr().add(8));
+        }
+        for p in 0..kt {
+            // SAFETY: `p < kt` and `panel` holds `kt` rows of `NR` floats
+            // (asserted above).
+            let bp = panel.as_ptr().add(p * NR);
+            let b0 = _mm256_loadu_ps(bp);
+            let b1 = _mm256_loadu_ps(bp.add(8));
+            for (cr, row) in c.iter_mut().zip(rows) {
+                // SAFETY: every row holds `kt > p` floats (asserted above).
+                let av = _mm256_set1_ps(*row.as_ptr().add(p));
+                cr[0] = _mm256_add_ps(cr[0], _mm256_mul_ps(av, b0));
+                cr[1] = _mm256_add_ps(cr[1], _mm256_mul_ps(av, b1));
             }
-        };
+        }
+        for (cr, ar) in c.iter().zip(acc.iter_mut()) {
+            // SAFETY: `ar` holds `NR = 16` floats.
+            _mm256_storeu_ps(ar.as_mut_ptr(), cr[0]);
+            _mm256_storeu_ps(ar.as_mut_ptr().add(8), cr[1]);
+        }
     }
-
-    register_tile!(
-        tile_sse41,
-        "sse4.1",
-        4,
-        _mm_setzero_ps,
-        _mm_loadu_ps,
-        _mm_storeu_ps,
-        _mm_set1_ps,
-        _mm_mul_ps,
-        _mm_add_ps
-    );
-    register_tile!(
-        tile_avx2,
-        "avx2",
-        8,
-        _mm256_setzero_ps,
-        _mm256_loadu_ps,
-        _mm256_storeu_ps,
-        _mm256_set1_ps,
-        _mm256_mul_ps,
-        _mm256_add_ps
-    );
 }
 
 /// `out[m,n] = a[m,k] · b[k,n]` dispatched to `kernel`; `out`'s previous
 /// contents are overwritten.
 ///
-/// AVX2 runs a 6×16 register tile, SSE4.1 a 6×8 one (see
-/// [`crate::kernel`] for why they match the scalar reference bit for bit).
+/// AVX2 runs a 6×16 register tile (see [`crate::kernel`] for why it
+/// matches the scalar reference bit for bit).
 ///
 /// `skip_zeros` must be `false` when `b` contains non-finite values so
 /// IEEE `0·NaN = NaN` propagation survives; the caller checks this once.
@@ -423,22 +350,13 @@ pub fn matmul_f32(
         "{kernel} is not supported by this CPU"
     );
     match kernel {
-        Kernel::Scalar => matmul_driver_scalar(a, b, out, m, k, n, skip_zeros),
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        Kernel::Sse41 => {
-            matmul_tiled::<8>(a, b, out, m, k, n, skip_zeros, |rows, panel, acc| {
-                // SAFETY: the CPU supports SSE4.1 (asserted above).
-                unsafe { x86::tile_sse41(rows, panel, acc) }
-            })
-        }
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         Kernel::Avx2 => {
-            matmul_tiled::<16>(a, b, out, m, k, n, skip_zeros, |rows, panel, acc| {
+            matmul_tiled(a, b, out, m, k, n, skip_zeros, |rows, panel, acc| {
                 // SAFETY: the CPU supports AVX2 (asserted above).
                 unsafe { x86::tile_avx2(rows, panel, acc) }
             })
         }
-        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
         _ => matmul_driver_scalar(a, b, out, m, k, n, skip_zeros),
     }
 }
@@ -452,7 +370,7 @@ mod tests {
         for &k in Kernel::ALL {
             assert_eq!(k.as_str().parse::<Kernel>().unwrap(), k);
         }
-        assert_eq!("SSE41".parse::<Kernel>().unwrap(), Kernel::Sse41);
+        assert!("SSE41".parse::<Kernel>().is_err());
         assert!("neon".parse::<Kernel>().is_err());
         let err = "neon".parse::<Kernel>().unwrap_err();
         assert!(err.to_string().contains("neon"));
@@ -472,27 +390,30 @@ mod tests {
     }
 
     #[test]
-    fn force_overrides_and_restores() {
-        force(Some(Kernel::Scalar));
-        assert_eq!(active().kernel, Kernel::Scalar);
-        assert!(active().forced);
-        force(None);
-        let d = active();
-        assert!(d.kernel.is_supported());
-        // Without PARO_KERNEL set, the cached resolution is the detected
-        // best (the test environment does not set the variable).
-        if std::env::var("PARO_KERNEL").is_err() {
-            assert_eq!(d.kernel, detected());
-            assert!(!d.forced);
+    fn paro_kernel_only_downgrades() {
+        let resolve = |raw, detected| {
+            let d = env_dispatch(raw, detected);
+            (d.kernel, d.forced)
+        };
+        for detected in Kernel::ALL.iter().copied() {
+            let kept = (detected, false);
+            assert_eq!(resolve(None, detected), kept);
+            assert_eq!(
+                resolve(Some("scalar"), detected),
+                (Kernel::Scalar, detected == Kernel::Avx2)
+            );
+            for raw in ["avx2", "sse4.1", "neon", ""] {
+                assert_eq!(resolve(Some(raw), detected), kept, "PARO_KERNEL={raw:?}");
+            }
         }
     }
 
     /// Rows 18..=23 are three full row tiles plus every row remainder,
-    /// columns 48..=63 three full 16-wide panels (six 8-wide ones) plus
-    /// every column remainder, and `k` crosses `TILE_K`. Every third
-    /// row has an all-zero second segment, so the bypass fires for some
-    /// tiles and mixes with computed rows in others; the non-finite pass
-    /// disables it and poisons one column per panel.
+    /// columns 48..=63 three full 16-wide panels plus every column
+    /// remainder, and `k` crosses `TILE_K`. Every third row has an
+    /// all-zero second segment, so the bypass fires for some tiles and
+    /// mixes with computed rows in others; the non-finite pass disables
+    /// it and poisons one column per panel.
     #[test]
     fn drivers_match_scalar_bit_for_bit() {
         let k = TILE_K + 13;

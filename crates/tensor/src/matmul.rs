@@ -24,10 +24,10 @@ impl Tensor {
     /// [`Tensor::matmul`] on an explicit [`Kernel`] instead of the
     /// dispatched one. Outputs are bit-identical across kernels; the
     /// equivalence tests and in-process benchmark comparisons use this to
-    /// pin SIMD paths against the scalar reference.
+    /// pin the AVX2 path against the scalar reference.
     ///
-    /// The SIMD kernels run a register tile — 6 rows × 16 columns on AVX2,
-    /// 6 × 8 on SSE4.1 — over a packed column panel of `other`. Each
+    /// The AVX2 kernel runs a register tile of 6 rows × 16 columns over a
+    /// packed column panel of `other`. Each
     /// output still adds its `k` products in ascending `k` from `+0`, with
     /// a separate multiply and add (never FMA), so the roundings are the
     /// scalar reference's. An all-zero 256-element `k` segment of `self`

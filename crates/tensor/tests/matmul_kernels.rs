@@ -4,8 +4,8 @@
 //! Every kernel adds each output's `k` products in the same order, so
 //! outputs must be **bit-identical** — including when the zero-segment
 //! bypass fires and when non-finite right-hand values disable it. Shapes
-//! span several full 6-row register tiles and 16-wide (AVX2) / 8-wide
-//! (SSE4.1) column panels plus every row and column remainder. Test
+//! span several full 6-row register tiles and 16-wide (AVX2) column
+//! panels plus every row and column remainder. Test
 //! names are prefixed `kernel_` so the CI sanitizer job can select
 //! exactly this suite.
 

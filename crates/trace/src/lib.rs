@@ -163,7 +163,7 @@ pub mod stage {
     pub const SERVE_FALLBACK: &str = "serve.fallback";
     /// One-shot kernel-dispatch resolution: a zero-length span emitted at
     /// session start whose `detail` names the micro-kernel every hot loop
-    /// runs (`scalar` / `sse4.1` / `avx2`).
+    /// runs (`scalar` / `avx2`).
     pub const KERNEL_DISPATCH: &str = "kernel.dispatch";
     /// Reading + structural validation of a plan artifact at engine
     /// startup (and the per-request artifact lookup on a plan-cache
