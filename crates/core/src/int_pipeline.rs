@@ -6,9 +6,8 @@
 //! way the accelerator does, as one fused pass per block row of the map:
 //! integer `QKᵀ` over the row's live blocks (LDZ output-aware or exact)
 //! and the row's softmax, per-block min-max quantization into packed
-//! 2/4/8-bit codes (nothing for 0-bit blocks), and `AttnV` on the
-//! per-bitwidth i32 micro-kernels of [`paro_quant::AttnVOperand`] against
-//! per-column INT8 `V`. A block row holds whole softmax rows and a
+//! 2/4/8-bit codes (nothing for 0-bit blocks), and `AttnV` on the block
+//! body of [`paro_quant::AttnVOperand`] against per-column INT8 `V`. A block row holds whole softmax rows and a
 //! block's quantization parameters depend only on that block, so the
 //! fused pass yields the codes, counts and output of quantizing the whole
 //! map first, bit for bit, while holding one block row of it: a head
@@ -249,7 +248,7 @@ fn prepare(
     let attn = AttnVOperand::new(&vq, kernel)?;
     let v_payload_bytes = vq.payload_bytes() as u64;
     drop(vq);
-    scorer.build_ldz();
+    scorer.build_panels()?;
     let head = Head {
         scorer,
         attn,

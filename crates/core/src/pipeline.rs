@@ -506,12 +506,12 @@ pub(crate) fn output_aware_map_with(
     kernel: Kernel,
 ) -> Result<Tensor, CoreError> {
     let mut scorer = RowScorer::new(q, k, grid, Some(bits.into()), kernel)?;
-    scorer.build_ldz();
+    scorer.build_panels()?;
     scorer.whole_map()
 }
 
 /// The exact (non-output-aware) integer `QKᵀ` of the deployment path:
-/// symmetric INT8 scores on the dispatched i8×i8→i32 kernel — exactly
+/// symmetric INT8 scores on the dispatched score kernel — exactly
 /// the fixed-point multiply the PEs run, with no LDZ truncation and no
 /// block bypass. Every key column participates in every softmax row, so
 /// the semantics match the f32 [`attention_map`] up to the INT8 operand
@@ -529,7 +529,9 @@ pub(crate) fn exact_int_map_with(
 ) -> Result<Tensor, CoreError> {
     // Any row panel scores the same map; this one bounds the scratch.
     let rows = BlockGrid::square(EXACT_ROW_PANEL)?;
-    RowScorer::new(q, k, rows, None, kernel)?.whole_map()
+    let mut scorer = RowScorer::new(q, k, rows, None, kernel)?;
+    scorer.build_panels()?;
+    scorer.whole_map()
 }
 
 /// Map rows per block row of [`exact_int_map`]'s scorer.

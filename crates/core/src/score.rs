@@ -7,18 +7,15 @@
 
 use crate::ldz;
 use crate::CoreError;
-use paro_quant::{qkt_block_i32_with, Bitwidth, BlockGrid, QuantError, SymmetricInt8};
+use paro_quant::{
+    qkt_scores_with, Bitwidth, BlockGrid, KeySpan, QuantError, SymmetricInt8, WideRows,
+};
 use paro_tensor::kernel::Kernel;
 use paro_tensor::Tensor;
 use std::sync::Arc;
 
-/// Kept `K` bits of the truncated panels, by slot.
+/// Kept `K` bits of the truncated panels 1 and 2.
 const LDZ_KEEP: [u32; 2] = [2, 4];
-
-/// Most bytes of `K` codes plus i32 accumulators one score-kernel call
-/// touches, so both stay L1-resident while the call walks the block
-/// row's queries (46 six-key blocks, or one 64-key block, at `d = 64`).
-const RUN_BYTES: usize = 24 * 1024;
 
 /// Scores one block row of `softmax(QKᵀ/√d)` at a time on symmetric
 /// INT8 codes of `Q` and `K`.
@@ -37,12 +34,16 @@ const RUN_BYTES: usize = 24 * 1024;
 /// participants can share one read-only scorer across threads.
 pub(crate) struct RowScorer {
     q: SymmetricInt8,
-    k: SymmetricInt8,
-    /// `K` codes truncated to [`LDZ_KEEP`] bits, built once per head for
-    /// the widths the allocation uses (empty otherwise): a truncated
-    /// operand depends only on the key and the kept width, never on the
-    /// query row.
-    ldz: [Vec<i8>; 2],
+    /// `K`'s INT8 codes until [`RowScorer::build_panels`] widens them
+    /// into `panels` and `k_scales`.
+    k: Option<SymmetricInt8>,
+    k_scales: Vec<f32>,
+    /// `K` codes widened to i16 (panel 0), and truncated to
+    /// [`LDZ_KEEP`] bits (panels 1 and 2), built once per head for the
+    /// widths the allocation uses (empty otherwise): a truncated operand
+    /// depends only on the key and the kept width, never on the query
+    /// row.
+    panels: [WideRows; 3],
     bits: Option<Arc<[Bitwidth]>>,
     grid: BlockGrid,
     scale: f32,
@@ -50,12 +51,12 @@ pub(crate) struct RowScorer {
 }
 
 /// The reusable buffers of one row job: the scored block row (`[h, n]`,
-/// row-major) and the integer accumulators behind it.
+/// row-major), its widened queries and its key spans.
 #[derive(Default)]
 pub(crate) struct RowScratch {
     pub(crate) panel: Vec<f32>,
-    acc: Vec<i32>,
-    runs: Vec<(usize, usize, Bitwidth)>,
+    q: WideRows,
+    spans: Vec<KeySpan>,
 }
 
 impl RowScorer {
@@ -90,30 +91,44 @@ impl RowScorer {
         Ok(RowScorer {
             scale: 1.0 / (q.cols() as f32).sqrt(),
             q,
-            k,
-            ldz: [Vec::new(), Vec::new()],
+            k: Some(k),
+            k_scales: Vec::new(),
+            panels: Default::default(),
             bits,
             grid,
             kernel,
         })
     }
 
-    /// Builds the LDZ-truncated `K` panels the allocation needs (one
-    /// `qkt.ldz` span each); a no-op in exact mode. 8-bit blocks keep
-    /// every bit, so they read the raw codes.
-    pub(crate) fn build_ldz(&mut self) {
-        let Some(bits) = &self.bits else { return };
+    /// Widens `K` into the panel the score kernel reads and builds the
+    /// LDZ-truncated panels the allocation needs (one `qkt.ldz` span
+    /// each; none in exact mode); 8-bit blocks keep every bit, so they
+    /// read the widened codes. Scoring needs the panels. Separate from
+    /// [`RowScorer::new`] so that a head widens `K` after its f32
+    /// operands are freed, which keeps the wider codes off the head's
+    /// peak heap.
+    ///
+    /// # Errors
+    ///
+    /// None for a scorer built by [`RowScorer::new`].
+    pub(crate) fn build_panels(&mut self) -> Result<(), CoreError> {
+        let Some(k) = self.k.take() else {
+            return Ok(());
+        };
+        self.panels[0] = WideRows::new(k.codes(), k.rows(), k.cols())?;
+        self.k_scales = k.scales().to_vec();
+        drop(k);
+        let Some(bits) = &self.bits else {
+            return Ok(());
+        };
         for (slot, keep) in LDZ_KEEP.iter().enumerate() {
             if bits.iter().any(|b| b.bits() == *keep) {
                 let _t = paro_trace::span(paro_trace::stage::QKT_LDZ);
-                self.ldz[slot] = self
-                    .k
-                    .codes()
-                    .iter()
-                    .map(|&v| ldz::truncate(v, *keep))
-                    .collect();
+                let lut: [i8; 256] = std::array::from_fn(|c| ldz::truncate(c as u8 as i8, *keep));
+                self.panels[slot + 1] = self.panels[0].map(|v| lut[v as u8 as usize]);
             }
         }
+        Ok(())
     }
 
     /// Map rows (queries).
@@ -123,7 +138,9 @@ impl RowScorer {
 
     /// Map columns (keys).
     pub(crate) fn cols(&self) -> usize {
-        self.k.rows()
+        self.k
+            .as_ref()
+            .map_or(self.k_scales.len(), SymmetricInt8::rows)
     }
 
     /// Number of block rows.
@@ -131,23 +148,15 @@ impl RowScorer {
         self.rows().div_ceil(self.grid.block_rows)
     }
 
-    /// `K` codes for a live block at `bits`.
-    fn k_codes(&self, bits: Bitwidth) -> &[i8] {
-        match bits {
-            Bitwidth::B2 => &self.ldz[0],
-            Bitwidth::B4 => &self.ldz[1],
-            _ => self.k.codes(),
-        }
-    }
-
     /// Scores block row `bi` into `scratch.panel` (`[h, n]`, softmaxed)
-    /// and returns `(first map row, h)`. One `qkt.mac` span covers the
-    /// row's integer micro-kernel calls and their scaling to f32 scores.
+    /// and returns `(first map row, h)`. One `qkt.mac` span covers
+    /// widening the row's queries and the score kernel call, which
+    /// scales the integer sums to f32 scores.
     ///
     /// # Errors
     ///
-    /// Propagates the score kernel's shape checks (unreachable for a
-    /// scorer built by [`RowScorer::new`] with its LDZ panels).
+    /// Propagates the score kernel's shape checks (unreachable once
+    /// [`RowScorer::build_panels`] has run).
     pub(crate) fn score_row(
         &self,
         bi: usize,
@@ -156,73 +165,64 @@ impl RowScorer {
         let (n, d) = (self.cols(), self.q.cols());
         let r0 = bi * self.grid.block_rows;
         let h = self.grid.block_rows.min(self.rows() - r0);
-        let q_codes = &self.q.codes()[r0 * d..(r0 + h) * d];
-        let RowScratch { panel, acc, runs } = scratch;
+        let RowScratch { panel, q, spans } = scratch;
         // Every live lane is overwritten below, so the panel only needs
         // the row's length, not a refill.
         panel.resize(h * n, 0.0);
         if n == 0 {
             return Ok((r0, h));
         }
-        // Runs of adjacent key columns that share one `K` operand — every
-        // column in exact mode, one live bitwidth's block columns in
-        // output-aware mode — so each run is one kernel call. The kernel
-        // streams a run's `K` codes once per query row, so a run is cut
-        // at `RUN_BYTES` of codes and accumulators, and each run's
-        // accumulators are scaled while still hot.
-        let block_cols = self.grid.block_cols;
-        let max_blocks = (RUN_BYTES / ((d + 4 * h) * block_cols).max(1)).max(1);
-        let max_cols = (max_blocks * block_cols).min(n);
-        runs.clear();
+        // The live key columns, as runs that read one panel: every column
+        // in exact mode; in output-aware mode the blocks of each live
+        // bitwidth, while bypassed scores read as −∞.
+        spans.clear();
         match &self.bits {
-            None => {
-                let runs_of = (0..n).step_by(max_cols);
-                runs.extend(runs_of.map(|c0| (c0, (c0 + max_cols).min(n), Bitwidth::B8)));
-            }
+            None => spans.push(KeySpan {
+                cols: 0..n,
+                panel: 0,
+            }),
             Some(bits) => {
+                let block_cols = self.grid.block_cols;
                 let gc = n.div_ceil(block_cols);
-                let row_bits = &bits[bi * gc..(bi + 1) * gc];
-                let mut bj = 0;
-                while bj < gc {
-                    let b = row_bits[bj];
-                    let same = row_bits[bj..].iter().take(max_blocks);
-                    let end = bj + same.take_while(|&&x| x == b).count();
-                    if b != Bitwidth::B0 {
-                        runs.push((bj * block_cols, (end * block_cols).min(n), b));
+                for (bj, &b) in bits[bi * gc..(bi + 1) * gc].iter().enumerate() {
+                    let cols = bj * block_cols..((bj + 1) * block_cols).min(n);
+                    let panel_of = match b {
+                        Bitwidth::B0 => {
+                            for row in panel.chunks_exact_mut(n) {
+                                row[cols.clone()].fill(f32::NEG_INFINITY);
+                            }
+                            continue;
+                        }
+                        Bitwidth::B2 => 1,
+                        Bitwidth::B4 => 2,
+                        Bitwidth::B8 => 0,
+                    };
+                    match spans.last_mut() {
+                        Some(last) if last.panel == panel_of && last.cols.end == cols.start => {
+                            last.cols.end = cols.end;
+                        }
+                        _ => spans.push(KeySpan {
+                            cols,
+                            panel: panel_of,
+                        }),
                     }
-                    bj = end;
                 }
             }
         }
-        // Bypassed scores read as −∞: the gaps between live runs (none in
-        // exact mode).
-        let mut next = 0;
-        for &(c0, c1, _) in runs.iter().chain([(n, n, Bitwidth::B0)].iter()) {
-            if next < c0 {
-                for row in panel.chunks_exact_mut(n) {
-                    row[next..c0].fill(f32::NEG_INFINITY);
-                }
-            }
-            next = c1;
-        }
-        acc.resize(h * max_cols, 0);
         {
             let _mac = paro_trace::span_detailed(paro_trace::stage::QKT_MAC, self.kernel.as_str());
-            for &(c0, c1, b) in runs.iter() {
-                let w = c1 - c0;
-                let run_acc = &mut acc[..h * w];
-                let k_codes = &self.k_codes(b)[c0 * d..c1 * d];
-                qkt_block_i32_with(q_codes, h, k_codes, w, d, run_acc, self.kernel)?;
-                // score = acc · s_q · s_k · 1/√d, in that order.
-                let k_scales = &self.k.scales()[c0..c1];
-                for (r, arow) in run_acc.chunks_exact(w).enumerate() {
-                    let qs = self.q.scales()[r0 + r];
-                    let srow = &mut panel[r * n + c0..r * n + c1];
-                    for ((slot, &a), &ks) in srow.iter_mut().zip(arow).zip(k_scales) {
-                        *slot = a as f32 * qs * ks * self.scale;
-                    }
-                }
-            }
+            q.assign(&self.q.codes()[r0 * d..(r0 + h) * d], h, d)?;
+            let [k, ldz2, ldz4] = &self.panels;
+            qkt_scores_with(
+                q,
+                &self.q.scales()[r0..r0 + h],
+                &[k, ldz2, ldz4],
+                spans,
+                &self.k_scales,
+                self.scale,
+                panel,
+                self.kernel,
+            )?;
         }
         for row in panel.chunks_exact_mut(n) {
             if self.bits.is_some() {

@@ -9,8 +9,10 @@
 //! requires the output bits, the `map_sparsity` bits and every
 //! `IntPathStats` field to match: in both `QKᵀ` modes, on every kernel
 //! the host supports, with `n` not divisible by the block edge, with
-//! all-B0 block rows, with an all-B0 plan and with heads split into
-//! block-row ranges that pool workers share. CI also runs it forced to
+//! all-B0 block rows, with an all-B0 plan, with heads split into
+//! block-row ranges that pool workers share, and at the workloads' shape
+//! (`d = 64`, 6- and 5-token blocks), where the dispatched kernel must
+//! also match the scalar reference bit for bit. CI also runs it forced to
 //! the scalar kernel (`PARO_KERNEL=scalar`) and on one- and three-thread
 //! compute pools (`PARO_POOL_THREADS=1` and `3`).
 
@@ -25,16 +27,22 @@ use paro_core::pool::ComputePool;
 use paro_model::patterns::{synthesize_head, PatternKind, PatternSpec};
 use paro_model::TokenGrid;
 use paro_quant::{
-    fake_quant_2d, fake_quant_blocks, packed_attn_v_with, qkt_block_i32_with, Bitwidth, BlockGrid,
-    Grouping, MixedPrecisionMap, PackedRow, PerColCodes, RowCounts, SymmetricInt8,
+    fake_quant_2d, fake_quant_blocks, packed_attn_v_with, Bitwidth, BlockGrid, Grouping,
+    MixedPrecisionMap, PackedRow, PerColCodes, RowCounts, SymmetricInt8,
 };
 use paro_tensor::kernel::Kernel;
 use paro_tensor::Tensor;
 
+/// `Σ_j a[j] · b[j]` of two INT8 code rows, in i32.
+fn dot(a: &[i8], b: &[i8]) -> i32 {
+    a.iter().zip(b).map(|(&x, &y)| x as i32 * y as i32).sum()
+}
+
 /// The whole `[n, n]` map as the int path scored it before fusion: one
 /// score buffer, −∞ for bypassed blocks, and a masked softmax that turns
 /// an all-−∞ row into zeros (output-aware); or one dense `QKᵀ` and
-/// `Tensor::softmax_rows` (exact).
+/// `Tensor::softmax_rows` (exact). The integer dot products are plain
+/// loops, independent of the score kernels.
 fn whole_map(
     q: &Tensor,
     k: &Tensor,
@@ -47,10 +55,12 @@ fn whole_map(
     let sk = SymmetricInt8::quantize_rowwise_with(k, kernel).unwrap();
     let scale = 1.0 / (d as f32).sqrt();
     let Some(bits) = bits else {
-        let mut acc = vec![0i32; n * n];
-        qkt_block_i32_with(sq.codes(), n, sk.codes(), n, d, &mut acc, kernel).unwrap();
         let scores = (0..n * n)
-            .map(|i| acc[i] as f32 * sq.scales()[i / n] * sk.scales()[i % n] * scale)
+            .map(|i| {
+                let (r, c) = (i / n, i % n);
+                let acc = dot(sq.row_codes(r), sk.row_codes(c));
+                acc as f32 * sq.scales()[r] * sk.scales()[c] * scale
+            })
             .collect();
         return Tensor::from_vec(&[n, n], scores)
             .unwrap()
@@ -66,17 +76,11 @@ fn whole_map(
                 continue;
             }
             let (r0, c0, h, w) = grid.block_bounds(bi, bj, n, n);
-            let panel: Vec<i8> = sk.codes()[c0 * d..(c0 + w) * d]
-                .iter()
-                .map(|&v| ldz::truncate(v, b.bits()))
-                .collect();
-            let mut acc = vec![0i32; h * w];
-            let q_rows = &sq.codes()[r0 * d..(r0 + h) * d];
-            qkt_block_i32_with(q_rows, h, &panel, w, d, &mut acc, kernel).unwrap();
-            for r in 0..h {
-                for c in 0..w {
-                    scores[(r0 + r) * n + c0 + c] =
-                        acc[r * w + c] as f32 * sq.scales()[r0 + r] * sk.scales()[c0 + c] * scale;
+            for c in c0..c0 + w {
+                let key = ldz::truncate_slice(sk.row_codes(c), b.bits());
+                for r in r0..r0 + h {
+                    let acc = dot(sq.row_codes(r), &key);
+                    scores[r * n + c] = acc as f32 * sq.scales()[r] * sk.scales()[c] * scale;
                 }
             }
         }
@@ -191,15 +195,16 @@ fn assert_fused_matches(
     fused
 }
 
-/// A head on `grid` plus a calibration from two other samples of the
-/// same pattern, at `edge`-token blocks and a `budget`-bit allocation.
+/// A head of `d` dimensions on `grid` plus a calibration from two other
+/// samples of the same pattern, at `edge`-token blocks and a
+/// `budget`-bit allocation.
 fn case(
     grid: TokenGrid,
+    d: usize,
     edge: usize,
     budget: f32,
     seed: u64,
 ) -> (AttentionInputs, HeadCalibration) {
-    let d = 16;
     let spec = PatternSpec::new(PatternKind::Temporal);
     let head = synthesize_head(&grid, d, &spec, seed);
     let inputs = AttentionInputs::new(head.q, head.k, head.v, grid).unwrap();
@@ -227,7 +232,7 @@ fn with_bits(cal: &HeadCalibration, bits: Vec<Bitwidth>) -> HeadCalibration {
 fn fused_matches_composition_in_both_modes_on_every_kernel() {
     // 64 tokens at 4-token blocks: a mixed 2/4/8-bit plan with 0-bit
     // blocks from the tight budget.
-    let (inputs, cal) = case(TokenGrid::new(4, 4, 4), 4, 3.0, 21);
+    let (inputs, cal) = case(TokenGrid::new(4, 4, 4), 16, 4, 3.0, 21);
     assert!(cal.allocation.bits.contains(&Bitwidth::B0));
     for output_aware in [false, true] {
         for kernel in Kernel::supported() {
@@ -241,7 +246,7 @@ fn fused_matches_composition_on_ragged_block_edges() {
     // 45 tokens at 4- and 7-token blocks: the last block row and column
     // are clipped.
     for (edge, seed) in [(4, 31), (7, 32)] {
-        let (inputs, cal) = case(TokenGrid::new(3, 3, 5), edge, 4.8, seed);
+        let (inputs, cal) = case(TokenGrid::new(3, 3, 5), 16, edge, 4.8, seed);
         assert_ne!(inputs.tokens() % edge, 0);
         for output_aware in [false, true] {
             for kernel in Kernel::supported() {
@@ -253,7 +258,7 @@ fn fused_matches_composition_on_ragged_block_edges() {
 
 #[test]
 fn fused_matches_composition_with_all_b0_block_rows() {
-    let (inputs, cal) = case(TokenGrid::new(3, 3, 5), 4, 4.8, 41);
+    let (inputs, cal) = case(TokenGrid::new(3, 3, 5), 16, 4, 4.8, 41);
     let n = inputs.tokens();
     let (gr, gc) = cal.block.grid_dims(n, n);
     let mut bits = cal.allocation.bits.clone();
@@ -277,7 +282,7 @@ fn fused_matches_composition_with_all_b0_block_rows() {
 
 #[test]
 fn fused_matches_composition_on_an_all_b0_plan() {
-    let (inputs, cal) = case(TokenGrid::new(4, 4, 4), 4, 4.8, 51);
+    let (inputs, cal) = case(TokenGrid::new(4, 4, 4), 16, 4, 4.8, 51);
     let cal = with_bits(&cal, vec![Bitwidth::B0; cal.allocation.bits.len()]);
     for output_aware in [false, true] {
         for kernel in Kernel::supported() {
@@ -296,7 +301,7 @@ fn fused_runs_are_identical_at_pool_widths_one_and_three() {
     // is split. The heads run as jobs on pools of one and three threads,
     // and each shares its ranges with the global pool's idle workers
     // (CI runs this suite with that pool at one and at three threads).
-    let (inputs, cal) = case(TokenGrid::new(3, 5, 7), 4, 4.8, 61);
+    let (inputs, cal) = case(TokenGrid::new(3, 5, 7), 16, 4, 4.8, 61);
     for output_aware in [false, true] {
         let direct = run_attention_calibrated_int(&inputs, &cal, output_aware).unwrap();
         let kernel = paro_tensor::kernel::active_kernel();
@@ -355,5 +360,59 @@ fn zero_counts_match_dense_count_of_dequantized_map() {
         assert!(zeros > 0, "B0 blocks guarantee zeros");
         let live = bits.iter().filter(|&&b| b != Bitwidth::B0).count();
         assert_eq!(counts.skipped_blocks, bits.len() - live);
+    }
+}
+
+/// The workloads' shape: `d = 64` and 6-token blocks, plus 5-token
+/// blocks whose block columns start at odd keys, on a ragged `n`, with
+/// every width and 0-bit blocks spread over the plan, so 8-key score
+/// groups straddle width changes and bypassed blocks. In both modes every
+/// kernel matches the composition, and the dispatched kernel's outputs,
+/// sparsity and counts equal the scalar reference's bit for bit.
+#[test]
+fn fused_matches_scalar_at_the_production_shape() {
+    let widths = [Bitwidth::B0, Bitwidth::B2, Bitwidth::B4, Bitwidth::B8];
+    for (edge, seed) in [(6, 81), (5, 82)] {
+        // 189 tokens: the last block column holds 3 of 6 or 4 of 5 keys.
+        let (inputs, cal) = case(TokenGrid::new(3, 7, 9), 64, edge, 4.8, seed);
+        assert_ne!(inputs.tokens() % edge, 0);
+        let mut bits = cal.allocation.bits.clone();
+        for (i, b) in bits.iter_mut().enumerate().step_by(7) {
+            *b = widths[(i / 7) % 4];
+        }
+        let cal = with_bits(&cal, bits);
+        for output_aware in [false, true] {
+            let what = format!("edge={edge}");
+            let want = assert_fused_matches(&inputs, &cal, output_aware, Kernel::Scalar, &what);
+            for kernel in Kernel::supported() {
+                let got = assert_fused_matches(&inputs, &cal, output_aware, kernel, &what);
+                let bits = |run: &IntAttentionRun| -> Vec<u32> {
+                    run.run
+                        .output
+                        .as_slice()
+                        .iter()
+                        .map(|x| x.to_bits())
+                        .collect()
+                };
+                let what = format!("{what} output_aware={output_aware} kernel={kernel}");
+                assert_eq!(bits(&got), bits(&want), "{what}: output bits vs scalar");
+                assert_eq!(
+                    got.run.map_sparsity.to_bits(),
+                    want.run.map_sparsity.to_bits(),
+                    "{what}: map_sparsity vs scalar"
+                );
+                let counts = |run: &IntAttentionRun| {
+                    let s = run.stats;
+                    [
+                        s.packed_map_bytes,
+                        s.v_payload_bytes,
+                        s.executed_macs,
+                        s.dense_macs,
+                    ]
+                };
+                assert_eq!(counts(&got), counts(&want), "{what}: counts vs scalar");
+                assert_eq!(got.stats.skipped_blocks, want.stats.skipped_blocks);
+            }
+        }
     }
 }

@@ -13,8 +13,7 @@
 //! [`MixedPrecisionMap::quantize`]: crate::MixedPrecisionMap::quantize
 //! [`packed_attn_v`]: crate::packed_attn_v
 
-use crate::int_attn::block_gemm_checked;
-use crate::kernels::Kernel;
+use crate::kernels::{self, BlockScratch, Kernel, Sink, VPairs};
 use crate::mixed_map::PARAM_BYTES_PER_BLOCK;
 use crate::packed::pack_append;
 use crate::{Bitwidth, BlockGrid, PackedCodes, PerColCodes, QuantError, QuantParams};
@@ -90,8 +89,7 @@ pub struct PackedRow {
     bytes: Vec<u8>,
     gather: Vec<f32>,
     codes: Vec<u32>,
-    acc: Vec<i32>,
-    scale_row: Vec<f32>,
+    scratch: BlockScratch,
 }
 
 impl PackedRow {
@@ -207,15 +205,14 @@ impl PackedRow {
 }
 
 /// The per-head `V` operand of packed `AttnV`: per-column codes with
-/// their zero points subtracted (the register form the MAC array
-/// consumes) and the column scales. Read-only once built, so concurrent
-/// row jobs can share one.
+/// their zero points subtracted, laid out as i16 row pairs (the operand
+/// form of the `vpmaddwd` MAC; half the bytes of i32 rows), and the
+/// column scales. Read-only once built, so concurrent row jobs can share
+/// one.
 #[derive(Debug, Clone)]
 pub struct AttnVOperand {
-    centered: Vec<i32>,
+    v: VPairs,
     scales: Vec<f32>,
-    rows: usize,
-    d: usize,
     kernel: Kernel,
 }
 
@@ -235,18 +232,20 @@ impl AttnVOperand {
             });
         }
         let _t = paro_trace::span(paro_trace::stage::ATTNV_UNPACK);
+        let (d, codes) = (v.cols(), v.codes());
+        let zero_points: Vec<i32> = v.params().iter().map(QuantParams::zero_point).collect();
         Ok(AttnVOperand {
-            centered: v.centered(),
+            v: VPairs::new(v.rows(), d, |k, j| {
+                (codes[k * d + j] as i32).wrapping_sub(zero_points[j])
+            }),
             scales: v.params().iter().map(QuantParams::scale).collect(),
-            rows: v.rows(),
-            d: v.cols(),
             kernel,
         })
     }
 
     /// Columns of `V` (the head dimension).
     pub fn cols(&self) -> usize {
-        self.d
+        self.v.cols()
     }
 
     /// `out += row · V` for one quantized block row: its `h × d` output
@@ -258,18 +257,17 @@ impl AttnVOperand {
     /// A matmul dimension error if the row's width differs from `V`'s
     /// rows, and a tensor element-count error if `out` is not `h × d`.
     pub fn accumulate(&self, row: &mut PackedRow, out: &mut [f32]) -> Result<(), QuantError> {
-        if row.cols != self.rows {
+        if row.cols != self.v.rows() {
             return Err(QuantError::Tensor(TensorError::MatmulDimMismatch {
                 left: vec![row.h, row.cols],
-                right: vec![self.rows, self.d],
+                right: vec![self.v.rows(), self.cols()],
             }));
         }
         let PackedRow {
             h,
             blocks,
             bytes,
-            acc,
-            scale_row,
+            scratch,
             ..
         } = row;
         let h = *h;
@@ -281,24 +279,30 @@ impl AttnVOperand {
             params: b.params,
             bytes: &bytes[b.start..b.end],
         });
-        self.accumulate_blocks(refs, h, acc, scale_row, out)
+        self.accumulate_blocks(refs, h, scratch, out)
     }
 
     /// `out += Σ_blocks dequant(block · V[c0..c0 + w])` over `h` output
-    /// rows: per live block, the per-bitwidth i32 micro-kernel, then one
-    /// scale product per column (`s_b · s_c`, as [`crate::dequantize_gemm`]
-    /// applies it) added into the f32 rows. One `attnv.mac` span covers
-    /// the block row's live blocks (none when every block is 0-bit): a
-    /// block's MAC is shorter than a span record.
+    /// rows: per live block, the block body of the operand's kernel adds
+    /// its exact i32 sums times `s_b · s_c` (as [`crate::dequantize_gemm`]
+    /// scales them) straight into the f32 rows. One `attnv.mac` span
+    /// covers the block row's live blocks (none when every block is
+    /// 0-bit): a block's MAC is shorter than a span record.
+    ///
+    /// # Errors
+    ///
+    /// A packed-length error for a block whose payload does not hold
+    /// `h · w` codes, a matmul dimension error for one whose keys pass
+    /// `V`'s rows, and a tensor element-count error if `out` is not
+    /// `h × d`.
     pub(crate) fn accumulate_blocks<'a>(
         &self,
         blocks: impl IntoIterator<Item = BlockRef<'a>>,
         h: usize,
-        acc: &mut Vec<i32>,
-        scale_row: &mut Vec<f32>,
+        scratch: &mut BlockScratch,
         out: &mut [f32],
     ) -> Result<(), QuantError> {
-        let d = self.d;
+        let d = self.cols();
         if out.len() != h * d {
             return Err(QuantError::Tensor(TensorError::ElementCountMismatch {
                 requested: h * d,
@@ -308,8 +312,6 @@ impl AttnVOperand {
         if d == 0 {
             return Ok(());
         }
-        acc.resize(h * d, 0);
-        scale_row.resize(d, 0.0);
         // Opened at the first live block, so a fully bypassed row records
         // no MAC time at all.
         let mut mac = None;
@@ -320,33 +322,41 @@ impl AttnVOperand {
             mac.get_or_insert_with(|| {
                 paro_trace::span_detailed(paro_trace::stage::ATTNV_MAC, self.kernel.as_str())
             });
-            let acc = &mut acc[..h * d];
-            acc.fill(0);
-            let v = self
-                .centered
-                .get(b.c0 * d..(b.c0 + b.w) * d)
-                .unwrap_or_default();
-            block_gemm_checked(
-                b.bytes,
-                b.elems,
-                b.bits,
-                b.params.zero_point(),
-                h,
-                b.w,
-                v,
-                d,
-                acc,
-                self.kernel,
-            )?;
-            let s_b = b.params.scale();
-            for (sr, &s_c) in scale_row.iter_mut().zip(&self.scales) {
-                *sr = s_b * s_c;
+            if b.c0 + b.w > self.v.rows() {
+                return Err(QuantError::Tensor(TensorError::MatmulDimMismatch {
+                    left: vec![h, b.c0 + b.w],
+                    right: vec![self.v.rows(), d],
+                }));
             }
-            for (orow, arow) in out.chunks_exact_mut(d).zip(acc.chunks_exact(d)) {
-                for ((o, &a), &s) in orow.iter_mut().zip(arow).zip(scale_row.iter()) {
-                    *o += a as f32 * s;
+            for (got, expected) in [
+                (b.elems, h * b.w),
+                (b.bytes.len(), PackedCodes::bytes_for(b.elems, b.bits)),
+            ] {
+                if got != expected {
+                    return Err(QuantError::PackedLengthMismatch {
+                        bytes: got,
+                        expected,
+                    });
                 }
             }
+            let mut sink = Sink::Dequant {
+                out: &mut *out,
+                s_b: b.params.scale(),
+                scales: &self.scales,
+            };
+            let zp = b.params.zero_point();
+            kernels::attn_v_block(
+                self.kernel,
+                b.bits,
+                b.bytes,
+                zp,
+                h,
+                b.w,
+                b.c0,
+                &self.v,
+                scratch,
+                &mut sink,
+            );
         }
         Ok(())
     }

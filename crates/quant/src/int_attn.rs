@@ -3,18 +3,17 @@
 //!
 //! [`MixedPrecisionMap`] is the *storage* model — packed 2/4/8-bit codes
 //! per block, nothing for 0-bit blocks. This module adds the matching
-//! *compute* model: per-bitwidth i32 GEMM micro-kernels that unpack code
-//! tiles from the packed bytes into small stack buffers, multiply-
-//! accumulate against per-column-quantized `V` codes in i32, and apply
-//! the FP16-style scale product once per block — exactly the PE-array /
-//! vector-unit split of [`crate::quantized_gemm_i32`] +
-//! [`crate::dequantize_gemm`], so the two paths are bit-identical on the
-//! same codes. 0-bit blocks are bypassed without touching their bytes
-//! (the dispatcher bypass), with MAC accounting matching the float-side
-//! block-sparse reference.
+//! *compute* model: a block body that unpacks a block's codes from the
+//! packed bytes, multiplies them with per-column-quantized `V` codes in
+//! exact i32 sums, and applies the FP16-style scale product per block
+//! and column — exactly the PE-array / vector-unit split of
+//! [`crate::quantized_gemm_i32`] + [`crate::dequantize_gemm`], so the two
+//! paths are bit-identical on the same codes. 0-bit blocks are bypassed
+//! without touching their bytes (the dispatcher bypass), with MAC
+//! accounting matching the float-side block-sparse reference.
 
 use crate::block_row::{AttnVOperand, BlockRef};
-use crate::kernels::{self, Kernel};
+use crate::kernels::{self, BlockScratch, Kernel, Sink, VPairs};
 use crate::mixed_map::PARAM_BYTES_PER_BLOCK;
 use crate::{Bitwidth, MixedPrecisionMap, PackedCodes, QuantError, QuantParams};
 use paro_tensor::{Tensor, TensorError};
@@ -100,19 +99,6 @@ impl PerColCodes {
     /// parameter record per column.
     pub fn payload_bytes(&self) -> usize {
         self.cols * (PackedCodes::bytes_for(self.rows, self.bits) + PARAM_BYTES_PER_BLOCK)
-    }
-
-    /// Codes with the per-column zero point pre-subtracted (the operand
-    /// register form the MAC array consumes).
-    pub fn centered(&self) -> Vec<i32> {
-        let mut out = vec![0i32; self.rows * self.cols];
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out[r * self.cols + c] =
-                    self.codes[r * self.cols + c] as i32 - self.params[c].zero_point();
-            }
-        }
-        out
     }
 
     /// Dequantizes back to a float tensor, bit-identical to the per-column
@@ -205,7 +191,7 @@ pub fn packed_attn_v_with(
     let grid = map.grid();
     let (gr, gc) = grid.grid_dims(m, n);
     let mut out = vec![0.0f32; m * d];
-    let (mut acc, mut scale_row) = (Vec::new(), Vec::new());
+    let mut scratch = BlockScratch::default();
     for bi in 0..gr {
         let (r0, _, h, _) = grid.block_bounds(bi, 0, m, n);
         let blocks = (0..gc).map(|bj| {
@@ -221,13 +207,7 @@ pub fn packed_attn_v_with(
                 bytes: codes.as_bytes(),
             }
         });
-        operand.accumulate_blocks(
-            blocks,
-            h,
-            &mut acc,
-            &mut scale_row,
-            &mut out[r0 * d..(r0 + h) * d],
-        )?;
+        operand.accumulate_blocks(blocks, h, &mut scratch, &mut out[r0 * d..(r0 + h) * d])?;
     }
     let mut executed = 0u64;
     let mut packed_bytes = 0u64;
@@ -250,8 +230,9 @@ pub fn packed_attn_v_with(
     })
 }
 
-/// One block's integer GEMM against pre-centered `V` codes: dispatches to
-/// the per-bitwidth micro-kernel of the active [`Kernel`].
+/// One block's integer GEMM against pre-centered `V` codes on the active
+/// [`Kernel`]: the block body of packed `AttnV`, with its sums added to
+/// i32 accumulators instead of dequantized.
 ///
 /// `codes` holds the block's `h*w` packed map codes (row-major within the
 /// block), `v_centered` the `w*d` zero-point-subtracted V codes of the
@@ -284,8 +265,9 @@ pub fn packed_block_gemm_i32(
 }
 
 /// [`packed_block_gemm_i32`] on an explicit [`Kernel`]. Accumulators are
-/// bit-identical across kernels (exact i32 arithmetic, identical
-/// accumulation order).
+/// bit-identical across kernels: every product is exact and the sums are
+/// wrapping i32 additions, whose order does not matter. `V` values
+/// outside i16 run the scalar reference on every kernel.
 ///
 /// # Errors
 ///
@@ -301,39 +283,8 @@ pub fn packed_block_gemm_i32_with(
     acc: &mut [i32],
     kernel: Kernel,
 ) -> Result<(), QuantError> {
-    block_gemm_checked(
-        codes.as_bytes(),
-        codes.len(),
-        codes.bits(),
-        zero_point,
-        h,
-        w,
-        v_centered,
-        d,
-        acc,
-        kernel,
-    )
-}
-
-/// [`packed_block_gemm_i32_with`] on a raw payload of `elems` codes at
-/// `bits`: checks every length the unchecked SIMD kernels rely on, then
-/// dispatches.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn block_gemm_checked(
-    bytes: &[u8],
-    elems: usize,
-    bits: Bitwidth,
-    zero_point: i32,
-    h: usize,
-    w: usize,
-    v_centered: &[i32],
-    d: usize,
-    acc: &mut [i32],
-    kernel: Kernel,
-) -> Result<(), QuantError> {
     for (got, expected) in [
-        (elems, h * w),
-        (bytes.len(), PackedCodes::bytes_for(elems, bits)),
+        (codes.len(), h * w),
         (v_centered.len(), w * d),
         (acc.len(), h * d),
     ] {
@@ -344,14 +295,25 @@ pub(crate) fn block_gemm_checked(
             });
         }
     }
-    kernels::block_gemm(kernel, bits, bytes, zero_point, h, w, v_centered, d, acc);
+    let v = VPairs::new(w, d, |k, j| v_centered[k * d + j]);
+    kernels::attn_v_block(
+        kernel,
+        codes.bits(),
+        codes.as_bytes(),
+        zero_point,
+        h,
+        w,
+        0,
+        &v,
+        &mut BlockScratch::default(),
+        &mut Sink::Accumulate(acc),
+    );
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::TILE;
     use crate::{dequantize_gemm, quantized_gemm_i32, BlockGrid, Grouping, QuantizedGemmOperand};
     use paro_tensor::rng::seeded;
     use paro_tensor::{metrics, Tensor};
@@ -527,9 +489,9 @@ mod tests {
 
     #[test]
     fn tile_boundaries_are_seamless() {
-        // A block row wider than one tile: the kernel must unpack multiple
-        // tiles per row without losing or duplicating elements.
-        let w = TILE + 17;
+        // One block of 81 keys per row: 41 code pairs, the last padded
+        // with a zero code.
+        let w = 81;
         let h = 3;
         let map = Tensor::from_fn(&[h, w], |i| ((i[0] * w + i[1]) % 13) as f32 * 0.05);
         let grid = BlockGrid::new(h, w).unwrap();

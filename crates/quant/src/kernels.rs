@@ -1,32 +1,42 @@
-//! Per-bitwidth integer micro-kernels with runtime SIMD dispatch.
+//! Integer micro-kernels with runtime SIMD dispatch: packed `AttnV`,
+//! the unpacked-operand GEMM and the two quantize maps.
 //!
-//! This module is the compute backend of [`crate::packed_attn_v`] and
-//! [`crate::quantized_gemm_i32`]: tile-wise unpack of 2/4/8-bit packed
-//! codes fused with an i32 multiply-accumulate against the `V` / `B`
-//! operand rows. It dispatches on the same [`Kernel`] value as the f32
-//! kernels in [`paro_tensor::kernel`], so one process runs one
-//! consistent kernel set.
+//! This module is the compute backend of [`crate::packed_attn_v`], the
+//! fused executor's [`crate::AttnVOperand`] and
+//! [`crate::quantized_gemm_i32`]. It dispatches on the same [`Kernel`]
+//! value as the f32 kernels in [`paro_tensor::kernel`], so one process
+//! runs one consistent kernel set.
 //!
-//! Every loop has two bodies: the scalar reference and AVX2. Structure
-//! shared by both:
+//! Every loop has two bodies: the scalar reference and AVX2. The packed
+//! `AttnV` block multiplies a block's 2/4/8-bit codes, centered on its
+//! zero point, with `V` codes centered on theirs:
 //!
-//! - rows are walked in [`TILE`]-code tiles; each tile is unpacked from
-//!   the packed bytes straight into a zero-point-centered stack buffer
-//!   (AVX2 widens 8 codes at a time — `vpsrlvd` variable shifts for
-//!   2/4-bit, `vpmovzxbd` for 8-bit), then MAC'd immediately while it is
-//!   L1-hot — the packed map bytes are streamed exactly once per tile;
-//! - a centered code of 0 contributes nothing in exact i32 arithmetic
-//!   and skips its `V` row (the element-level sparsity below the B0
-//!   block bypass); the AVX2 block path multiplies zeros instead — its
-//!   register-blocked MAC keeps the accumulators in ymm registers across
-//!   the whole tile and stays branch-free, which is worth more than the
-//!   skipped work, and a zero term is exactly a no-op in i32;
-//! - the MAC itself is a `d`-wide i32 axpy (`vpmulld` + `vpaddd` on
-//!   AVX2).
+//! - `V` is laid out once per head as [`VPairs`]: consecutive key rows
+//!   interleaved column by column as i16 pairs, the operand form of
+//!   `vpmaddwd`. A centered 8-bit code spans ±255, so it fits i16; one
+//!   `vpmaddwd` then adds two keys' products for 8 output columns.
+//! - The AVX2 body unpacks a block's codes once into centered i16 pairs
+//!   (a zero pads an odd first or last pair, so any block edge and any
+//!   key offset run the same loop), broadcasts each pair against the
+//!   matching `V` pair row, and keeps up to 64 output columns of i32
+//!   sums in ymm registers across the block's keys. The sums go straight
+//!   to the block's [`Sink`]: for `AttnV` each lane is converted, scaled
+//!   by `s_b · s_c` and added into the f32 output row, in that order and
+//!   without FMA, so there is no i32 accumulator buffer and no second
+//!   pass. `V` rows are zero-padded to 8 columns and the output tail is a
+//!   masked load and store, so a ragged head dimension runs in the same
+//!   body.
+//! - The scalar reference walks the same operand one key at a time and
+//!   skips a zero centered code (it contributes nothing).
 //!
-//! i32 addition is associative, and no kernel reorders the per-output
-//! accumulation anyway, so both paths are **bit-identical** — pinned by
-//! `tests/kernel_equivalence.rs` on all kernels the host supports.
+//! Every product is exact and the sums are wrapping i32 additions, which
+//! are associative, so both bodies are **bit-identical** for any summation
+//! order — pinned by `tests/kernel_equivalence.rs` on every kernel the
+//! host supports. Min-max calibration can put a zero point far outside
+//! the code range (a group much narrower than its distance from zero);
+//! a block whose centered codes, or a head whose centered `V`, would not
+//! fit i16 runs the scalar reference instead, so correctness does not
+//! depend on the data.
 //!
 //! Each dispatcher asserts that the CPU supports the kernel it is given
 //! before any AVX2 body runs, so a safe caller passing
@@ -40,44 +50,201 @@
 use crate::Bitwidth;
 pub use paro_tensor::kernel::{active_kernel, Kernel};
 
-/// Elements unpacked per tile: one stack buffer refill of the inner MAC
-/// loop. 64 codes = 16 packed bytes at 2 bits — a cache-line-ish chunk.
-pub(crate) const TILE: usize = 64;
-
 /// k-dimension tile edge of the unpacked-operand GEMM (shared with the
 /// f32 drivers).
 pub(crate) const TILE_K: usize = paro_tensor::kernel::TILE_K;
 
-/// Scalar bit-extract of `tile.len()` codes starting at element `elem0`,
-/// zero-point-centered. Codes never straddle bytes (8 % bits == 0).
-#[inline(always)]
-fn unpack_centered_scalar(
-    bytes: &[u8],
-    bits: usize,
-    mask: u8,
-    elem0: usize,
-    zp: i32,
-    tile: &mut [i32],
-) {
-    for (ti, slot) in tile.iter_mut().enumerate() {
-        let bit0 = (elem0 + ti) * bits;
-        *slot = ((bytes[bit0 / 8] >> (bit0 % 8)) & mask) as i32 - zp;
+/// Output columns of one AVX2 accumulator (8 i32 lanes); a [`VPairs`]
+/// row is zero-padded to a multiple of it.
+const COL_LANES: usize = 8;
+
+/// Centered `V` codes (`rows × d`) in the pair layout `vpmaddwd`
+/// consumes: key rows `2p` and `2p + 1` form pair row `p`, which holds
+/// `v[2p][j], v[2p + 1][j]` for every column `j` in turn, padded with
+/// zero columns to a multiple of [`COL_LANES`]. An odd row count pads a
+/// zero last row. Read-only once built.
+#[derive(Debug, Clone)]
+pub(crate) struct VPairs {
+    vals: PairVals,
+    rows: usize,
+    d: usize,
+    /// Columns per pair row: `d` rounded up to [`COL_LANES`].
+    dp: usize,
+}
+
+#[derive(Debug, Clone)]
+enum PairVals {
+    /// Every value fits i16: the form both bodies run on.
+    Narrow(Vec<i16>),
+    /// Some value does not: only the scalar reference runs, on i32.
+    Wide(Vec<i32>),
+}
+
+impl VPairs {
+    /// The operand of the `rows × d` centered codes `value(k, j)`.
+    pub(crate) fn new(rows: usize, d: usize, value: impl Fn(usize, usize) -> i32) -> Self {
+        let dp = d.next_multiple_of(COL_LANES);
+        let mut narrow = vec![0i16; rows.div_ceil(2) * 2 * dp];
+        for k in 0..rows {
+            let base = (k / 2) * 2 * dp + (k & 1);
+            for j in 0..d {
+                let x = value(k, j);
+                if x != x as i16 as i32 {
+                    return Self::wide(rows, d, dp, value);
+                }
+                narrow[base + 2 * j] = x as i16;
+            }
+        }
+        VPairs {
+            vals: PairVals::Narrow(narrow),
+            rows,
+            d,
+            dp,
+        }
+    }
+
+    /// [`VPairs::new`] for values that do not all fit i16.
+    #[cold]
+    fn wide(rows: usize, d: usize, dp: usize, value: impl Fn(usize, usize) -> i32) -> Self {
+        let mut wide = vec![0i32; rows.div_ceil(2) * 2 * dp];
+        for k in 0..rows {
+            let base = (k / 2) * 2 * dp + (k & 1);
+            for j in 0..d {
+                wide[base + 2 * j] = value(k, j);
+            }
+        }
+        VPairs {
+            vals: PairVals::Wide(wide),
+            rows,
+            d,
+            dp,
+        }
+    }
+
+    /// Key rows.
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Columns (the head dimension).
+    pub(crate) fn cols(&self) -> usize {
+        self.d
+    }
+
+    /// Bytes of the operand.
+    #[cfg(test)]
+    pub(crate) fn bytes(&self) -> usize {
+        match &self.vals {
+            PairVals::Narrow(v) => 2 * v.len(),
+            PairVals::Wide(v) => 4 * v.len(),
+        }
     }
 }
 
-#[inline(always)]
-fn unpack_b2_scalar(bytes: &[u8], elem0: usize, zp: i32, tile: &mut [i32]) {
-    unpack_centered_scalar(bytes, 2, 0x3, elem0, zp, tile);
+/// Where one block's exact i32 sums `Σ_k (code[r][k] − z_b) · v[k][j]`
+/// go, row `r` of `h` and column `j` of `d`.
+pub(crate) enum Sink<'a> {
+    /// `out[r][j] += sum as f32 · (s_b · scales[j])` — conversion,
+    /// multiply and add in that order, the per-block dequantization of
+    /// [`crate::dequantize_gemm`] — into `h × d` f32 output rows.
+    Dequant {
+        /// The block row's output rows.
+        out: &'a mut [f32],
+        /// The block's scale.
+        s_b: f32,
+        /// `V`'s column scales.
+        scales: &'a [f32],
+    },
+    /// `acc[r][j] += sum` (wrapping) into `h × d` i32 accumulators.
+    Accumulate(&'a mut [i32]),
 }
 
-#[inline(always)]
-fn unpack_b4_scalar(bytes: &[u8], elem0: usize, zp: i32, tile: &mut [i32]) {
-    unpack_centered_scalar(bytes, 4, 0xF, elem0, zp, tile);
+impl Sink<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Sink::Dequant { out, .. } => out.len(),
+            Sink::Accumulate(acc) => acc.len(),
+        }
+    }
+
+    /// Adds row `r`'s `d` sums.
+    fn row(&mut self, r: usize, sums: &[i32]) {
+        let d = sums.len();
+        match self {
+            Sink::Dequant { out, s_b, scales } => {
+                let orow = &mut out[r * d..(r + 1) * d];
+                for ((o, &a), &s_c) in orow.iter_mut().zip(sums).zip(scales.iter()) {
+                    *o += a as f32 * (*s_b * s_c);
+                }
+            }
+            Sink::Accumulate(acc) => {
+                for (o, &a) in acc[r * d..(r + 1) * d].iter_mut().zip(sums) {
+                    *o = o.wrapping_add(a);
+                }
+            }
+        }
+    }
 }
 
+/// Reusable buffers of the block bodies: the scalar reference's row of
+/// sums, and the AVX2 body's centered code pairs and scale products.
+#[derive(Debug, Default)]
+pub(crate) struct BlockScratch {
+    sums: Vec<i32>,
+    #[cfg_attr(
+        not(any(target_arch = "x86", target_arch = "x86_64")),
+        allow(dead_code)
+    )]
+    avx2: (Vec<i16>, Vec<f32>),
+}
+
+/// Code `e` of a payload packed at `BITS` bits (codes never straddle
+/// bytes: 8 % `BITS` == 0).
 #[inline(always)]
-fn unpack_b8_scalar(bytes: &[u8], elem0: usize, zp: i32, tile: &mut [i32]) {
-    unpack_centered_scalar(bytes, 8, 0xFF, elem0, zp, tile);
+fn code_at<const BITS: usize>(bytes: &[u8], e: usize) -> i32 {
+    let mask = ((1u16 << BITS) - 1) as u8;
+    ((bytes[e * BITS / 8] >> (e * BITS % 8)) & mask) as i32
+}
+
+/// Scalar reference block body: per row, each pair of keys' centered
+/// codes (zero outside the block) times their `V` pair row, summed in
+/// i32 and handed to `sink`; a pair of zero codes is skipped.
+#[allow(clippy::too_many_arguments)]
+fn attn_v_scalar<const BITS: usize, T: Copy + Into<i32>>(
+    bytes: &[u8],
+    zp: i32,
+    h: usize,
+    w: usize,
+    k0: usize,
+    v: &VPairs,
+    vals: &[T],
+    sums: &mut Vec<i32>,
+    sink: &mut Sink,
+) {
+    let keys = k0..k0 + w;
+    let code = |r: usize, key: usize| {
+        if keys.contains(&key) {
+            code_at::<BITS>(bytes, r * w + key - k0).wrapping_sub(zp)
+        } else {
+            0
+        }
+    };
+    sums.resize(v.d, 0);
+    for r in 0..h {
+        sums.fill(0);
+        for p in k0 / 2..(k0 + w).div_ceil(2) {
+            let (c0, c1) = (code(r, 2 * p), code(r, 2 * p + 1));
+            if c0 == 0 && c1 == 0 {
+                continue; // zero operands: no contribution in exact i32
+            }
+            let pairs = vals[p * 2 * v.dp..].chunks_exact(2);
+            for (s, pair) in sums.iter_mut().zip(pairs) {
+                let t = c0.wrapping_mul(pair[0].into());
+                *s = s.wrapping_add(t.wrapping_add(c1.wrapping_mul(pair[1].into())));
+            }
+        }
+        sink.row(r, sums);
+    }
 }
 
 /// `arow[j] += mv · vrow[j]` over `min(arow.len(), vrow.len())` lanes.
@@ -85,40 +252,6 @@ fn unpack_b8_scalar(bytes: &[u8], elem0: usize, zp: i32, tile: &mut [i32]) {
 fn axpy_i32_scalar(arow: &mut [i32], vrow: &[i32], mv: i32) {
     for (o, &vv) in arow.iter_mut().zip(vrow) {
         *o += mv * vv;
-    }
-}
-
-/// Scalar block GEMM: per block row, [`TILE`]-code tiles are unpacked
-/// (centered) by `unpack` and immediately MAC'd against the matching `V`
-/// rows.
-#[allow(clippy::too_many_arguments)]
-fn block_gemm_scalar(
-    unpack: impl Fn(&[u8], usize, i32, &mut [i32]),
-    bytes: &[u8],
-    zp: i32,
-    h: usize,
-    w: usize,
-    v: &[i32],
-    d: usize,
-    acc: &mut [i32],
-) {
-    let mut tile = [0i32; TILE];
-    for lr in 0..h {
-        let row_base = lr * w;
-        let arow = &mut acc[lr * d..(lr + 1) * d];
-        let mut k0 = 0usize;
-        while k0 < w {
-            let t = TILE.min(w - k0);
-            unpack(bytes, row_base + k0, zp, &mut tile[..t]);
-            for (ti, &mv) in tile[..t].iter().enumerate() {
-                if mv == 0 {
-                    continue; // zero operand: no contribution in exact i32
-                }
-                let vrow = &v[(k0 + ti) * d..(k0 + ti + 1) * d];
-                axpy_i32_scalar(arow, vrow, mv);
-            }
-            k0 += t;
-        }
     }
 }
 
@@ -184,8 +317,8 @@ const QUANTIZE_SAFE_BOUND: f32 = 1_073_741_824.0;
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod x86 {
     use super::{
-        axpy_i32_scalar, quantize_codes_scalar, quantize_symmetric_scalar, unpack_b2_scalar,
-        unpack_b4_scalar, unpack_b8_scalar, QUANTIZE_SAFE_BOUND, TILE, TILE_K,
+        axpy_i32_scalar, quantize_codes_scalar, quantize_symmetric_scalar, Sink,
+        QUANTIZE_SAFE_BOUND, TILE_K,
     };
     #[cfg(target_arch = "x86")]
     use std::arch::x86::*;
@@ -211,217 +344,220 @@ mod x86 {
         axpy_i32_scalar(&mut arow[j..n], &vrow[j..n], mv);
     }
 
-    /// Register-blocked tile MAC: `arow[j] += Σ_ti tile[ti] · v[ti·d + j]`.
-    ///
-    /// The per-code axpy shape stores the accumulator row after every
-    /// code and reloads it for the next, putting a store→load forward on
-    /// the critical path `t` times per row. Here the accumulators live in
-    /// ymm registers across the whole tile — the row is loaded/stored
-    /// once per 32-column chunk — and zero codes are multiplied instead
-    /// of branched around: in exact i32 a zero operand contributes
-    /// nothing either way, so bit-identity with the skipping scalar body
-    /// holds while the inner loop stays branch-free.
+    /// Mask of the first `lanes` (< 8) of 8 lanes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn tail_mask(lanes: usize) -> __m256i {
+        _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(lanes as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        )
+    }
+
+    /// Where the AVX2 block body puts 8 sums: row `r`, columns
+    /// `j..j + 8` of `d`-column rows, or only the first `d − j` of them
+    /// when `FULL` is false.
+    trait Lanes {
+        /// # Safety
+        /// Caller must ensure AVX2, `j < d`, `j + 8 ≤ d` when `FULL`,
+        /// and a row `r` inside the destination.
+        unsafe fn put<const FULL: bool>(&mut self, r: usize, j: usize, sums: __m256i);
+    }
+
+    /// `out[r][j] += sums as f32 · scales[j]` (the block's `s_b · s_c`).
+    struct Dequant {
+        out: *mut f32,
+        scales: *const f32,
+        d: usize,
+    }
+
+    impl Lanes for Dequant {
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn put<const FULL: bool>(&mut self, r: usize, j: usize, sums: __m256i) {
+            let o = self.out.add(r * self.d + j);
+            let s = self.scales.add(j);
+            let sums = _mm256_cvtepi32_ps(sums);
+            if FULL {
+                let add = _mm256_mul_ps(sums, _mm256_loadu_ps(s));
+                _mm256_storeu_ps(o, _mm256_add_ps(_mm256_loadu_ps(o), add));
+            } else {
+                let mask = tail_mask(self.d - j);
+                let add = _mm256_mul_ps(sums, _mm256_maskload_ps(s, mask));
+                let sum = _mm256_add_ps(_mm256_maskload_ps(o, mask), add);
+                _mm256_maskstore_ps(o, mask, sum);
+            }
+        }
+    }
+
+    /// `acc[r][j] += sums` (wrapping).
+    struct Accumulate {
+        acc: *mut i32,
+        d: usize,
+    }
+
+    impl Lanes for Accumulate {
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn put<const FULL: bool>(&mut self, r: usize, j: usize, sums: __m256i) {
+            let o = self.acc.add(r * self.d + j);
+            if FULL {
+                let sum = _mm256_add_epi32(_mm256_loadu_si256(o as *const __m256i), sums);
+                _mm256_storeu_si256(o as *mut __m256i, sum);
+            } else {
+                let mask = tail_mask(self.d - j);
+                let sum = _mm256_add_epi32(_mm256_maskload_epi32(o, mask), sums);
+                _mm256_maskstore_epi32(o, mask, sum);
+            }
+        }
+    }
+
+    /// `NV · 8` output columns of row `r` from column `j`: the sums of
+    /// the row's `np` code pairs (`pairs`, two i16 each) times the
+    /// matching `V` pair rows (`v`, `pstride` i16 apart), held in `NV`
+    /// ymm registers across the whole row, then put.
     ///
     /// # Safety
-    /// Caller must ensure AVX2 and that `v` holds at least
-    /// `tile.len() · d` elements; `arow` must be at least `d` long.
-    #[target_feature(enable = "avx2")]
-    unsafe fn tile_mac_avx2(tile: &[i32], v: &[i32], d: usize, arow: &mut [i32]) {
-        debug_assert!(v.len() >= tile.len() * d);
-        debug_assert!(arow.len() >= d);
-        let mut j = 0usize;
-        // 64-column chunks first — 8 ymm accumulators fill the register
-        // file and cover the model's whole `d = 64` row in one pass.
-        while j + 64 <= d {
-            let ap = arow.as_mut_ptr().add(j);
-            let mut a = [
-                _mm256_loadu_si256(ap as *const __m256i),
-                _mm256_loadu_si256(ap.add(8) as *const __m256i),
-                _mm256_loadu_si256(ap.add(16) as *const __m256i),
-                _mm256_loadu_si256(ap.add(24) as *const __m256i),
-                _mm256_loadu_si256(ap.add(32) as *const __m256i),
-                _mm256_loadu_si256(ap.add(40) as *const __m256i),
-                _mm256_loadu_si256(ap.add(48) as *const __m256i),
-                _mm256_loadu_si256(ap.add(56) as *const __m256i),
-            ];
-            for (ti, &mv) in tile.iter().enumerate() {
-                let vm = _mm256_set1_epi32(mv);
-                let vp = v.as_ptr().add(ti * d + j);
-                for (c, acc) in a.iter_mut().enumerate() {
-                    *acc = _mm256_add_epi32(
-                        *acc,
-                        _mm256_mullo_epi32(vm, _mm256_loadu_si256(vp.add(8 * c) as *const __m256i)),
-                    );
-                }
-            }
-            for (c, acc) in a.iter().enumerate() {
-                _mm256_storeu_si256(ap.add(8 * c) as *mut __m256i, *acc);
-            }
-            j += 64;
-        }
-        while j + 32 <= d {
-            let ap = arow.as_mut_ptr().add(j);
-            let mut a0 = _mm256_loadu_si256(ap as *const __m256i);
-            let mut a1 = _mm256_loadu_si256(ap.add(8) as *const __m256i);
-            let mut a2 = _mm256_loadu_si256(ap.add(16) as *const __m256i);
-            let mut a3 = _mm256_loadu_si256(ap.add(24) as *const __m256i);
-            for (ti, &mv) in tile.iter().enumerate() {
-                let vm = _mm256_set1_epi32(mv);
-                let vp = v.as_ptr().add(ti * d + j);
-                let m0 = _mm256_mullo_epi32(vm, _mm256_loadu_si256(vp as *const __m256i));
-                let m1 = _mm256_mullo_epi32(vm, _mm256_loadu_si256(vp.add(8) as *const __m256i));
-                let m2 = _mm256_mullo_epi32(vm, _mm256_loadu_si256(vp.add(16) as *const __m256i));
-                let m3 = _mm256_mullo_epi32(vm, _mm256_loadu_si256(vp.add(24) as *const __m256i));
-                a0 = _mm256_add_epi32(a0, m0);
-                a1 = _mm256_add_epi32(a1, m1);
-                a2 = _mm256_add_epi32(a2, m2);
-                a3 = _mm256_add_epi32(a3, m3);
-            }
-            _mm256_storeu_si256(ap as *mut __m256i, a0);
-            _mm256_storeu_si256(ap.add(8) as *mut __m256i, a1);
-            _mm256_storeu_si256(ap.add(16) as *mut __m256i, a2);
-            _mm256_storeu_si256(ap.add(24) as *mut __m256i, a3);
-            j += 32;
-        }
-        while j + 8 <= d {
-            let ap = arow.as_mut_ptr().add(j);
-            let mut a0 = _mm256_loadu_si256(ap as *const __m256i);
-            for (ti, &mv) in tile.iter().enumerate() {
-                let vm = _mm256_set1_epi32(mv);
-                let vp = v.as_ptr().add(ti * d + j);
-                a0 = _mm256_add_epi32(
-                    a0,
-                    _mm256_mullo_epi32(vm, _mm256_loadu_si256(vp as *const __m256i)),
-                );
-            }
-            _mm256_storeu_si256(ap as *mut __m256i, a0);
-            j += 8;
-        }
-        if j < d {
-            for (ti, &mv) in tile.iter().enumerate() {
-                if mv == 0 {
-                    continue;
-                }
-                axpy_i32_scalar(&mut arow[j..d], &v[ti * d + j..ti * d + d], mv);
-            }
-        }
-    }
-
-    /// AVX2 2-bit unpack: after realigning to a byte boundary (4 codes
-    /// per byte), each 16-bit load yields 8 codes via `vpsrlvd` variable
-    /// shifts + mask, widened to centered i32 lanes.
+    /// Caller must ensure AVX2, `np` pairs at `pairs`, `np` pair rows
+    /// of at least `16 · NV` i16 from `v`, and [`Lanes::put`]'s bounds
+    /// for every 8 columns from `j` (all full when `FULL`, the last one
+    /// partial otherwise).
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn unpack_b2_avx2(bytes: &[u8], elem0: usize, zp: i32, tile: &mut [i32]) {
-        let t = tile.len();
-        let mut ti = 0usize;
-        while ti < t && (elem0 + ti) & 3 != 0 {
-            ti += 1;
-        }
-        unpack_b2_scalar(bytes, elem0, zp, &mut tile[..ti.min(t)]);
-        let zpv = _mm256_set1_epi32(zp);
-        let shifts = _mm256_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14);
-        let mask = _mm256_set1_epi32(0x3);
-        while ti + 8 <= t {
-            let base = (elem0 + ti) / 4;
-            let word = u16::from_le_bytes([bytes[base], bytes[base + 1]]) as i32;
-            let codes = _mm256_and_si256(_mm256_srlv_epi32(_mm256_set1_epi32(word), shifts), mask);
-            _mm256_storeu_si256(
-                tile.as_mut_ptr().add(ti) as *mut __m256i,
-                _mm256_sub_epi32(codes, zpv),
-            );
-            ti += 8;
-        }
-        unpack_b2_scalar(bytes, elem0 + ti, zp, &mut tile[ti..]);
-    }
-
-    /// AVX2 4-bit unpack: one 32-bit load (2 codes per byte) yields 8
-    /// codes via `vpsrlvd` + mask.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn unpack_b4_avx2(bytes: &[u8], elem0: usize, zp: i32, tile: &mut [i32]) {
-        let t = tile.len();
-        let mut ti = 0usize;
-        while ti < t && (elem0 + ti) & 1 != 0 {
-            ti += 1;
-        }
-        unpack_b4_scalar(bytes, elem0, zp, &mut tile[..ti.min(t)]);
-        let zpv = _mm256_set1_epi32(zp);
-        let shifts = _mm256_setr_epi32(0, 4, 8, 12, 16, 20, 24, 28);
-        let mask = _mm256_set1_epi32(0xF);
-        while ti + 8 <= t {
-            let base = (elem0 + ti) / 2;
-            let word = i32::from_le_bytes([
-                bytes[base],
-                bytes[base + 1],
-                bytes[base + 2],
-                bytes[base + 3],
-            ]);
-            let codes = _mm256_and_si256(_mm256_srlv_epi32(_mm256_set1_epi32(word), shifts), mask);
-            _mm256_storeu_si256(
-                tile.as_mut_ptr().add(ti) as *mut __m256i,
-                _mm256_sub_epi32(codes, zpv),
-            );
-            ti += 8;
-        }
-        unpack_b4_scalar(bytes, elem0 + ti, zp, &mut tile[ti..]);
-    }
-
-    /// AVX2 8-bit unpack: `vpmovzxbd` widens 8 bytes to 8 i32 lanes.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn unpack_b8_avx2(bytes: &[u8], elem0: usize, zp: i32, tile: &mut [i32]) {
-        let t = tile.len();
-        let zpv = _mm256_set1_epi32(zp);
-        let mut ti = 0usize;
-        while ti + 8 <= t {
-            let lo = _mm_loadl_epi64(bytes.as_ptr().add(elem0 + ti) as *const __m128i);
-            let codes = _mm256_cvtepu8_epi32(lo);
-            _mm256_storeu_si256(
-                tile.as_mut_ptr().add(ti) as *mut __m256i,
-                _mm256_sub_epi32(codes, zpv),
-            );
-            ti += 8;
-        }
-        unpack_b8_scalar(bytes, elem0 + ti, zp, &mut tile[ti..]);
-    }
-
-    /// The AVX2 block drivers swap the per-code axpy for the
-    /// register-blocked [`tile_mac_avx2`] — same tile walk as
-    /// `block_gemm_scalar`, different MAC shape.
-    macro_rules! avx2_block_driver {
-        ($name:ident, $unpack:ident) => {
-            /// # Safety
-            /// Caller must ensure the CPU supports AVX2.
-            #[target_feature(enable = "avx2")]
-            pub(super) unsafe fn $name(
-                bytes: &[u8],
-                zp: i32,
-                h: usize,
-                w: usize,
-                v: &[i32],
-                d: usize,
-                acc: &mut [i32],
-            ) {
-                let mut tile = [0i32; TILE];
-                for lr in 0..h {
-                    let row_base = lr * w;
-                    let arow = &mut acc[lr * d..(lr + 1) * d];
-                    let mut k0 = 0usize;
-                    while k0 < w {
-                        let t = TILE.min(w - k0);
-                        $unpack(bytes, row_base + k0, zp, &mut tile[..t]);
-                        tile_mac_avx2(&tile[..t], &v[k0 * d..], d, arow);
-                        k0 += t;
-                    }
-                }
+    unsafe fn row_chunk<const NV: usize, const FULL: bool>(
+        pairs: *const i16,
+        np: usize,
+        v: *const i16,
+        pstride: usize,
+        lanes: &mut impl Lanes,
+        r: usize,
+        j: usize,
+    ) {
+        let mut acc = [_mm256_setzero_si256(); NV];
+        for i in 0..np {
+            let cp = _mm256_set1_epi32((pairs.add(2 * i) as *const i32).read_unaligned());
+            let vp = v.add(i * pstride);
+            for (c, a) in acc.iter_mut().enumerate() {
+                let vv = _mm256_loadu_si256(vp.add(16 * c) as *const __m256i);
+                *a = _mm256_add_epi32(*a, _mm256_madd_epi16(vv, cp));
             }
-        };
+        }
+        for (c, a) in acc.iter().enumerate() {
+            lanes.put::<FULL>(r, j + 8 * c, *a);
+        }
     }
 
-    avx2_block_driver!(block_gemm_avx2_b2, unpack_b2_avx2);
-    avx2_block_driver!(block_gemm_avx2_b4, unpack_b4_avx2);
-    avx2_block_driver!(block_gemm_avx2_b8, unpack_b8_avx2);
+    /// The block's codes centered on `zp` as i16 pairs, `np` per row
+    /// (returned): row `r`'s pair `i` holds elements `2i − s` and
+    /// `2i + 1 − s` of the row (`s` = 1 for a block at an odd key
+    /// offset), zero outside it.
+    ///
+    /// # Safety
+    /// `bytes` must hold `h · w` codes at `BITS` bits, and they must fit
+    /// i16 once centered on `zp`.
+    unsafe fn centered_pairs<const BITS: usize>(
+        bytes: &[u8],
+        zp: i32,
+        h: usize,
+        w: usize,
+        s: usize,
+        halves: &mut Vec<i16>,
+    ) -> usize {
+        let np = (s + w).div_ceil(2);
+        let mask = ((1u16 << BITS) - 1) as u8;
+        halves.clear();
+        halves.resize(h * 2 * np, 0);
+        for (r, row) in halves.chunks_exact_mut(2 * np).enumerate() {
+            for (k, x) in row[s..s + w].iter_mut().enumerate() {
+                let e = r * w + k;
+                let code = (*bytes.get_unchecked(e * BITS / 8) >> (e * BITS % 8)) & mask;
+                *x = (code as i32 - zp) as i16;
+            }
+        }
+        np
+    }
+
+    /// Each row of the block, 64 output columns at a time while they
+    /// last, then 8 at a time, the last 8 masked if `d` is ragged.
+    ///
+    /// # Safety
+    /// As [`attn_v_avx2`], with `lanes` holding `h` rows of `d`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn block_rows(
+        halves: &[i16],
+        np: usize,
+        v: *const i16,
+        pstride: usize,
+        h: usize,
+        d: usize,
+        lanes: &mut impl Lanes,
+    ) {
+        for r in 0..h {
+            let pairs = halves.as_ptr().add(r * 2 * np);
+            let mut j = 0;
+            while j + 64 <= d {
+                row_chunk::<8, true>(pairs, np, v.add(2 * j), pstride, lanes, r, j);
+                j += 64;
+            }
+            while j + 8 <= d {
+                row_chunk::<1, true>(pairs, np, v.add(2 * j), pstride, lanes, r, j);
+                j += 8;
+            }
+            if j < d {
+                row_chunk::<1, false>(pairs, np, v.add(2 * j), pstride, lanes, r, j);
+            }
+        }
+    }
+
+    /// The AVX2 block body: the block's codes become centered i16 pairs
+    /// once, the block's scale products `s_b · s_c` one row of floats,
+    /// and each row's sums go from registers into the sink.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2, `bytes` holding `h · w` codes at `BITS`
+    /// that fit i16 once centered on `zp`, `k0 + w ≤` the operand's key
+    /// rows, `vals` holding the operand's pair rows of `2 · dp` i16, and
+    /// a sink of `h · d` values (and `d` scales).
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn attn_v_avx2<const BITS: usize>(
+        bytes: &[u8],
+        zp: i32,
+        h: usize,
+        w: usize,
+        k0: usize,
+        vals: &[i16],
+        d: usize,
+        dp: usize,
+        scratch: &mut (Vec<i16>, Vec<f32>),
+        sink: &mut Sink,
+    ) {
+        let (halves, scale_row) = scratch;
+        let np = centered_pairs::<BITS>(bytes, zp, h, w, k0 & 1, halves);
+        let pstride = 2 * dp;
+        let v = vals.as_ptr().add((k0 / 2) * pstride);
+        match sink {
+            Sink::Dequant { out, s_b, scales } => {
+                scale_row.clear();
+                scale_row.extend(scales.iter().map(|&s_c| *s_b * s_c));
+                let mut lanes = Dequant {
+                    out: out.as_mut_ptr(),
+                    scales: scale_row.as_ptr(),
+                    d,
+                };
+                block_rows(halves, np, v, pstride, h, d, &mut lanes);
+            }
+            Sink::Accumulate(acc) => {
+                let mut lanes = Accumulate {
+                    acc: acc.as_mut_ptr(),
+                    d,
+                };
+                block_rows(halves, np, v, pstride, h, d, &mut lanes);
+            }
+        }
+    }
 
     /// # Safety
     /// Caller must ensure the CPU supports AVX2.
@@ -537,44 +673,92 @@ mod x86 {
     }
 }
 
-/// One packed block's `acc[r][c] += Σ_k (code[r][k] − zp) · v[k][c]` on
-/// the chosen kernel. `bytes` holds `h·w` packed codes at `bits`;
-/// `v` is `w·d` centered i32; `acc` is `h·d`. Shapes are validated by
-/// the public wrapper ([`crate::packed_block_gemm_i32_with`]).
+/// One packed block's exact sums `Σ_k (code[r][k] − zp) · v[k0 + k][j]`
+/// into `sink` on the chosen kernel: `bytes` holds the block's `h·w`
+/// codes at `bits` (row-major), its keys are `v`'s rows `k0..k0 + w`,
+/// and a 0-bit block adds nothing.
+///
+/// # Panics
+///
+/// If the CPU does not support `kernel`, if the keys pass `v`'s rows, or
+/// if `sink` does not hold `h · d` values (and `d` scales): the bounds
+/// the AVX2 body relies on. `bytes` is read through checked indexing.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn block_gemm(
+pub(crate) fn attn_v_block(
     kernel: Kernel,
     bits: Bitwidth,
     bytes: &[u8],
     zp: i32,
     h: usize,
     w: usize,
-    v: &[i32],
-    d: usize,
-    acc: &mut [i32],
+    k0: usize,
+    v: &VPairs,
+    scratch: &mut BlockScratch,
+    sink: &mut Sink,
 ) {
     assert!(
         kernel.is_supported(),
         "{kernel} is not supported by this CPU"
     );
-    match (kernel, bits) {
-        (_, Bitwidth::B0) => {} // nothing stored, nothing accumulated
+    assert!(
+        k0 + w <= v.rows
+            && sink.len() == h * v.d
+            && bytes.len() >= (h * w * bits.bits() as usize).div_ceil(8),
+        "block outside its operands"
+    );
+    if let Sink::Dequant { scales, .. } = sink {
+        assert_eq!(scales.len(), v.d, "one scale per V column");
+    }
+    match bits {
+        Bitwidth::B0 => {} // nothing stored, nothing accumulated
+        Bitwidth::B2 => attn_v_on::<2>(kernel, bytes, zp, h, w, k0, v, scratch, sink),
+        Bitwidth::B4 => attn_v_on::<4>(kernel, bytes, zp, h, w, k0, v, scratch, sink),
+        Bitwidth::B8 => attn_v_on::<8>(kernel, bytes, zp, h, w, k0, v, scratch, sink),
+    }
+}
+
+/// [`attn_v_block`] at `BITS` bits: AVX2 where the kernel and the
+/// operands' ranges allow it, the scalar reference otherwise.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn attn_v_on<const BITS: usize>(
+    kernel: Kernel,
+    bytes: &[u8],
+    zp: i32,
+    h: usize,
+    w: usize,
+    k0: usize,
+    v: &VPairs,
+    scratch: &mut BlockScratch,
+    sink: &mut Sink,
+) {
+    // Centered codes span `[−zp, max − zp]`.
+    let codes_fit = zp <= -(i16::MIN as i32) && zp >= (1 << BITS) - 1 - i16::MAX as i32;
+    match (kernel, &v.vals) {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        // SAFETY: the CPU supports AVX2 (asserted above).
-        (Kernel::Avx2, Bitwidth::B2) => unsafe {
-            x86::block_gemm_avx2_b2(bytes, zp, h, w, v, d, acc)
+        // SAFETY: the CPU supports AVX2 (asserted by `attn_v_block`),
+        // which also checked the keys and the sink against the operand;
+        // the guard bounds the centered codes.
+        (Kernel::Avx2, PairVals::Narrow(vals)) if codes_fit => unsafe {
+            x86::attn_v_avx2::<BITS>(
+                bytes,
+                zp,
+                h,
+                w,
+                k0,
+                vals,
+                v.d,
+                v.dp,
+                &mut scratch.avx2,
+                sink,
+            )
         },
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        (Kernel::Avx2, Bitwidth::B4) => unsafe {
-            x86::block_gemm_avx2_b4(bytes, zp, h, w, v, d, acc)
-        },
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        (Kernel::Avx2, Bitwidth::B8) => unsafe {
-            x86::block_gemm_avx2_b8(bytes, zp, h, w, v, d, acc)
-        },
-        (_, Bitwidth::B2) => block_gemm_scalar(unpack_b2_scalar, bytes, zp, h, w, v, d, acc),
-        (_, Bitwidth::B4) => block_gemm_scalar(unpack_b4_scalar, bytes, zp, h, w, v, d, acc),
-        (_, Bitwidth::B8) => block_gemm_scalar(unpack_b8_scalar, bytes, zp, h, w, v, d, acc),
+        (_, PairVals::Narrow(vals)) => {
+            attn_v_scalar::<BITS, i16>(bytes, zp, h, w, k0, v, vals, &mut scratch.sums, sink)
+        }
+        (_, PairVals::Wide(vals)) => {
+            attn_v_scalar::<BITS, i32>(bytes, zp, h, w, k0, v, vals, &mut scratch.sums, sink)
+        }
     }
 }
 
@@ -669,36 +853,124 @@ mod tests {
     use super::*;
     use crate::PackedCodes;
 
-    /// Every supported kernel must produce the same accumulators as the
-    /// scalar reference on a shape that exercises realignment (odd tile
-    /// starts for the packed unpack) and ragged axpy tails.
+    /// One block through both sinks on `kernel`: the i32 sums added to
+    /// ones, and the dequantized sums added to halves, as bits.
+    #[allow(clippy::too_many_arguments)]
+    fn run_block(
+        kernel: Kernel,
+        bits: Bitwidth,
+        packed: &PackedCodes,
+        zp: i32,
+        h: usize,
+        k0: usize,
+        v: &VPairs,
+        scales: &[f32],
+    ) -> (Vec<i32>, Vec<u32>) {
+        let (w, d) = (packed.len() / h, v.cols());
+        let mut acc = vec![1i32; h * d];
+        let mut out = vec![0.5f32; h * d];
+        let mut scratch = BlockScratch::default();
+        let bytes = packed.as_bytes();
+        let mut sink = Sink::Accumulate(&mut acc);
+        attn_v_block(
+            kernel,
+            bits,
+            bytes,
+            zp,
+            h,
+            w,
+            k0,
+            v,
+            &mut scratch,
+            &mut sink,
+        );
+        let mut sink = Sink::Dequant {
+            out: &mut out,
+            s_b: 0.37,
+            scales,
+        };
+        attn_v_block(
+            kernel,
+            bits,
+            bytes,
+            zp,
+            h,
+            w,
+            k0,
+            v,
+            &mut scratch,
+            &mut sink,
+        );
+        (acc, out.iter().map(|x| x.to_bits()).collect())
+    }
+
+    /// Every supported kernel must produce the scalar reference's sums
+    /// through both sinks: at even and odd key offsets (a zero-padded
+    /// first pair), odd widths (a zero-padded last pair, and an odd
+    /// operand's padded last row), ragged column tails and rows wider
+    /// than one 64-column chunk.
     #[test]
     fn block_gemm_kernels_agree_on_odd_shapes() {
         for bits in [Bitwidth::B2, Bitwidth::B4, Bitwidth::B8] {
-            let (h, w, d) = (3, TILE + 21, 7); // w odd → mid-byte rows for b2/b4
-            let max = bits.max_code();
-            let codes: Vec<u32> = (0..h * w).map(|i| (i as u32 * 7 + 3) % (max + 1)).collect();
-            let packed = PackedCodes::pack(&codes, bits).unwrap();
-            let v: Vec<i32> = (0..w * d).map(|i| (i as i32 % 9) - 4).collect();
-            let zp = (max / 2) as i32;
-            let mut want = vec![0i32; h * d];
-            block_gemm(
-                Kernel::Scalar,
-                bits,
-                packed.as_bytes(),
-                zp,
-                h,
-                w,
-                &v,
-                d,
-                &mut want,
-            );
-            for kernel in Kernel::supported() {
-                let mut got = vec![0i32; h * d];
-                block_gemm(kernel, bits, packed.as_bytes(), zp, h, w, &v, d, &mut got);
-                assert_eq!(got, want, "kernel={kernel} bits={bits}");
+            for (h, w, d, k0, rows) in [
+                (3, 85, 7, 0, 85),
+                (2, 5, 70, 1, 7),
+                (4, 6, 64, 3, 9),
+                (1, 1, 9, 4, 5),
+                (6, 5, 130, 5, 10),
+            ] {
+                let max = bits.max_code();
+                let codes: Vec<u32> = (0..h * w).map(|i| (i as u32 * 7 + 3) % (max + 1)).collect();
+                let packed = PackedCodes::pack(&codes, bits).unwrap();
+                let v = VPairs::new(rows, d, |k, j| ((k * 31 + j * 7) % 511) as i32 - 255);
+                let scales: Vec<f32> = (0..d).map(|j| 0.01 + j as f32 * 1e-3).collect();
+                let zp = (max / 2) as i32;
+                let want = run_block(Kernel::Scalar, bits, &packed, zp, h, k0, &v, &scales);
+                for kernel in Kernel::supported() {
+                    let got = run_block(kernel, bits, &packed, zp, h, k0, &v, &scales);
+                    assert_eq!(got, want, "kernel={kernel} bits={bits} w={w} d={d} k0={k0}");
+                }
             }
         }
+    }
+
+    /// Operands outside i16 — a zero point far from the code range, or a
+    /// centered `V` past ±32767 — fall back to the scalar reference on
+    /// every kernel, with wrapping sums.
+    #[test]
+    fn attn_v_out_of_i16_operands_agree() {
+        let (h, w, d) = (3, 6, 12);
+        let codes: Vec<u32> = (0..h * w).map(|i| (i as u32 * 37) % 256).collect();
+        let packed = PackedCodes::pack(&codes, Bitwidth::B8).unwrap();
+        let scales = vec![0.25f32; d];
+        let narrow = VPairs::new(w, d, |k, j| (k as i32 * 3 - j as i32) % 256);
+        let wide = VPairs::new(w, d, |k, j| (k as i32 - 2) * 1_000_000 + j as i32);
+        assert!(matches!(narrow.vals, PairVals::Narrow(_)));
+        assert!(matches!(wide.vals, PairVals::Wide(_)));
+        for (v, zp) in [
+            (&narrow, -40_000),
+            (&narrow, 32_769),
+            (&narrow, 32_768),
+            (&narrow, 255 - 32_767),
+            (&wide, 7),
+            (&narrow, i32::MIN),
+        ] {
+            let want = run_block(Kernel::Scalar, Bitwidth::B8, &packed, zp, h, 0, v, &scales);
+            for kernel in Kernel::supported() {
+                let got = run_block(kernel, Bitwidth::B8, &packed, zp, h, 0, v, &scales);
+                assert_eq!(got, want, "kernel={kernel} zp={zp}");
+            }
+        }
+    }
+
+    /// The pair layout stores i16: half the bytes of i32 rows once the
+    /// padding to whole pairs and 8 columns is paid.
+    #[test]
+    fn narrow_pairs_halve_the_operand() {
+        let v = VPairs::new(1152, 64, |k, j| (k + j) as i32 % 511 - 255);
+        assert_eq!(v.bytes(), 1152 * 64 * 2);
+        let odd = VPairs::new(5, 3, |_, _| 1);
+        assert_eq!(odd.bytes(), 3 * 2 * 8 * 2);
     }
 
     #[test]

@@ -57,5 +57,5 @@ pub use int_attn::{
 pub use mixed_map::{MixedPrecisionMap, PARAM_BYTES_PER_BLOCK};
 pub use packed::PackedCodes;
 pub use params::QuantParams;
-pub use qkt::{qkt_block_i32, qkt_block_i32_with};
+pub use qkt::{qkt_scores_with, KeySpan, WideRows};
 pub use symmetric::SymmetricInt8;

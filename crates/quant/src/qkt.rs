@@ -1,126 +1,322 @@
-//! i8×i8→i32 score micro-kernels for the `QKᵀ` path.
+//! Integer `QKᵀ` score kernels: symmetric INT8 `Q` and `K` codes
+//! multiplied in exact i32 sums and scaled to f32 scores.
 //!
-//! The output-aware score computation (paper Sec. IV-B) multiplies a
-//! panel of symmetric INT8 `Q` codes against a panel of (possibly
-//! LDZ-truncated) INT8 `K` codes, one block at a time. This module is
-//! that multiply: `acc[r][c] = Σ_j q[r][j] · k[c][j]` over contiguous
-//! row-major panels, dispatched on the same [`Kernel`] value as every
-//! other hot loop in the workspace.
+//! The output-aware score computation (paper Sec. IV-B) multiplies each
+//! query row with the `K` rows of the live blocks of its block row,
+//! each `K` row possibly LDZ-truncated to its block's bitwidth. Both
+//! operands are held as [`WideRows`]: codes widened to i16 and
+//! zero-padded to 16 lanes, the operand form of `vpmaddwd`. A head's `K`
+//! panels are widened once, and a block row's queries once per block
+//! row.
 //!
-//! The AVX2 path widens 32 signed bytes at a time to i16 lanes
-//! (`vpmovsxbw`) and multiply-accumulates pairs into i32 lanes
-//! (`vpmaddwd` — exact: |product| ≤ 127² = 16129, and a pair sum fits
-//! i16×2 comfortably inside i32). Every product is exact and i32
-//! addition is associative, so the horizontal lane sum equals the
-//! scalar left-to-right sum **bit for bit** on any input — pinned by
-//! `tests/qkt_equivalence.rs` on all kernels the host supports. The
-//! dispatcher asserts that the CPU supports the kernel it is given
-//! before the AVX2 body runs.
+//! [`qkt_scores_with`] walks the scored key columns 8 at a time, across
+//! span and panel boundaries. The AVX2 body keeps one ymm of pair sums
+//! per key (`vpmaddwd` — exact: |product| ≤ 127·128, and a pair sum fits
+//! i32), reduces the 8 keys' sums to one ymm of 8 scores with a `vphaddd`
+//! tree, then converts and scales them, `a · s_q · s_k · scale` in that
+//! order, and stores them into the output row. A group short of 8 keys
+//! repeats its last key and stores only its own lanes; zero padding makes
+//! any head dimension run the same loop. Every product is exact and i32
+//! addition is associative, so the scores equal the scalar reference's
+//! **bit for bit** on any input — pinned by `tests/qkt_equivalence.rs`
+//! on every kernel the host supports. The dispatcher asserts that the
+//! CPU supports the kernel it is given before the AVX2 body runs.
 //!
-//! Accumulators do not overflow for any realistic head dimension:
-//! |acc| ≤ d·127², so i32 holds every `d` up to ~133 000.
+//! Sums do not overflow for any realistic head dimension: |sum| ≤
+//! d·127·128, so i32 holds every `d` up to ~132 000.
 
 // The AVX2 path needs `unsafe` for intrinsics; bounds are established by
-// the safe dispatchers (shapes validated by the public wrappers).
+// the safe dispatcher (shapes validated by the public wrapper).
 #![allow(unsafe_code)]
 
 use crate::QuantError;
-use paro_tensor::kernel::{active_kernel, Kernel};
+use paro_tensor::kernel::Kernel;
+use paro_tensor::TensorError;
+use std::ops::Range;
 
-fn qkt_scalar(q: &[i8], h: usize, k: &[i8], w: usize, d: usize, acc: &mut [i32]) {
-    for r in 0..h {
-        let qrow = &q[r * d..(r + 1) * d];
-        let arow = &mut acc[r * w..(r + 1) * w];
-        for (c, slot) in arow.iter_mut().enumerate() {
-            let krow = &k[c * d..(c + 1) * d];
-            let mut sum = 0i32;
-            for (&a, &b) in qrow.iter().zip(krow) {
-                sum += a as i32 * b as i32;
+/// i16 lanes of one AVX2 step; a [`WideRows`] row is zero-padded to a
+/// multiple of it.
+const LANES: usize = 16;
+
+/// Keys one AVX2 step scores.
+const KEYS: usize = 8;
+
+/// Rows of symmetric INT8 codes widened to i16, each zero-padded to a
+/// multiple of 16 lanes: the operand form of the score kernels.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct WideRows {
+    codes: Vec<i16>,
+    rows: usize,
+    d: usize,
+    stride: usize,
+}
+
+impl WideRows {
+    /// `rows` rows of `d` codes (row-major), widened.
+    ///
+    /// # Errors
+    ///
+    /// [`QuantError::PackedLengthMismatch`] if `codes` does not hold
+    /// `rows · d` values.
+    pub fn new(codes: &[i8], rows: usize, d: usize) -> Result<Self, QuantError> {
+        let mut wide = WideRows::default();
+        wide.assign(codes, rows, d)?;
+        Ok(wide)
+    }
+
+    /// Replaces the rows with `codes`, reusing the allocation.
+    ///
+    /// # Errors
+    ///
+    /// As [`WideRows::new`]; the rows are unchanged on error.
+    pub fn assign(&mut self, codes: &[i8], rows: usize, d: usize) -> Result<(), QuantError> {
+        if codes.len() != rows * d {
+            return Err(QuantError::PackedLengthMismatch {
+                bytes: codes.len(),
+                expected: rows * d,
+            });
+        }
+        let stride = d.next_multiple_of(LANES);
+        self.codes.clear();
+        self.codes.resize(rows * stride, 0);
+        for (r, src) in codes.chunks_exact(d.max(1)).enumerate() {
+            let dst = &mut self.codes[r * stride..r * stride + d];
+            for (o, &c) in dst.iter_mut().zip(src) {
+                *o = c as i16;
             }
-            *slot = sum;
+        }
+        (self.rows, self.d, self.stride) = (rows, d, stride);
+        Ok(())
+    }
+
+    /// The same rows with `f` applied to every code (padding stays zero).
+    pub fn map(&self, f: impl Fn(i8) -> i8) -> Self {
+        let mut out = self.clone();
+        for row in out.codes.chunks_exact_mut(self.stride.max(1)) {
+            for c in &mut row[..self.d] {
+                *c = f(*c as i8) as i16;
+            }
+        }
+        out
+    }
+
+    /// Row count.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Row `i`, padding included.
+    fn row(&self, i: usize) -> &[i16] {
+        &self.codes[i * self.stride..(i + 1) * self.stride]
+    }
+}
+
+/// A run of key columns scored against one panel of [`qkt_scores_with`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KeySpan {
+    /// Key columns (rows of the panel).
+    pub cols: Range<usize>,
+    /// Index of the panel in `panels`.
+    pub panel: usize,
+}
+
+fn scores_scalar(
+    q: &WideRows,
+    q_scales: &[f32],
+    panels: &[&WideRows],
+    spans: &[KeySpan],
+    k_scales: &[f32],
+    scale: f32,
+    out: &mut [f32],
+) {
+    let n = k_scales.len();
+    for span in spans {
+        let k = panels[span.panel];
+        for c in span.cols.clone() {
+            let krow = &k.row(c)[..k.d];
+            for (r, &qs) in q_scales.iter().enumerate() {
+                let mut sum = 0i32;
+                for (&a, &b) in q.row(r).iter().zip(krow) {
+                    sum += a as i32 * b as i32;
+                }
+                out[r * n + c] = sum as f32 * qs * k_scales[c] * scale;
+            }
         }
     }
 }
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod x86 {
+    use super::{KeySpan, WideRows, KEYS, LANES};
     #[cfg(target_arch = "x86")]
     use std::arch::x86::*;
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
 
-    /// Horizontal sum of 4 i32 lanes (exact — i32 addition commutes).
+    /// The 8 lane sums of each of 8 accumulators, in one ymm.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn hsum_epi32_sse(v: __m128i) -> i32 {
-        let hi = _mm_add_epi32(v, _mm_shuffle_epi32(v, 0b01_00_11_10));
-        _mm_cvtsi128_si32(_mm_add_epi32(hi, _mm_shuffle_epi32(hi, 0b00_00_00_01)))
+    fn reduce8(a: &[__m256i; KEYS]) -> __m256i {
+        // Per 128-bit half: keys 0-3 (then 4-7) summed over that half.
+        let s0123 = _mm256_hadd_epi32(_mm256_hadd_epi32(a[0], a[1]), _mm256_hadd_epi32(a[2], a[3]));
+        let s4567 = _mm256_hadd_epi32(_mm256_hadd_epi32(a[4], a[5]), _mm256_hadd_epi32(a[6], a[7]));
+        _mm256_add_epi32(
+            _mm256_permute2x128_si256(s0123, s4567, 0x20),
+            _mm256_permute2x128_si256(s0123, s4567, 0x31),
+        )
     }
 
-    /// i8 dot product over `n` elements, 32 bytes per step.
+    /// Scores every query row against 8 keys (`keys`, rows of `q`'s
+    /// stride, at columns `cols`) and stores the first `lanes` scores of
+    /// each row into `out` (rows of `n`).
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2, key rows of `q.stride` i16, `cols`
+    /// below `n` and below `k_scales.len()`, and `out` of `q.rows · n`.
+    #[allow(clippy::too_many_arguments)]
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn dot_i8_avx2(a: *const i8, b: *const i8, n: usize) -> i32 {
-        let mut accv = _mm256_setzero_si256();
-        let mut j = 0usize;
-        while j + 32 <= n {
-            let av = _mm256_loadu_si256(a.add(j) as *const __m256i);
-            let bv = _mm256_loadu_si256(b.add(j) as *const __m256i);
-            let alo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(av));
-            let ahi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(av, 1));
-            let blo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(bv));
-            let bhi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(bv, 1));
-            accv = _mm256_add_epi32(accv, _mm256_madd_epi16(alo, blo));
-            accv = _mm256_add_epi32(accv, _mm256_madd_epi16(ahi, bhi));
-            j += 32;
-        }
-        if j + 16 <= n {
-            let av = _mm_loadu_si128(a.add(j) as *const __m128i);
-            let bv = _mm_loadu_si128(b.add(j) as *const __m128i);
-            accv = _mm256_add_epi32(
-                accv,
-                _mm256_madd_epi16(_mm256_cvtepi8_epi16(av), _mm256_cvtepi8_epi16(bv)),
+    unsafe fn group(
+        q: &WideRows,
+        q_scales: &[f32],
+        keys: &[*const i16; KEYS],
+        cols: &[usize; KEYS],
+        lanes: usize,
+        k_scales: &[f32],
+        scale: f32,
+        out: &mut [f32],
+        n: usize,
+    ) {
+        let ks = cols.map(|c| *k_scales.get_unchecked(c));
+        let ks = _mm256_loadu_ps(ks.as_ptr());
+        let sv = _mm256_set1_ps(scale);
+        let contiguous = lanes == KEYS && cols[KEYS - 1] == cols[0] + KEYS - 1;
+        for (r, &qs) in q_scales.iter().enumerate() {
+            let qp = q.codes.as_ptr().add(r * q.stride);
+            let mut acc = [_mm256_setzero_si256(); KEYS];
+            let mut t = 0;
+            while t < q.stride {
+                let qv = _mm256_loadu_si256(qp.add(t) as *const __m256i);
+                for (a, &kp) in acc.iter_mut().zip(keys) {
+                    let kv = _mm256_loadu_si256(kp.add(t) as *const __m256i);
+                    *a = _mm256_add_epi32(*a, _mm256_madd_epi16(qv, kv));
+                }
+                t += LANES;
+            }
+            let sums = _mm256_cvtepi32_ps(reduce8(&acc));
+            let scores = _mm256_mul_ps(
+                _mm256_mul_ps(_mm256_mul_ps(sums, _mm256_set1_ps(qs)), ks),
+                sv,
             );
-            j += 16;
+            let row = out.as_mut_ptr().add(r * n);
+            if contiguous {
+                _mm256_storeu_ps(row.add(cols[0]), scores);
+            } else {
+                let mut lane = [0.0f32; KEYS];
+                _mm256_storeu_ps(lane.as_mut_ptr(), scores);
+                for (&c, &s) in cols.iter().zip(&lane).take(lanes) {
+                    *row.add(c) = s;
+                }
+            }
         }
-        let lanes = _mm_add_epi32(
-            _mm256_castsi256_si128(accv),
-            _mm256_extracti128_si256(accv, 1),
-        );
-        let mut sum = hsum_epi32_sse(lanes);
-        while j < n {
-            sum += *a.add(j) as i32 * *b.add(j) as i32;
-            j += 1;
-        }
-        sum
     }
 
     /// # Safety
-    /// Caller must ensure AVX2 and validated panel shapes.
+    /// Caller must ensure AVX2 and shapes validated by
+    /// [`super::qkt_scores_with`].
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn qkt_avx2(
-        q: &[i8],
-        h: usize,
-        k: &[i8],
-        w: usize,
-        d: usize,
-        acc: &mut [i32],
+    pub(super) unsafe fn scores_avx2(
+        q: &WideRows,
+        q_scales: &[f32],
+        panels: &[&WideRows],
+        spans: &[KeySpan],
+        k_scales: &[f32],
+        scale: f32,
+        out: &mut [f32],
     ) {
-        for r in 0..h {
-            let qp = q.as_ptr().add(r * d);
-            let arow = &mut acc[r * w..(r + 1) * w];
-            for (c, slot) in arow.iter_mut().enumerate() {
-                *slot = dot_i8_avx2(qp, k.as_ptr().add(c * d), d);
+        let n = k_scales.len();
+        let mut keys = [std::ptr::null::<i16>(); KEYS];
+        let mut cols = [0usize; KEYS];
+        let mut lanes = 0;
+        for span in spans {
+            let k = panels[span.panel];
+            for c in span.cols.clone() {
+                keys[lanes] = k.codes.as_ptr().add(c * k.stride);
+                cols[lanes] = c;
+                lanes += 1;
+                if lanes == KEYS {
+                    group(q, q_scales, &keys, &cols, KEYS, k_scales, scale, out, n);
+                    lanes = 0;
+                }
             }
+        }
+        if lanes > 0 {
+            // Pad the group with its last key; only its own lanes land.
+            for i in lanes..KEYS {
+                (keys[i], cols[i]) = (keys[lanes - 1], cols[lanes - 1]);
+            }
+            group(q, q_scales, &keys, &cols, lanes, k_scales, scale, out, n);
         }
     }
 }
 
-/// `acc[r][c] = Σ_j q[r][j] · k[c][j]` on the chosen kernel over
-/// contiguous row-major panels (`q` is `h·d`, `k` is `w·d` — `k` rows
-/// are *keys*, i.e. the panel is already transposed relative to the
-/// score matrix). Results overwrite `acc` (`h·w`).
-fn qkt_i8_i32(kernel: Kernel, q: &[i8], h: usize, k: &[i8], w: usize, d: usize, acc: &mut [i32]) {
+/// Scores query rows against the key columns of `spans`: `out[r·n + c]
+/// = (Σ_j q[r][j] · k[c][j]) as f32 · q_scales[r] · k_scales[c] · scale`,
+/// multiplied in that order, where `k` is the panel `panels[span.panel]`
+/// of the span that holds column `c` and `n = k_scales.len()`. Columns
+/// outside every span keep their values. Scores are bit-identical across
+/// kernels (exact products, associative i32 sums).
+///
+/// # Errors
+///
+/// [`QuantError::PackedLengthMismatch`] if `q_scales` does not hold one
+/// scale per query row, `out` is not `q.rows() · n`, a span names a
+/// missing panel or runs past its panel's rows or past `n`; a tensor
+/// dimension error if a panel's rows are not as long as the queries'.
+///
+/// # Panics
+///
+/// If the CPU does not support `kernel`.
+#[allow(clippy::too_many_arguments)]
+pub fn qkt_scores_with(
+    q: &WideRows,
+    q_scales: &[f32],
+    panels: &[&WideRows],
+    spans: &[KeySpan],
+    k_scales: &[f32],
+    scale: f32,
+    out: &mut [f32],
+    kernel: Kernel,
+) -> Result<(), QuantError> {
+    let n = k_scales.len();
+    let check = |got: usize, expected: usize| {
+        if got == expected {
+            Ok(())
+        } else {
+            Err(QuantError::PackedLengthMismatch {
+                bytes: got,
+                expected,
+            })
+        }
+    };
+    check(q_scales.len(), q.rows)?;
+    check(out.len(), q.rows * n)?;
+    for span in spans {
+        let Some(&k) = panels.get(span.panel) else {
+            return Err(QuantError::PackedLengthMismatch {
+                bytes: span.panel,
+                expected: panels.len(),
+            });
+        };
+        if k.d != q.d {
+            return Err(QuantError::Tensor(TensorError::MatmulDimMismatch {
+                left: vec![q.rows, q.d],
+                right: vec![k.d, k.rows],
+            }));
+        }
+        let end = span.cols.end.max(span.cols.start);
+        check(end, end.min(k.rows).min(n))?;
+    }
     assert!(
         kernel.is_supported(),
         "{kernel} is not supported by this CPU"
@@ -128,69 +324,12 @@ fn qkt_i8_i32(kernel: Kernel, q: &[i8], h: usize, k: &[i8], w: usize, d: usize, 
     match kernel {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         // SAFETY: the CPU supports AVX2 (asserted above); shapes are
-        // validated by the public wrapper.
-        Kernel::Avx2 => unsafe { x86::qkt_avx2(q, h, k, w, d, acc) },
-        _ => qkt_scalar(q, h, k, w, d, acc),
+        // validated above.
+        Kernel::Avx2 => unsafe {
+            x86::scores_avx2(q, q_scales, panels, spans, k_scales, scale, out)
+        },
+        _ => scores_scalar(q, q_scales, panels, spans, k_scales, scale, out),
     }
-}
-
-/// One `QKᵀ` block's integer score accumulators on the active
-/// [`Kernel`]: `acc[r][c] = Σ_j q[r·d+j] · k[c·d+j]`.
-///
-/// `q` holds `h` query rows of `d` codes, `k` holds `w` key rows of `d`
-/// codes (both row-major, contiguous), and `acc` receives `h·w` i32
-/// results (overwritten, not accumulated).
-///
-/// # Errors
-///
-/// Returns [`QuantError::PackedLengthMismatch`] if any slice length
-/// disagrees with `h`, `w`, `d`.
-pub fn qkt_block_i32(
-    q: &[i8],
-    h: usize,
-    k: &[i8],
-    w: usize,
-    d: usize,
-    acc: &mut [i32],
-) -> Result<(), QuantError> {
-    qkt_block_i32_with(q, h, k, w, d, acc, active_kernel())
-}
-
-/// [`qkt_block_i32`] on an explicit [`Kernel`]. Accumulators are
-/// bit-identical across kernels (exact products, associative i32
-/// accumulation).
-///
-/// # Errors
-///
-/// Same as [`qkt_block_i32`].
-pub fn qkt_block_i32_with(
-    q: &[i8],
-    h: usize,
-    k: &[i8],
-    w: usize,
-    d: usize,
-    acc: &mut [i32],
-    kernel: Kernel,
-) -> Result<(), QuantError> {
-    if q.len() != h * d {
-        return Err(QuantError::PackedLengthMismatch {
-            bytes: q.len(),
-            expected: h * d,
-        });
-    }
-    if k.len() != w * d {
-        return Err(QuantError::PackedLengthMismatch {
-            bytes: k.len(),
-            expected: w * d,
-        });
-    }
-    if acc.len() != h * w {
-        return Err(QuantError::PackedLengthMismatch {
-            bytes: acc.len(),
-            expected: h * w,
-        });
-    }
-    qkt_i8_i32(kernel, q, h, k, w, d, acc);
     Ok(())
 }
 
@@ -198,41 +337,132 @@ pub fn qkt_block_i32_with(
 mod tests {
     use super::*;
 
+    /// `rows × d` codes from a seed, spanning the whole i8 range.
+    fn codes(rows: usize, d: usize, seed: usize) -> Vec<i8> {
+        (0..rows * d)
+            .map(|i| ((i * 37 + seed * 11) % 256) as u8 as i8)
+            .collect()
+    }
+
+    fn run(q: &WideRows, k: &WideRows, spans: &[KeySpan], kernel: Kernel) -> Vec<u32> {
+        let n = k.rows();
+        let q_scales: Vec<f32> = (0..q.rows()).map(|r| 0.01 + r as f32 * 1e-3).collect();
+        let k_scales: Vec<f32> = (0..n).map(|c| 0.02 + c as f32 * 1e-4).collect();
+        let mut out = vec![-1.0f32; q.rows() * n];
+        qkt_scores_with(
+            q,
+            &q_scales,
+            &[k],
+            spans,
+            &k_scales,
+            0.125,
+            &mut out,
+            kernel,
+        )
+        .unwrap();
+        out.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn kernels_agree_on_ragged_depths() {
-        // Depths straddling the 16/32-byte AVX2 steps, including tails.
+        // Depths straddling the 16-lane step; key counts straddling the
+        // 8-key group, split into spans with a gap.
         for d in [1usize, 7, 15, 16, 17, 31, 32, 33, 48, 64, 100] {
-            let (h, w) = (3usize, 5usize);
-            let q: Vec<i8> = (0..h * d).map(|i| ((i * 37 + 11) % 255) as i8).collect();
-            let k: Vec<i8> = (0..w * d).map(|i| ((i * 91 + 5) % 255) as i8).collect();
-            let mut want = vec![0i32; h * w];
-            qkt_block_i32_with(&q, h, &k, w, d, &mut want, Kernel::Scalar).unwrap();
-            for kernel in Kernel::supported() {
-                let mut got = vec![0i32; h * w];
-                qkt_block_i32_with(&q, h, &k, w, d, &mut got, kernel).unwrap();
-                assert_eq!(got, want, "kernel={kernel} d={d}");
+            let (h, n) = (3usize, 21usize);
+            let q = WideRows::new(&codes(h, d, 1), h, d).unwrap();
+            let k = WideRows::new(&codes(n, d, 2), n, d).unwrap();
+            for spans in [
+                vec![KeySpan {
+                    cols: 0..n,
+                    panel: 0,
+                }],
+                vec![
+                    KeySpan {
+                        cols: 0..5,
+                        panel: 0,
+                    },
+                    KeySpan {
+                        cols: 9..21,
+                        panel: 0,
+                    },
+                ],
+            ] {
+                let want = run(&q, &k, &spans, Kernel::Scalar);
+                for kernel in Kernel::supported() {
+                    assert_eq!(run(&q, &k, &spans, kernel), want, "kernel={kernel} d={d}");
+                }
             }
         }
     }
 
     #[test]
     fn matches_hand_dot() {
-        let q: Vec<i8> = vec![1, -2, 3, 4, -5, 6];
-        let k: Vec<i8> = vec![7, 8, -9, -1, 2, 3];
-        let mut acc = vec![0i32; 4];
-        qkt_block_i32(&q, 2, &k, 2, 3, &mut acc).unwrap();
-        // [1·7 − 2·8 − 3·9, −1 − 4 + 9, 4·7 − 5·8 − 6·9, −4 − 10 + 18]
-        assert_eq!(acc, vec![-36, 4, -66, 4]);
+        let q = WideRows::new(&[1, -2, 3, 4, -5, 6], 2, 3).unwrap();
+        let k = WideRows::new(&[7, 8, -9, -1, 2, 3], 2, 3).unwrap();
+        let spans = [KeySpan {
+            cols: 0..2,
+            panel: 0,
+        }];
+        let mut out = vec![0.0f32; 4];
+        for kernel in Kernel::supported() {
+            qkt_scores_with(
+                &q,
+                &[1.0; 2],
+                &[&k],
+                &spans,
+                &[1.0; 2],
+                1.0,
+                &mut out,
+                kernel,
+            )
+            .unwrap();
+            // [1·7 − 2·8 − 3·9, −1 − 4 + 9, 4·7 − 5·8 − 6·9, −4 − 10 + 18]
+            assert_eq!(out, vec![-36.0, 4.0, -66.0, 4.0], "kernel={kernel}");
+        }
     }
 
     #[test]
     fn validation() {
-        let q = vec![0i8; 6];
-        let k = vec![0i8; 6];
-        let mut acc = vec![0i32; 4];
-        assert!(qkt_block_i32(&q, 2, &k, 2, 3, &mut acc).is_ok());
-        assert!(qkt_block_i32(&q, 2, &k, 3, 3, &mut acc).is_err());
-        assert!(qkt_block_i32(&q, 3, &k, 2, 3, &mut acc).is_err());
-        assert!(qkt_block_i32(&q, 2, &k, 2, 2, &mut acc).is_err());
+        let q = WideRows::new(&[0; 6], 2, 3).unwrap();
+        let k = WideRows::new(&[0; 6], 2, 3).unwrap();
+        let short = WideRows::new(&[0; 4], 2, 2).unwrap();
+        let all = [KeySpan {
+            cols: 0..2,
+            panel: 0,
+        }];
+        let mut out = vec![0.0f32; 4];
+        let s = Kernel::Scalar;
+        assert!(qkt_scores_with(&q, &[1.0; 2], &[&k], &all, &[1.0; 2], 1.0, &mut out, s).is_ok());
+        assert!(qkt_scores_with(&q, &[1.0; 3], &[&k], &all, &[1.0; 2], 1.0, &mut out, s).is_err());
+        assert!(qkt_scores_with(&q, &[1.0; 2], &[&k], &all, &[1.0; 3], 1.0, &mut out, s).is_err());
+        assert!(
+            qkt_scores_with(&q, &[1.0; 2], &[&short], &all, &[1.0; 2], 1.0, &mut out, s).is_err()
+        );
+        let past = [KeySpan {
+            cols: 1..3,
+            panel: 0,
+        }];
+        let mut wide = vec![0.0f32; 6];
+        assert!(
+            qkt_scores_with(&q, &[1.0; 2], &[&k], &past, &[1.0; 3], 1.0, &mut wide, s).is_err()
+        );
+        let missing = [KeySpan {
+            cols: 0..2,
+            panel: 1,
+        }];
+        assert!(
+            qkt_scores_with(&q, &[1.0; 2], &[&k], &missing, &[1.0; 2], 1.0, &mut out, s).is_err()
+        );
+        assert!(WideRows::new(&[0; 5], 2, 3).is_err());
+    }
+
+    #[test]
+    fn widened_rows_are_zero_padded_and_map_keeps_the_padding() {
+        let w = WideRows::new(&[1, -2, 3, -4], 2, 2).unwrap();
+        assert_eq!(w.row(1)[..3], [3, -4, 0]);
+        assert_eq!(w.row(0).len(), LANES);
+        let m = w.map(|c| c.saturating_sub(1));
+        assert_eq!(m.row(0)[..3], [0, -3, 0]);
+        assert!(m.row(1)[2..].iter().all(|&x| x == 0));
     }
 }

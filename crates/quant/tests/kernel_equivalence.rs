@@ -2,10 +2,13 @@
 //!
 //! Every dispatchable kernel (`scalar`, and `avx2` where the host
 //! supports it) must produce **bit-identical i32 accumulators** — the
-//! AVX2 paths reorder additions and multiply zero codes instead of
-//! skipping them, both of which are exact in wrapping i32 arithmetic, so
-//! any divergence is a bug, not rounding. Test names are prefixed
-//! `kernel_` so the CI sanitizer job can select exactly this suite.
+//! AVX2 paths sum key pairs in another order and multiply zero codes
+//! instead of skipping them, both of which are exact in wrapping i32
+//! arithmetic, so any divergence is a bug, not rounding. Operands cover
+//! their whole domain: centered 8-bit `V` spans ±255, and codes 0 and
+//! max meet zero points at both ends of the code range. Test names are
+//! prefixed `kernel_` so the CI sanitizer job can select exactly this
+//! suite.
 
 use paro_quant::{
     packed_attn_v_with, packed_block_gemm_i32_with, quantized_gemm_i32_with, Bitwidth, BlockGrid,
@@ -28,6 +31,39 @@ fn unit_f32(state: &mut u64) -> f32 {
 
 /// Runs one packed block GEMM on every supported kernel and asserts the
 /// accumulators are bit-equal to the scalar reference.
+#[allow(clippy::too_many_arguments)]
+fn assert_gemm_agrees(
+    codes: &[u32],
+    bits: Bitwidth,
+    zp: i32,
+    h: usize,
+    w: usize,
+    v: &[i32],
+    d: usize,
+) -> Result<(), TestCaseError> {
+    let packed = PackedCodes::pack(codes, bits).unwrap();
+    let mut want = vec![0i32; h * d];
+    packed_block_gemm_i32_with(&packed, zp, h, w, v, d, &mut want, Kernel::Scalar).unwrap();
+    for kernel in Kernel::supported() {
+        let mut got = vec![0i32; h * d];
+        packed_block_gemm_i32_with(&packed, zp, h, w, v, d, &mut got, kernel).unwrap();
+        prop_assert!(
+            got == want,
+            "{} disagrees with scalar at {:?} h={} w={} d={} zp={}",
+            kernel,
+            bits,
+            h,
+            w,
+            d,
+            zp
+        );
+    }
+    Ok(())
+}
+
+/// One random packed block GEMM: codes over the whole range, centered
+/// `V` over ±255 (8-bit codes minus 8-bit zero points) and a zero point
+/// anywhere in the code range.
 fn assert_block_gemm_agrees(
     h: usize,
     w: usize,
@@ -40,35 +76,19 @@ fn assert_block_gemm_agrees(
     let codes: Vec<u32> = (0..h * w)
         .map(|_| (lcg(&mut s) as u32) % (max + 1))
         .collect();
-    let packed = PackedCodes::pack(&codes, bits).unwrap();
     let v: Vec<i32> = (0..w * d)
-        .map(|_| (lcg(&mut s) as i32 % 257) - 128)
+        .map(|_| (lcg(&mut s) as i32 % 511) - 255)
         .collect();
     let zp = (lcg(&mut s) as i32) % (max as i32 + 1);
-    let mut want = vec![0i32; h * d];
-    packed_block_gemm_i32_with(&packed, zp, h, w, &v, d, &mut want, Kernel::Scalar).unwrap();
-    for kernel in Kernel::supported() {
-        let mut got = vec![0i32; h * d];
-        packed_block_gemm_i32_with(&packed, zp, h, w, &v, d, &mut got, kernel).unwrap();
-        prop_assert!(
-            got == want,
-            "{} disagrees with scalar at {:?} h={} w={} d={}",
-            kernel,
-            bits,
-            h,
-            w,
-            d
-        );
-    }
-    Ok(())
+    assert_gemm_agrees(&codes, bits, zp, h, w, &v, d)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random shapes across every bitwidth: ragged tile tails (`w` spans
-    /// the 64-code tile boundary) and ragged column tails (`d` spans the
-    /// 64/32/8-lane SIMD chunks).
+    /// Random shapes across every bitwidth: odd widths (a zero-padded
+    /// last code pair) and ragged column tails (`d` spans the 64- and
+    /// 8-column register chunks and the masked tail).
     #[test]
     fn kernel_block_gemm_bit_identical_across_kernels(
         h in 1usize..12,
@@ -109,19 +129,28 @@ proptest! {
     }
 
     /// The full packed `AttnV` path — mixed per-block bitwidths including
-    /// B0-bypassed blocks — must agree bit for bit across kernels, both
+    /// B0-bypassed blocks, block columns at odd key offsets (odd edges),
+    /// head dimensions around 8, 16 and 64 — must agree bit for bit
+    /// across kernels, both
     /// on the f32 output (same i32 accumulators, same scale expression)
     /// and on the MAC/byte accounting the bypass produces.
     #[test]
     fn kernel_packed_attn_v_bit_identical_across_kernels(
         n in 2usize..24,
-        d in 1usize..8,
+        d in prop::sample::select(vec![1usize, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65]),
         edge in 1usize..7,
         seed in 0u64..1000,
     ) {
         let mut s = seed.wrapping_add(0x9e3779b9);
         let map = Tensor::from_fn(&[n, n], |_| unit_f32(&mut s));
-        let v = Tensor::from_fn(&[n, d], |_| unit_f32(&mut s) * 4.0 - 2.0);
+        // Columns of both signs (zero point mid-range), all positive
+        // (zero point 0) and all negative (zero point 255), so centered
+        // `V` spans ±255.
+        let v = Tensor::from_fn(&[n, d], |i| match i[1] % 3 {
+            0 => unit_f32(&mut s) * 4.0 - 2.0,
+            1 => unit_f32(&mut s) * 2.0,
+            _ => -unit_f32(&mut s) * 2.0,
+        });
         let grid = BlockGrid::square(edge).unwrap();
         let (gr, gc) = grid.grid_dims(n, n);
         let bits: Vec<Bitwidth> = (0..gr * gc)
@@ -151,14 +180,44 @@ proptest! {
     }
 }
 
-/// Exact SIMD boundary shapes, pinned deterministically: full tiles,
-/// one-over/one-under tile tails, and each column-chunk width.
+/// Exact SIMD boundary shapes, pinned deterministically: even and odd
+/// widths, and each column-chunk width with one over and one under.
 #[test]
 fn kernel_block_gemm_agrees_on_simd_boundaries() {
     for &(h, w) in &[(1, 63), (1, 64), (1, 65), (2, 128), (3, 129), (4, 1)] {
         for &d in &[1usize, 7, 8, 9, 31, 32, 33, 63, 64, 65] {
             for bits in [Bitwidth::B2, Bitwidth::B4, Bitwidth::B8] {
                 assert_block_gemm_agrees(h, w, d, bits, (h * w * d) as u64).unwrap();
+            }
+        }
+    }
+}
+
+/// The ends of both operand domains: codes 0 and max against zero points
+/// 0 and max (centered codes at ±max), and `V` at +255, −255 and
+/// alternating, on the workloads' 6-key blocks and their neighbours, at
+/// depths around 8, 16 and 64.
+#[test]
+fn kernel_block_gemm_agrees_at_domain_ends() {
+    let (h, d_all) = (6usize, [7usize, 8, 9, 15, 16, 17, 63, 64, 65]);
+    for bits in [Bitwidth::B2, Bitwidth::B4, Bitwidth::B8] {
+        let max = bits.max_code();
+        for w in [5usize, 6, 7] {
+            let patterns: [Box<dyn Fn(usize) -> u32>; 3] = [
+                Box::new(|_| 0),
+                Box::new(|_| max),
+                Box::new(|i| max * (i as u32 % 2)),
+            ];
+            for code_at in &patterns {
+                let codes: Vec<u32> = (0..h * w).map(code_at).collect();
+                for zp in [0, max as i32] {
+                    for &d in &d_all {
+                        for v_at in [|_| 255, |_| -255, |i: usize| [255, -255][i % 2]] {
+                            let v: Vec<i32> = (0..w * d).map(v_at).collect();
+                            assert_gemm_agrees(&codes, bits, zp, h, w, &v, d).unwrap();
+                        }
+                    }
+                }
             }
         }
     }

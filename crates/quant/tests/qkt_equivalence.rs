@@ -1,12 +1,14 @@
-//! Bit-exactness of the `QKᵀ` i8×i8→i32 micro-kernels against scalar.
+//! Bit-exactness of the `QKᵀ` score kernels against scalar.
 //!
-//! The SIMD paths widen i8 pairs to i16 and use `pmaddwd`, which is exact
-//! for any i8 inputs, and i32 addition is associative — so every kernel
-//! must produce **bit-identical accumulators** regardless of summation
-//! order. Any divergence is a bug, not rounding. Test names are prefixed
+//! The SIMD path widens i8 codes to i16 and uses `vpmaddwd`, which is
+//! exact for any i8 inputs, and i32 addition is associative — so every
+//! kernel must produce **bit-identical scores** (the same i32 sums,
+//! converted and scaled by the same f32 operations in the same order)
+//! regardless of summation order, and so must an independent plain-loop
+//! oracle. Any divergence is a bug, not rounding. Test names are prefixed
 //! `kernel_` so the CI sanitizer job can select exactly this suite.
 
-use paro_quant::qkt_block_i32_with;
+use paro_quant::{qkt_scores_with, KeySpan, WideRows};
 use paro_tensor::kernel::Kernel;
 use proptest::prelude::*;
 
@@ -18,77 +20,201 @@ fn lcg(state: &mut u64) -> u64 {
 }
 
 fn codes_i8(n: usize, state: &mut u64) -> Vec<i8> {
-    (0..n)
-        .map(|_| (lcg(state) as i32 % 255 - 127) as i8)
-        .collect()
+    (0..n).map(|_| lcg(state) as u8 as i8).collect()
 }
 
-/// Runs one `QKᵀ` block on every supported kernel and asserts the i32
-/// accumulators are bit-equal to the scalar reference.
-fn assert_qkt_agrees(h: usize, w: usize, d: usize, seed: u64) -> Result<(), TestCaseError> {
+/// Scores `q` against three `n`-key panels over `spans` on `kernel`;
+/// columns outside every span keep a poison value.
+fn scores(q: &WideRows, panels: &[WideRows; 3], spans: &[KeySpan], kernel: Kernel) -> Vec<u32> {
+    let n = panels[0].rows();
+    let q_scales: Vec<f32> = (0..q.rows()).map(|r| 0.003 + r as f32 * 7e-4).collect();
+    let k_scales: Vec<f32> = (0..n).map(|c| 0.011 + c as f32 * 3e-4).collect();
+    let mut out = vec![f32::NAN; q.rows() * n];
+    let [a, b, c] = panels;
+    qkt_scores_with(
+        q,
+        &q_scales,
+        &[a, b, c],
+        spans,
+        &k_scales,
+        0.125,
+        &mut out,
+        kernel,
+    )
+    .unwrap();
+    out.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The same scores from plain i8 loops over the unwidened codes.
+fn oracle(q: &[i8], k: &[Vec<i8>; 3], h: usize, n: usize, d: usize, spans: &[KeySpan]) -> Vec<u32> {
+    let mut out = vec![f32::NAN; h * n];
+    for span in spans {
+        for c in span.cols.clone() {
+            for r in 0..h {
+                let krow = &k[span.panel][c * d..(c + 1) * d];
+                let sum: i32 = q[r * d..(r + 1) * d]
+                    .iter()
+                    .zip(krow)
+                    .map(|(&a, &b)| a as i32 * b as i32)
+                    .sum();
+                let (qs, ks) = (0.003 + r as f32 * 7e-4, 0.011 + c as f32 * 3e-4);
+                out[r * n + c] = sum as f32 * qs * ks * 0.125;
+            }
+        }
+    }
+    out.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Runs one block row of `h` queries against `n` keys in `spans` on
+/// every supported kernel and asserts the scores equal the scalar
+/// reference's and the oracle's, bit for bit.
+fn assert_scores_agree(
+    h: usize,
+    n: usize,
+    d: usize,
+    spans: &[KeySpan],
+    seed: u64,
+) -> Result<(), TestCaseError> {
     let mut s = seed.wrapping_add(0x9127_0000);
     let q = codes_i8(h * d, &mut s);
-    let k = codes_i8(w * d, &mut s);
-    let mut want = vec![0i32; h * w];
-    qkt_block_i32_with(&q, h, &k, w, d, &mut want, Kernel::Scalar).unwrap();
+    let k = [
+        codes_i8(n * d, &mut s),
+        codes_i8(n * d, &mut s),
+        codes_i8(n * d, &mut s),
+    ];
+    let wq = WideRows::new(&q, h, d).unwrap();
+    let panels = k.clone().map(|k| WideRows::new(&k, n, d).unwrap());
+    let want = scores(&wq, &panels, spans, Kernel::Scalar);
+    prop_assert!(
+        want == oracle(&q, &k, h, n, d, spans),
+        "scalar disagrees with the oracle"
+    );
     for kernel in Kernel::supported() {
-        // Poisoned accumulators: the kernel must overwrite, not add.
-        let mut got = vec![i32::MIN; h * w];
-        qkt_block_i32_with(&q, h, &k, w, d, &mut got, kernel).unwrap();
+        let got = scores(&wq, &panels, spans, kernel);
         prop_assert!(
             got == want,
-            "{} disagrees with scalar at h={} w={} d={}",
+            "{} disagrees with scalar at h={} n={} d={} spans={:?}",
             kernel,
             h,
-            w,
-            d
+            n,
+            d,
+            spans
         );
     }
     Ok(())
 }
 
+/// `n` keys cut into runs of 1–9 columns, each on a random panel or
+/// skipped (a 0-bit block).
+fn random_spans(n: usize, seed: u64) -> Vec<KeySpan> {
+    let mut s = seed.wrapping_add(0x5a5a);
+    let mut spans = Vec::new();
+    let mut c0 = 0;
+    while c0 < n {
+        let c1 = (c0 + 1 + lcg(&mut s) as usize % 9).min(n);
+        let panel = lcg(&mut s) as usize % 4;
+        if panel < 3 {
+            spans.push(KeySpan {
+                cols: c0..c1,
+                panel,
+            });
+        }
+        c0 = c1;
+    }
+    spans
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random shapes: `d` spans the 32-lane AVX2 step, the 16-lane SSE
-    /// step, and scalar tails; extreme codes (±127) exercise the widest
-    /// `pmaddwd` pair sums.
+    /// Random shapes and spans: `d` spans the 16-lane step and its
+    /// zero-padded tail, `n` the 8-key group and its repeated-key tail,
+    /// and groups cross span, panel and gap boundaries; codes span the
+    /// whole i8 range.
     #[test]
     fn kernel_qkt_bit_identical_across_kernels(
         h in 1usize..12,
-        w in 1usize..12,
+        n in 1usize..40,
         d in 1usize..140,
         seed in 0u64..1000,
     ) {
-        assert_qkt_agrees(h, w, d, seed)?;
+        assert_scores_agree(h, n, d, &random_spans(n, seed), seed)?;
     }
 }
 
-/// Exact SIMD boundary depths, pinned deterministically: each vector
-/// width, one-over/one-under, and the empty-tail cases.
+/// 6-key blocks (the workloads' edge) at 2, 4 and 8 bits with a 0-bit
+/// block between them: every 8-key group straddles a width change or
+/// the gap. Depths around 8, 16 and 64.
 #[test]
-fn kernel_qkt_agrees_on_simd_boundaries() {
-    for &(h, w) in &[(1, 1), (1, 5), (3, 1), (4, 4)] {
-        for &d in &[1usize, 15, 16, 17, 31, 32, 33, 47, 48, 64, 65, 96, 100] {
-            assert_qkt_agrees(h, w, d, (h * w * d) as u64).unwrap();
+fn kernel_qkt_groups_straddle_widths_and_bypassed_blocks() {
+    let spans = [
+        KeySpan {
+            cols: 0..6,
+            panel: 0,
+        },
+        KeySpan {
+            cols: 6..12,
+            panel: 1,
+        },
+        KeySpan {
+            cols: 18..24,
+            panel: 2,
+        },
+        KeySpan {
+            cols: 24..30,
+            panel: 0,
+        },
+        KeySpan {
+            cols: 30..33,
+            panel: 1,
+        },
+    ];
+    for h in [1usize, 5, 6] {
+        for d in [1usize, 7, 8, 9, 15, 16, 17, 31, 33, 63, 64, 65] {
+            assert_scores_agree(h, 33, d, &spans, (h * d) as u64).unwrap();
         }
     }
 }
 
-/// Saturated operands at the largest bench depth stay exact: |acc| ≤
-/// d·127² is far inside i32 and inside the i16-pair bound of `pmaddwd`.
+/// Exact SIMD boundary depths, pinned deterministically: each vector
+/// width, one-over/one-under, the zero-padded tails, and key counts
+/// around the 8-key group.
+#[test]
+fn kernel_qkt_agrees_on_simd_boundaries() {
+    for &(h, n) in &[(1, 1), (1, 5), (3, 8), (4, 9), (2, 16), (6, 23)] {
+        for &d in &[1usize, 15, 16, 17, 31, 32, 33, 47, 48, 64, 65, 96, 100] {
+            let spans = [KeySpan {
+                cols: 0..n,
+                panel: 0,
+            }];
+            assert_scores_agree(h, n, d, &spans, (h * n * d) as u64).unwrap();
+        }
+    }
+}
+
+/// Saturated operands at the largest bench depth stay exact: |sum| ≤
+/// d·128² is far inside i32, and a `vpmaddwd` pair of i8 products
+/// cannot overflow.
 #[test]
 fn kernel_qkt_extreme_codes_do_not_overflow() {
     let d = 4096;
     for pattern in [[127i8, 127], [-128, 127], [-128, -128]] {
-        let q: Vec<i8> = (0..d).map(|j| pattern[j % 2]).collect();
-        let k = q.clone();
-        let mut want = vec![0i32; 1];
-        qkt_block_i32_with(&q, 1, &k, 1, d, &mut want, Kernel::Scalar).unwrap();
+        let codes: Vec<i8> = (0..d).map(|j| pattern[j % 2]).collect();
+        let wide = WideRows::new(&codes, 1, d).unwrap();
+        let panels = [wide.clone(), wide.clone(), wide.clone()];
+        let spans = [KeySpan {
+            cols: 0..1,
+            panel: 0,
+        }];
+        let want = scores(&wide, &panels, &spans, Kernel::Scalar);
+        let k = [codes.clone(), codes.clone(), codes.clone()];
+        assert_eq!(want, oracle(&codes, &k, 1, 1, d, &spans), "{pattern:?}");
         for kernel in Kernel::supported() {
-            let mut got = vec![0i32; 1];
-            qkt_block_i32_with(&q, 1, &k, 1, d, &mut got, kernel).unwrap();
-            assert_eq!(got, want, "{kernel} pattern {pattern:?}");
+            assert_eq!(
+                scores(&wide, &panels, &spans, kernel),
+                want,
+                "{kernel} {pattern:?}"
+            );
         }
     }
 }
