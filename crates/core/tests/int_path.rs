@@ -4,13 +4,13 @@
 //! fully-bypassed block rows) and `V` tensors, the packed-int kernels,
 //! the reference integer GEMM (`quantized_gemm_i32` + `dequantize_gemm`)
 //! and the fake-quant f32 path must agree: bit-for-bit on integer codes
-//! and accumulators, within float tolerance on outputs.
+//! and against the reference GEMM, within float tolerance against the
+//! float path.
 
 use paro_core::sparse::sparse_attn_v;
 use paro_quant::{
-    dequantize_gemm, fake_quant_2d, fake_quant_blocks, packed_attn_v, packed_block_gemm_i32,
-    quantized_gemm_i32, Bitwidth, BlockGrid, Grouping, MixedPrecisionMap, PerColCodes,
-    QuantizedGemmOperand,
+    dequantize_gemm, fake_quant_2d, fake_quant_blocks, packed_attn_v, quantized_gemm_i32, Bitwidth,
+    BlockGrid, Grouping, MixedPrecisionMap, PerColCodes, QuantizedGemmOperand,
 };
 use paro_tensor::Tensor;
 use proptest::prelude::*;
@@ -87,40 +87,36 @@ proptest! {
             );
         }
 
-        // Accumulators: every non-B0 block's i32 results are bit-equal to
-        // quantized_gemm_i32 on identical codes (map block x V column).
+        // Accumulators: every output equals, bit for bit, the sum over its
+        // row's non-B0 blocks in column order of dequantize_gemm ∘
+        // quantized_gemm_i32 on identical codes (map block x V column),
+        // starting from 0 — the same i32 sums and the same scaling.
+        let mut want = vec![0.0f32; n * d];
         for bi in 0..gr {
             for bj in 0..gc {
                 let idx = bi * gc + bj;
                 if packed.block_bits(idx) == Bitwidth::B0 {
                     continue;
                 }
-                let (_, c0, h, w) = grid.block_bounds(bi, bj, n, n);
-                let params = packed.block_params(idx);
-                let codes = packed.block_codes(idx);
-                let v_centered: Vec<i32> = (0..w)
-                    .flat_map(|r| {
-                        (0..d).map(move |c| (r, c))
-                    })
-                    .map(|(r, c)| {
-                        vq.codes()[(c0 + r) * d + c] as i32 - vq.params()[c].zero_point()
-                    })
-                    .collect();
-                let mut acc = vec![0i32; h * d];
-                packed_block_gemm_i32(codes, params.zero_point(), h, w, &v_centered, d, &mut acc)
-                    .unwrap();
+                let (r0, c0, h, w) = grid.block_bounds(bi, bj, n, n);
+                let codes = packed.block_codes(idx).unpack();
                 let a_op =
-                    QuantizedGemmOperand::from_parts(codes.unpack(), h, w, params).unwrap();
+                    QuantizedGemmOperand::from_parts(codes, h, w, packed.block_params(idx))
+                        .unwrap();
                 for c in 0..d {
                     let col: Vec<u32> = (0..w).map(|r| vq.codes()[(c0 + r) * d + c]).collect();
                     let b_op =
                         QuantizedGemmOperand::from_parts(col, w, 1, vq.params()[c]).unwrap();
-                    let want = quantized_gemm_i32(&a_op, &b_op).unwrap();
+                    let acc = quantized_gemm_i32(&a_op, &b_op).unwrap();
+                    let block = dequantize_gemm(&acc, &a_op, &b_op).unwrap();
                     for lr in 0..h {
-                        prop_assert_eq!(acc[lr * d + c], want[lr]);
+                        want[(r0 + lr) * d + c] += block.at(&[lr, 0]);
                     }
                 }
             }
+        }
+        for (i, (a, b)) in got.output.as_slice().iter().zip(&want).enumerate() {
+            prop_assert!(a.to_bits() == b.to_bits(), "output {}: {} vs {}", i, a, b);
         }
     }
 

@@ -13,7 +13,7 @@
 //! [`MixedPrecisionMap::quantize`]: crate::MixedPrecisionMap::quantize
 //! [`packed_attn_v`]: crate::packed_attn_v
 
-use crate::kernels::{self, BlockScratch, Kernel, Sink, VPairs};
+use crate::kernels::{self, BlockScratch, Kernel, VPairs};
 use crate::mixed_map::PARAM_BYTES_PER_BLOCK;
 use crate::packed::pack_append;
 use crate::{Bitwidth, BlockGrid, PackedCodes, PerColCodes, QuantError, QuantParams};
@@ -339,24 +339,7 @@ impl AttnVOperand {
                     });
                 }
             }
-            let mut sink = Sink::Dequant {
-                out: &mut *out,
-                s_b: b.params.scale(),
-                scales: &self.scales,
-            };
-            let zp = b.params.zero_point();
-            kernels::attn_v_block(
-                self.kernel,
-                b.bits,
-                b.bytes,
-                zp,
-                h,
-                b.w,
-                b.c0,
-                &self.v,
-                scratch,
-                &mut sink,
-            );
+            kernels::attn_v_block(self.kernel, &b, h, &self.v, &self.scales, scratch, out);
         }
         Ok(())
     }

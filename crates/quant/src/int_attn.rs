@@ -13,7 +13,7 @@
 //! accounting matching the float-side block-sparse reference.
 
 use crate::block_row::{AttnVOperand, BlockRef};
-use crate::kernels::{self, BlockScratch, Kernel, Sink, VPairs};
+use crate::kernels::{self, BlockScratch, Kernel};
 use crate::mixed_map::PARAM_BYTES_PER_BLOCK;
 use crate::{Bitwidth, MixedPrecisionMap, PackedCodes, QuantError, QuantParams};
 use paro_tensor::{Tensor, TensorError};
@@ -167,8 +167,8 @@ pub fn packed_attn_v(map: &MixedPrecisionMap, v: &PerColCodes) -> Result<PackedA
 }
 
 /// [`packed_attn_v`] on an explicit [`Kernel`] instead of the dispatched
-/// one. Accumulators are bit-identical across kernels; the equivalence
-/// tests and in-process benchmark comparisons use this to pin SIMD paths
+/// one. Outputs are bit-identical across kernels; the equivalence tests
+/// and in-process benchmark comparisons use this to pin SIMD paths
 /// against the scalar reference.
 ///
 /// # Errors
@@ -228,87 +228,6 @@ pub fn packed_attn_v_with(
         skipped_blocks: skipped,
         kernel: kernel.as_str(),
     })
-}
-
-/// One block's integer GEMM against pre-centered `V` codes on the active
-/// [`Kernel`]: the block body of packed `AttnV`, with its sums added to
-/// i32 accumulators instead of dequantized.
-///
-/// `codes` holds the block's `h*w` packed map codes (row-major within the
-/// block), `v_centered` the `w*d` zero-point-subtracted V codes of the
-/// block's key range, and `acc` receives `h*d` i32 accumulators
-/// (`acc[r][c] += Σ_k (code[r][k] − zero_point) · v_centered[k][c]`).
-///
-/// # Errors
-///
-/// Returns [`QuantError::PackedLengthMismatch`] if `codes` does not hold
-/// `h*w` elements or the slice lengths disagree with `h`, `w`, `d`.
-pub fn packed_block_gemm_i32(
-    codes: &PackedCodes,
-    zero_point: i32,
-    h: usize,
-    w: usize,
-    v_centered: &[i32],
-    d: usize,
-    acc: &mut [i32],
-) -> Result<(), QuantError> {
-    packed_block_gemm_i32_with(
-        codes,
-        zero_point,
-        h,
-        w,
-        v_centered,
-        d,
-        acc,
-        kernels::active_kernel(),
-    )
-}
-
-/// [`packed_block_gemm_i32`] on an explicit [`Kernel`]. Accumulators are
-/// bit-identical across kernels: every product is exact and the sums are
-/// wrapping i32 additions, whose order does not matter. `V` values
-/// outside i16 run the scalar reference on every kernel.
-///
-/// # Errors
-///
-/// Same as [`packed_block_gemm_i32`].
-#[allow(clippy::too_many_arguments)]
-pub fn packed_block_gemm_i32_with(
-    codes: &PackedCodes,
-    zero_point: i32,
-    h: usize,
-    w: usize,
-    v_centered: &[i32],
-    d: usize,
-    acc: &mut [i32],
-    kernel: Kernel,
-) -> Result<(), QuantError> {
-    for (got, expected) in [
-        (codes.len(), h * w),
-        (v_centered.len(), w * d),
-        (acc.len(), h * d),
-    ] {
-        if got != expected {
-            return Err(QuantError::PackedLengthMismatch {
-                bytes: got,
-                expected,
-            });
-        }
-    }
-    let v = VPairs::new(w, d, |k, j| v_centered[k * d + j]);
-    kernels::attn_v_block(
-        kernel,
-        codes.bits(),
-        codes.as_bytes(),
-        zero_point,
-        h,
-        w,
-        0,
-        &v,
-        &mut BlockScratch::default(),
-        &mut Sink::Accumulate(acc),
-    );
-    Ok(())
 }
 
 #[cfg(test)]
@@ -474,17 +393,38 @@ mod tests {
 
     #[test]
     fn block_gemm_validates_lengths() {
+        // `V` of ones (centered 1, scale 1) and one 2×2 block of codes
+        // [1, 2; 3, 0] at zero point 0: `accumulate_blocks`, the entry of
+        // the block GEMM, checks each block against the operand and the
+        // output before any body runs.
+        let vq = PerColCodes::quantize(&Tensor::full(&[2, 2], 1.0), Bitwidth::B8).unwrap();
+        let operand = AttnVOperand::new(&vq, Kernel::Scalar).unwrap();
         let codes = PackedCodes::pack(&[1, 2, 3, 0], Bitwidth::B4).unwrap();
-        let mut acc = vec![0i32; 4];
+        let block = |c0, elems, bytes| BlockRef {
+            c0,
+            w: 2,
+            elems,
+            bits: Bitwidth::B4,
+            params: QuantParams::new(1.0, 0, Bitwidth::B4),
+            bytes,
+        };
+        let bytes = codes.as_bytes();
+        let mut scratch = BlockScratch::default();
+        let mut run = |b: BlockRef, h: usize, out: &mut [f32]| {
+            operand.accumulate_blocks([b], h, &mut scratch, out)
+        };
         // Wrong code count for the claimed block shape.
-        assert!(packed_block_gemm_i32(&codes, 0, 3, 2, &[0; 4], 2, &mut acc).is_err());
-        // Wrong V slice length.
-        assert!(packed_block_gemm_i32(&codes, 0, 2, 2, &[0; 3], 2, &mut acc).is_err());
-        // Wrong accumulator length.
-        assert!(packed_block_gemm_i32(&codes, 0, 2, 2, &[0; 4], 2, &mut acc[..3]).is_err());
+        assert!(run(block(0, 4, bytes), 3, &mut [0.0; 6]).is_err());
+        // A payload shorter than its codes.
+        assert!(run(block(0, 4, &bytes[..1]), 2, &mut [0.0; 4]).is_err());
+        // Keys past `V`'s rows.
+        assert!(run(block(1, 4, bytes), 2, &mut [0.0; 4]).is_err());
+        // Wrong output length.
+        assert!(run(block(0, 4, bytes), 2, &mut [0.0; 3]).is_err());
         // Correct shapes pass.
-        assert!(packed_block_gemm_i32(&codes, 0, 2, 2, &[1; 4], 2, &mut acc).is_ok());
-        assert_eq!(acc, vec![3, 3, 3, 3]);
+        let mut out = [0.0f32; 4];
+        assert!(run(block(0, 4, bytes), 2, &mut out).is_ok());
+        assert_eq!(out, [3.0; 4]);
     }
 
     #[test]

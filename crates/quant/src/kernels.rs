@@ -20,14 +20,16 @@
 //!   key offset run the same loop), broadcasts each pair against the
 //!   matching `V` pair row, and keeps up to 64 output columns of i32
 //!   sums in ymm registers across the block's keys. The sums go straight
-//!   to the block's [`Sink`]: for `AttnV` each lane is converted, scaled
-//!   by `s_b · s_c` and added into the f32 output row, in that order and
-//!   without FMA, so there is no i32 accumulator buffer and no second
-//!   pass. `V` rows are zero-padded to 8 columns and the output tail is a
-//!   masked load and store, so a ragged head dimension runs in the same
-//!   body.
-//! - The scalar reference walks the same operand one key at a time and
-//!   skips a zero centered code (it contributes nothing).
+//!   into the block row's f32 output: each lane is converted, scaled by
+//!   `s_b · s_c` and added, in that order and without FMA — the
+//!   per-block dequantization of [`crate::dequantize_gemm`] — so there is
+//!   no i32 accumulator buffer and no second pass. `V` rows are
+//!   zero-padded to 8 columns and the output tail is a masked load and
+//!   store, so a ragged head dimension runs in the same body.
+//! - The scalar reference centers each row's codes once, with the same
+//!   zero padding, walks the same operand pair by pair, skips a pair of
+//!   zero centered codes (it contributes nothing), and dequantizes the
+//!   row's sums with the same expression.
 //!
 //! Every product is exact and the sums are wrapping i32 additions, which
 //! are associative, so both bodies are **bit-identical** for any summation
@@ -47,7 +49,8 @@
 // the safe dispatchers (shapes validated by the callers).
 #![allow(unsafe_code)]
 
-use crate::Bitwidth;
+use crate::block_row::BlockRef;
+use crate::{Bitwidth, PackedCodes};
 pub use paro_tensor::kernel::{active_kernel, Kernel};
 
 /// k-dimension tile edge of the unpacked-operand GEMM (shared with the
@@ -141,56 +144,12 @@ impl VPairs {
     }
 }
 
-/// Where one block's exact i32 sums `Σ_k (code[r][k] − z_b) · v[k][j]`
-/// go, row `r` of `h` and column `j` of `d`.
-pub(crate) enum Sink<'a> {
-    /// `out[r][j] += sum as f32 · (s_b · scales[j])` — conversion,
-    /// multiply and add in that order, the per-block dequantization of
-    /// [`crate::dequantize_gemm`] — into `h × d` f32 output rows.
-    Dequant {
-        /// The block row's output rows.
-        out: &'a mut [f32],
-        /// The block's scale.
-        s_b: f32,
-        /// `V`'s column scales.
-        scales: &'a [f32],
-    },
-    /// `acc[r][j] += sum` (wrapping) into `h × d` i32 accumulators.
-    Accumulate(&'a mut [i32]),
-}
-
-impl Sink<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Sink::Dequant { out, .. } => out.len(),
-            Sink::Accumulate(acc) => acc.len(),
-        }
-    }
-
-    /// Adds row `r`'s `d` sums.
-    fn row(&mut self, r: usize, sums: &[i32]) {
-        let d = sums.len();
-        match self {
-            Sink::Dequant { out, s_b, scales } => {
-                let orow = &mut out[r * d..(r + 1) * d];
-                for ((o, &a), &s_c) in orow.iter_mut().zip(sums).zip(scales.iter()) {
-                    *o += a as f32 * (*s_b * s_c);
-                }
-            }
-            Sink::Accumulate(acc) => {
-                for (o, &a) in acc[r * d..(r + 1) * d].iter_mut().zip(sums) {
-                    *o = o.wrapping_add(a);
-                }
-            }
-        }
-    }
-}
-
-/// Reusable buffers of the block bodies: the scalar reference's row of
-/// sums, and the AVX2 body's centered code pairs and scale products.
+/// Reusable buffers of the block bodies: the scalar reference's centered
+/// codes and row of sums, and the AVX2 body's centered code pairs and
+/// scale products.
 #[derive(Debug, Default)]
 pub(crate) struct BlockScratch {
-    sums: Vec<i32>,
+    scalar: (Vec<i32>, Vec<i32>),
     #[cfg_attr(
         not(any(target_arch = "x86", target_arch = "x86_64")),
         allow(dead_code)
@@ -206,44 +165,44 @@ fn code_at<const BITS: usize>(bytes: &[u8], e: usize) -> i32 {
     ((bytes[e * BITS / 8] >> (e * BITS % 8)) & mask) as i32
 }
 
-/// Scalar reference block body: per row, each pair of keys' centered
-/// codes (zero outside the block) times their `V` pair row, summed in
-/// i32 and handed to `sink`; a pair of zero codes is skipped.
-#[allow(clippy::too_many_arguments)]
+/// Scalar reference block body: per row, the row's codes centered on the
+/// block's zero point (zero where a pair passes the block's keys), each
+/// pair of them times its `V` pair row summed in i32 — a pair of zero
+/// codes is skipped — and `out[r][j] += sum as f32 · (s_b · s_c)`.
 fn attn_v_scalar<const BITS: usize, T: Copy + Into<i32>>(
-    bytes: &[u8],
-    zp: i32,
+    block: &BlockRef,
     h: usize,
-    w: usize,
-    k0: usize,
     v: &VPairs,
     vals: &[T],
-    sums: &mut Vec<i32>,
-    sink: &mut Sink,
+    scales: &[f32],
+    (codes, sums): &mut (Vec<i32>, Vec<i32>),
+    out: &mut [f32],
 ) {
-    let keys = k0..k0 + w;
-    let code = |r: usize, key: usize| {
-        if keys.contains(&key) {
-            code_at::<BITS>(bytes, r * w + key - k0).wrapping_sub(zp)
-        } else {
-            0
-        }
-    };
+    let (w, zp, s_b) = (block.w, block.params.zero_point(), block.params.scale());
+    let s = block.c0 & 1;
+    codes.clear();
+    codes.resize((s + w).div_ceil(2) * 2, 0);
     sums.resize(v.d, 0);
+    let vrows = vals[(block.c0 / 2) * 2 * v.dp..].chunks_exact(2 * v.dp);
     for r in 0..h {
+        for (k, c) in codes[s..s + w].iter_mut().enumerate() {
+            *c = code_at::<BITS>(block.bytes, r * w + k).wrapping_sub(zp);
+        }
         sums.fill(0);
-        for p in k0 / 2..(k0 + w).div_ceil(2) {
-            let (c0, c1) = (code(r, 2 * p), code(r, 2 * p + 1));
+        for (cp, vrow) in codes.chunks_exact(2).zip(vrows.clone()) {
+            let (c0, c1) = (cp[0], cp[1]);
             if c0 == 0 && c1 == 0 {
                 continue; // zero operands: no contribution in exact i32
             }
-            let pairs = vals[p * 2 * v.dp..].chunks_exact(2);
-            for (s, pair) in sums.iter_mut().zip(pairs) {
+            for (s, pair) in sums.iter_mut().zip(vrow.chunks_exact(2)) {
                 let t = c0.wrapping_mul(pair[0].into());
                 *s = s.wrapping_add(t.wrapping_add(c1.wrapping_mul(pair[1].into())));
             }
         }
-        sink.row(r, sums);
+        let orow = &mut out[r * v.d..(r + 1) * v.d];
+        for ((o, &a), &s_c) in orow.iter_mut().zip(sums.iter()).zip(scales) {
+            *o += a as f32 * (s_b * s_c);
+        }
     }
 }
 
@@ -317,7 +276,7 @@ const QUANTIZE_SAFE_BOUND: f32 = 1_073_741_824.0;
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod x86 {
     use super::{
-        axpy_i32_scalar, quantize_codes_scalar, quantize_symmetric_scalar, Sink,
+        axpy_i32_scalar, quantize_codes_scalar, quantize_symmetric_scalar, BlockRef, VPairs,
         QUANTIZE_SAFE_BOUND, TILE_K,
     };
     #[cfg(target_arch = "x86")]
@@ -354,74 +313,45 @@ mod x86 {
         )
     }
 
-    /// Where the AVX2 block body puts 8 sums: row `r`, columns
-    /// `j..j + 8` of `d`-column rows, or only the first `d − j` of them
-    /// when `FULL` is false.
-    trait Lanes {
-        /// # Safety
-        /// Caller must ensure AVX2, `j < d`, `j + 8 ≤ d` when `FULL`,
-        /// and a row `r` inside the destination.
-        unsafe fn put<const FULL: bool>(&mut self, r: usize, j: usize, sums: __m256i);
-    }
-
-    /// `out[r][j] += sums as f32 · scales[j]` (the block's `s_b · s_c`).
-    struct Dequant {
+    /// `out[0..8] += sums as f32 · scales[0..8]` — conversion, multiply
+    /// and add in that order — or only the first `lanes` of them (masked
+    /// loads and store) when `FULL` is false.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 and 8 (or `lanes`, when not `FULL`) values
+    /// at `out` and at `scales`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn dequant_add<const FULL: bool>(
         out: *mut f32,
         scales: *const f32,
-        d: usize,
-    }
-
-    impl Lanes for Dequant {
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        unsafe fn put<const FULL: bool>(&mut self, r: usize, j: usize, sums: __m256i) {
-            let o = self.out.add(r * self.d + j);
-            let s = self.scales.add(j);
-            let sums = _mm256_cvtepi32_ps(sums);
-            if FULL {
-                let add = _mm256_mul_ps(sums, _mm256_loadu_ps(s));
-                _mm256_storeu_ps(o, _mm256_add_ps(_mm256_loadu_ps(o), add));
-            } else {
-                let mask = tail_mask(self.d - j);
-                let add = _mm256_mul_ps(sums, _mm256_maskload_ps(s, mask));
-                let sum = _mm256_add_ps(_mm256_maskload_ps(o, mask), add);
-                _mm256_maskstore_ps(o, mask, sum);
-            }
+        lanes: usize,
+        sums: __m256i,
+    ) {
+        let sums = _mm256_cvtepi32_ps(sums);
+        if FULL {
+            let add = _mm256_mul_ps(sums, _mm256_loadu_ps(scales));
+            _mm256_storeu_ps(out, _mm256_add_ps(_mm256_loadu_ps(out), add));
+        } else {
+            let mask = tail_mask(lanes);
+            let add = _mm256_mul_ps(sums, _mm256_maskload_ps(scales, mask));
+            let sum = _mm256_add_ps(_mm256_maskload_ps(out, mask), add);
+            _mm256_maskstore_ps(out, mask, sum);
         }
     }
 
-    /// `acc[r][j] += sums` (wrapping).
-    struct Accumulate {
-        acc: *mut i32,
-        d: usize,
-    }
-
-    impl Lanes for Accumulate {
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        unsafe fn put<const FULL: bool>(&mut self, r: usize, j: usize, sums: __m256i) {
-            let o = self.acc.add(r * self.d + j);
-            if FULL {
-                let sum = _mm256_add_epi32(_mm256_loadu_si256(o as *const __m256i), sums);
-                _mm256_storeu_si256(o as *mut __m256i, sum);
-            } else {
-                let mask = tail_mask(self.d - j);
-                let sum = _mm256_add_epi32(_mm256_maskload_epi32(o, mask), sums);
-                _mm256_maskstore_epi32(o, mask, sum);
-            }
-        }
-    }
-
-    /// `NV · 8` output columns of row `r` from column `j`: the sums of
-    /// the row's `np` code pairs (`pairs`, two i16 each) times the
-    /// matching `V` pair rows (`v`, `pstride` i16 apart), held in `NV`
-    /// ymm registers across the whole row, then put.
+    /// `NV · 8` output columns of one row at `out`: the sums of the
+    /// row's `np` code pairs (`pairs`, two i16 each) times the matching
+    /// `V` pair rows (`v`, `pstride` i16 apart), held in `NV` ymm
+    /// registers across the whole row, then dequantized into `out` with
+    /// `scales`.
     ///
     /// # Safety
     /// Caller must ensure AVX2, `np` pairs at `pairs`, `np` pair rows
-    /// of at least `16 · NV` i16 from `v`, and [`Lanes::put`]'s bounds
-    /// for every 8 columns from `j` (all full when `FULL`, the last one
-    /// partial otherwise).
+    /// of at least `16 · NV` i16 from `v`, and [`dequant_add`]'s bounds
+    /// for every 8 columns (all full when `FULL`, the one chunk holding
+    /// `lanes` otherwise).
+    #[allow(clippy::too_many_arguments)]
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn row_chunk<const NV: usize, const FULL: bool>(
@@ -429,9 +359,9 @@ mod x86 {
         np: usize,
         v: *const i16,
         pstride: usize,
-        lanes: &mut impl Lanes,
-        r: usize,
-        j: usize,
+        out: *mut f32,
+        scales: *const f32,
+        lanes: usize,
     ) {
         let mut acc = [_mm256_setzero_si256(); NV];
         for i in 0..np {
@@ -443,7 +373,7 @@ mod x86 {
             }
         }
         for (c, a) in acc.iter().enumerate() {
-            lanes.put::<FULL>(r, j + 8 * c, *a);
+            dequant_add::<FULL>(out.add(8 * c), scales.add(8 * c), lanes, *a);
         }
     }
 
@@ -477,84 +407,58 @@ mod x86 {
         np
     }
 
-    /// Each row of the block, 64 output columns at a time while they
-    /// last, then 8 at a time, the last 8 masked if `d` is ragged.
+    /// The AVX2 block body: the block's codes become centered i16 pairs
+    /// once, the block's scale products `s_b · s_c` one row of floats,
+    /// and each of its `h` rows goes through [`row_chunk`] 64 output
+    /// columns at a time while they last, then 8 at a time, the last 8
+    /// masked if `d` is ragged.
     ///
     /// # Safety
-    /// As [`attn_v_avx2`], with `lanes` holding `h` rows of `d`.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
+    /// Caller must ensure AVX2, `block` holding `h · w` codes at `BITS`
+    /// that fit i16 once centered on its zero point, keys inside `v`'s
+    /// rows, `vals` the narrow values of `v`, `d` scales and `out` of
+    /// `h · d` values (`d` = `v`'s columns).
     #[target_feature(enable = "avx2")]
-    unsafe fn block_rows(
-        halves: &[i16],
-        np: usize,
-        v: *const i16,
-        pstride: usize,
+    pub(super) unsafe fn attn_v_avx2<const BITS: usize>(
+        block: &BlockRef,
         h: usize,
-        d: usize,
-        lanes: &mut impl Lanes,
+        v: &VPairs,
+        vals: &[i16],
+        scales: &[f32],
+        (halves, scale_row): &mut (Vec<i16>, Vec<f32>),
+        out: &mut [f32],
     ) {
+        let (d, k0, s_b) = (v.d, block.c0, block.params.scale());
+        let np = centered_pairs::<BITS>(
+            block.bytes,
+            block.params.zero_point(),
+            h,
+            block.w,
+            k0 & 1,
+            halves,
+        );
+        scale_row.clear();
+        scale_row.extend(scales.iter().map(|&s_c| s_b * s_c));
+        let pstride = 2 * v.dp;
+        let vk = vals.as_ptr().add((k0 / 2) * pstride);
+        let sc = scale_row.as_ptr();
         for r in 0..h {
             let pairs = halves.as_ptr().add(r * 2 * np);
+            let orow = out.as_mut_ptr().add(r * d);
             let mut j = 0;
             while j + 64 <= d {
-                row_chunk::<8, true>(pairs, np, v.add(2 * j), pstride, lanes, r, j);
+                let (vj, oj, sj) = (vk.add(2 * j), orow.add(j), sc.add(j));
+                row_chunk::<8, true>(pairs, np, vj, pstride, oj, sj, 8);
                 j += 64;
             }
             while j + 8 <= d {
-                row_chunk::<1, true>(pairs, np, v.add(2 * j), pstride, lanes, r, j);
+                let (vj, oj, sj) = (vk.add(2 * j), orow.add(j), sc.add(j));
+                row_chunk::<1, true>(pairs, np, vj, pstride, oj, sj, 8);
                 j += 8;
             }
             if j < d {
-                row_chunk::<1, false>(pairs, np, v.add(2 * j), pstride, lanes, r, j);
-            }
-        }
-    }
-
-    /// The AVX2 block body: the block's codes become centered i16 pairs
-    /// once, the block's scale products `s_b · s_c` one row of floats,
-    /// and each row's sums go from registers into the sink.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2, `bytes` holding `h · w` codes at `BITS`
-    /// that fit i16 once centered on `zp`, `k0 + w ≤` the operand's key
-    /// rows, `vals` holding the operand's pair rows of `2 · dp` i16, and
-    /// a sink of `h · d` values (and `d` scales).
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn attn_v_avx2<const BITS: usize>(
-        bytes: &[u8],
-        zp: i32,
-        h: usize,
-        w: usize,
-        k0: usize,
-        vals: &[i16],
-        d: usize,
-        dp: usize,
-        scratch: &mut (Vec<i16>, Vec<f32>),
-        sink: &mut Sink,
-    ) {
-        let (halves, scale_row) = scratch;
-        let np = centered_pairs::<BITS>(bytes, zp, h, w, k0 & 1, halves);
-        let pstride = 2 * dp;
-        let v = vals.as_ptr().add((k0 / 2) * pstride);
-        match sink {
-            Sink::Dequant { out, s_b, scales } => {
-                scale_row.clear();
-                scale_row.extend(scales.iter().map(|&s_c| *s_b * s_c));
-                let mut lanes = Dequant {
-                    out: out.as_mut_ptr(),
-                    scales: scale_row.as_ptr(),
-                    d,
-                };
-                block_rows(halves, np, v, pstride, h, d, &mut lanes);
-            }
-            Sink::Accumulate(acc) => {
-                let mut lanes = Accumulate {
-                    acc: acc.as_mut_ptr(),
-                    d,
-                };
-                block_rows(halves, np, v, pstride, h, d, &mut lanes);
+                let (vj, oj, sj) = (vk.add(2 * j), orow.add(j), sc.add(j));
+                row_chunk::<1, false>(pairs, np, vj, pstride, oj, sj, d - j);
             }
         }
     }
@@ -673,91 +577,74 @@ mod x86 {
     }
 }
 
-/// One packed block's exact sums `Σ_k (code[r][k] − zp) · v[k0 + k][j]`
-/// into `sink` on the chosen kernel: `bytes` holds the block's `h·w`
-/// codes at `bits` (row-major), its keys are `v`'s rows `k0..k0 + w`,
-/// and a 0-bit block adds nothing.
+/// One live packed block of an `h`-row block row on the chosen kernel:
+/// `out[r][j] += (Σ_k (code[r][k] − z_b) · v[c0 + k][j]) as f32 ·
+/// (s_b · scales[j])`, the sum exact in i32 and the scaling in that
+/// order, where the block's keys are `v`'s rows `c0..c0 + w` and `out`
+/// holds `h` rows of `v`'s `d` columns. A 0-bit block adds nothing.
 ///
 /// # Panics
 ///
-/// If the CPU does not support `kernel`, if the keys pass `v`'s rows, or
-/// if `sink` does not hold `h · d` values (and `d` scales): the bounds
-/// the AVX2 body relies on. `bytes` is read through checked indexing.
-#[allow(clippy::too_many_arguments)]
+/// If the CPU does not support `kernel`, if the keys pass `v`'s rows, if
+/// the payload holds fewer than `h · w` codes, or if `scales` and `out`
+/// do not hold `d` and `h · d` values: the bounds the AVX2 body relies
+/// on.
 pub(crate) fn attn_v_block(
     kernel: Kernel,
-    bits: Bitwidth,
-    bytes: &[u8],
-    zp: i32,
+    block: &BlockRef,
     h: usize,
-    w: usize,
-    k0: usize,
     v: &VPairs,
+    scales: &[f32],
     scratch: &mut BlockScratch,
-    sink: &mut Sink,
+    out: &mut [f32],
 ) {
     assert!(
         kernel.is_supported(),
         "{kernel} is not supported by this CPU"
     );
     assert!(
-        k0 + w <= v.rows
-            && sink.len() == h * v.d
-            && bytes.len() >= (h * w * bits.bits() as usize).div_ceil(8),
+        block.c0 + block.w <= v.rows
+            && scales.len() == v.d
+            && out.len() == h * v.d
+            && block.bytes.len() >= PackedCodes::bytes_for(h * block.w, block.bits),
         "block outside its operands"
     );
-    if let Sink::Dequant { scales, .. } = sink {
-        assert_eq!(scales.len(), v.d, "one scale per V column");
-    }
-    match bits {
+    match block.bits {
         Bitwidth::B0 => {} // nothing stored, nothing accumulated
-        Bitwidth::B2 => attn_v_on::<2>(kernel, bytes, zp, h, w, k0, v, scratch, sink),
-        Bitwidth::B4 => attn_v_on::<4>(kernel, bytes, zp, h, w, k0, v, scratch, sink),
-        Bitwidth::B8 => attn_v_on::<8>(kernel, bytes, zp, h, w, k0, v, scratch, sink),
+        Bitwidth::B2 => attn_v_on::<2>(kernel, block, h, v, scales, scratch, out),
+        Bitwidth::B4 => attn_v_on::<4>(kernel, block, h, v, scales, scratch, out),
+        Bitwidth::B8 => attn_v_on::<8>(kernel, block, h, v, scales, scratch, out),
     }
 }
 
 /// [`attn_v_block`] at `BITS` bits: AVX2 where the kernel and the
 /// operands' ranges allow it, the scalar reference otherwise.
-#[allow(clippy::too_many_arguments)]
 #[inline]
 fn attn_v_on<const BITS: usize>(
     kernel: Kernel,
-    bytes: &[u8],
-    zp: i32,
+    block: &BlockRef,
     h: usize,
-    w: usize,
-    k0: usize,
     v: &VPairs,
+    scales: &[f32],
     scratch: &mut BlockScratch,
-    sink: &mut Sink,
+    out: &mut [f32],
 ) {
     // Centered codes span `[−zp, max − zp]`.
+    let zp = block.params.zero_point();
     let codes_fit = zp <= -(i16::MIN as i32) && zp >= (1 << BITS) - 1 - i16::MAX as i32;
     match (kernel, &v.vals) {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         // SAFETY: the CPU supports AVX2 (asserted by `attn_v_block`),
-        // which also checked the keys and the sink against the operand;
-        // the guard bounds the centered codes.
+        // which also checked the keys, payload, scales and output against
+        // the operand; the guard bounds the centered codes.
         (Kernel::Avx2, PairVals::Narrow(vals)) if codes_fit => unsafe {
-            x86::attn_v_avx2::<BITS>(
-                bytes,
-                zp,
-                h,
-                w,
-                k0,
-                vals,
-                v.d,
-                v.dp,
-                &mut scratch.avx2,
-                sink,
-            )
+            x86::attn_v_avx2::<BITS>(block, h, v, vals, scales, &mut scratch.avx2, out)
         },
         (_, PairVals::Narrow(vals)) => {
-            attn_v_scalar::<BITS, i16>(bytes, zp, h, w, k0, v, vals, &mut scratch.sums, sink)
+            attn_v_scalar::<BITS, i16>(block, h, v, vals, scales, &mut scratch.scalar, out)
         }
         (_, PairVals::Wide(vals)) => {
-            attn_v_scalar::<BITS, i32>(bytes, zp, h, w, k0, v, vals, &mut scratch.sums, sink)
+            attn_v_scalar::<BITS, i32>(block, h, v, vals, scales, &mut scratch.scalar, out)
         }
     }
 }
@@ -851,10 +738,11 @@ pub(crate) fn quantize_symmetric_i8(kernel: Kernel, values: &[f32], scale: f32, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PackedCodes;
 
-    /// One block through both sinks on `kernel`: the i32 sums added to
-    /// ones, and the dequantized sums added to halves, as bits.
+    const S_B: f32 = 0.37;
+
+    /// One block of `v`'s rows `k0..` on `kernel`, added into output rows
+    /// of 0.5, as bits.
     #[allow(clippy::too_many_arguments)]
     fn run_block(
         kernel: Kernel,
@@ -865,50 +753,51 @@ mod tests {
         k0: usize,
         v: &VPairs,
         scales: &[f32],
-    ) -> (Vec<i32>, Vec<u32>) {
+    ) -> Vec<u32> {
         let (w, d) = (packed.len() / h, v.cols());
-        let mut acc = vec![1i32; h * d];
+        let block = BlockRef {
+            c0: k0,
+            w,
+            elems: h * w,
+            bits,
+            params: crate::QuantParams::new(S_B, zp, bits),
+            bytes: packed.as_bytes(),
+        };
         let mut out = vec![0.5f32; h * d];
         let mut scratch = BlockScratch::default();
-        let bytes = packed.as_bytes();
-        let mut sink = Sink::Accumulate(&mut acc);
-        attn_v_block(
-            kernel,
-            bits,
-            bytes,
-            zp,
-            h,
-            w,
-            k0,
-            v,
-            &mut scratch,
-            &mut sink,
-        );
-        let mut sink = Sink::Dequant {
-            out: &mut out,
-            s_b: 0.37,
-            scales,
-        };
-        attn_v_block(
-            kernel,
-            bits,
-            bytes,
-            zp,
-            h,
-            w,
-            k0,
-            v,
-            &mut scratch,
-            &mut sink,
-        );
-        (acc, out.iter().map(|x| x.to_bits()).collect())
+        attn_v_block(kernel, &block, h, v, scales, &mut scratch, &mut out);
+        out.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Every supported kernel must produce the scalar reference's sums
-    /// through both sinks: at even and odd key offsets (a zero-padded
-    /// first pair), odd widths (a zero-padded last pair, and an odd
-    /// operand's padded last row), ragged column tails and rows wider
-    /// than one 64-column chunk.
+    /// [`run_block`]'s contract by plain loops over the `h × w` codes and
+    /// the centered `V` values `value(k, j)`, sums wrapping in i32.
+    fn oracle(
+        codes: &[u32],
+        zp: i32,
+        h: usize,
+        k0: usize,
+        d: usize,
+        value: impl Fn(usize, usize) -> i32,
+        scales: &[f32],
+    ) -> Vec<u32> {
+        let w = codes.len() / h;
+        let mut out = Vec::with_capacity(h * d);
+        for r in 0..h {
+            for (j, &s_c) in scales.iter().enumerate() {
+                let sum = (0..w).fold(0i32, |acc, k| {
+                    let c = (codes[r * w + k] as i32).wrapping_sub(zp);
+                    acc.wrapping_add(c.wrapping_mul(value(k0 + k, j)))
+                });
+                out.push((0.5 + sum as f32 * (S_B * s_c)).to_bits());
+            }
+        }
+        out
+    }
+
+    /// Every supported kernel must produce the plain-loop oracle's output
+    /// bits: at even and odd key offsets (a zero-padded first pair), odd
+    /// widths (a zero-padded last pair, and an odd operand's padded last
+    /// row), ragged column tails and rows wider than one 64-column chunk.
     #[test]
     fn block_gemm_kernels_agree_on_odd_shapes() {
         for bits in [Bitwidth::B2, Bitwidth::B4, Bitwidth::B8] {
@@ -922,10 +811,11 @@ mod tests {
                 let max = bits.max_code();
                 let codes: Vec<u32> = (0..h * w).map(|i| (i as u32 * 7 + 3) % (max + 1)).collect();
                 let packed = PackedCodes::pack(&codes, bits).unwrap();
-                let v = VPairs::new(rows, d, |k, j| ((k * 31 + j * 7) % 511) as i32 - 255);
+                let value = |k: usize, j: usize| ((k * 31 + j * 7) % 511) as i32 - 255;
+                let v = VPairs::new(rows, d, value);
                 let scales: Vec<f32> = (0..d).map(|j| 0.01 + j as f32 * 1e-3).collect();
                 let zp = (max / 2) as i32;
-                let want = run_block(Kernel::Scalar, bits, &packed, zp, h, k0, &v, &scales);
+                let want = oracle(&codes, zp, h, k0, d, value, &scales);
                 for kernel in Kernel::supported() {
                     let got = run_block(kernel, bits, &packed, zp, h, k0, &v, &scales);
                     assert_eq!(got, want, "kernel={kernel} bits={bits} w={w} d={d} k0={k0}");
@@ -943,19 +833,21 @@ mod tests {
         let codes: Vec<u32> = (0..h * w).map(|i| (i as u32 * 37) % 256).collect();
         let packed = PackedCodes::pack(&codes, Bitwidth::B8).unwrap();
         let scales = vec![0.25f32; d];
-        let narrow = VPairs::new(w, d, |k, j| (k as i32 * 3 - j as i32) % 256);
-        let wide = VPairs::new(w, d, |k, j| (k as i32 - 2) * 1_000_000 + j as i32);
+        let narrow_at: fn(usize, usize) -> i32 = |k, j| (k as i32 * 3 - j as i32) % 256;
+        let wide_at: fn(usize, usize) -> i32 = |k, j| (k as i32 - 2) * 1_000_000 + j as i32;
+        let narrow = VPairs::new(w, d, narrow_at);
+        let wide = VPairs::new(w, d, wide_at);
         assert!(matches!(narrow.vals, PairVals::Narrow(_)));
         assert!(matches!(wide.vals, PairVals::Wide(_)));
-        for (v, zp) in [
-            (&narrow, -40_000),
-            (&narrow, 32_769),
-            (&narrow, 32_768),
-            (&narrow, 255 - 32_767),
-            (&wide, 7),
-            (&narrow, i32::MIN),
+        for (v, value, zp) in [
+            (&narrow, narrow_at, -40_000),
+            (&narrow, narrow_at, 32_769),
+            (&narrow, narrow_at, 32_768),
+            (&narrow, narrow_at, 255 - 32_767),
+            (&wide, wide_at, 7),
+            (&narrow, narrow_at, i32::MIN),
         ] {
-            let want = run_block(Kernel::Scalar, Bitwidth::B8, &packed, zp, h, 0, v, &scales);
+            let want = oracle(&codes, zp, h, 0, d, value, &scales);
             for kernel in Kernel::supported() {
                 let got = run_block(kernel, Bitwidth::B8, &packed, zp, h, 0, v, &scales);
                 assert_eq!(got, want, "kernel={kernel} zp={zp}");

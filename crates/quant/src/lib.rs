@@ -50,10 +50,7 @@ pub use gemm::{
 pub use grouping::{
     fake_quant_2d, fake_quant_blocks, group_stats, BlockGrid, GroupStats, Grouping,
 };
-pub use int_attn::{
-    packed_attn_v, packed_attn_v_with, packed_block_gemm_i32, packed_block_gemm_i32_with,
-    PackedAttnV, PerColCodes,
-};
+pub use int_attn::{packed_attn_v, packed_attn_v_with, PackedAttnV, PerColCodes};
 pub use mixed_map::{MixedPrecisionMap, PARAM_BYTES_PER_BLOCK};
 pub use packed::PackedCodes;
 pub use params::QuantParams;

@@ -190,7 +190,9 @@ mod x86 {
         let ks = cols.map(|c| *k_scales.get_unchecked(c));
         let ks = _mm256_loadu_ps(ks.as_ptr());
         let sv = _mm256_set1_ps(scale);
-        let contiguous = lanes == KEYS && cols[KEYS - 1] == cols[0] + KEYS - 1;
+        // One store only where the 8 columns are consecutive: spans may
+        // come in any order.
+        let contiguous = lanes == KEYS && cols.windows(2).all(|p| p[1] == p[0] + 1);
         for (r, &qs) in q_scales.iter().enumerate() {
             let qp = q.codes.as_ptr().add(r * q.stride);
             let mut acc = [_mm256_setzero_si256(); KEYS];
@@ -263,9 +265,10 @@ mod x86 {
 /// Scores query rows against the key columns of `spans`: `out[r·n + c]
 /// = (Σ_j q[r][j] · k[c][j]) as f32 · q_scales[r] · k_scales[c] · scale`,
 /// multiplied in that order, where `k` is the panel `panels[span.panel]`
-/// of the span that holds column `c` and `n = k_scales.len()`. Columns
-/// outside every span keep their values. Scores are bit-identical across
-/// kernels (exact products, associative i32 sums).
+/// of the span that holds column `c` and `n = k_scales.len()`. Spans may
+/// come in any order; a column in several spans gets the last one's
+/// score, and columns outside every span keep their values. Scores are
+/// bit-identical across kernels (exact products, associative i32 sums).
 ///
 /// # Errors
 ///

@@ -127,10 +127,10 @@ fn random_spans(n: usize, seed: u64) -> Vec<KeySpan> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random shapes and spans: `d` spans the 16-lane step and its
-    /// zero-padded tail, `n` the 8-key group and its repeated-key tail,
-    /// and groups cross span, panel and gap boundaries; codes span the
-    /// whole i8 range.
+    /// Random shapes and spans, in column order and shuffled: `d` spans
+    /// the 16-lane step and its zero-padded tail, `n` the 8-key group and
+    /// its repeated-key tail, and groups cross span, panel and gap
+    /// boundaries; codes span the whole i8 range.
     #[test]
     fn kernel_qkt_bit_identical_across_kernels(
         h in 1usize..12,
@@ -138,7 +138,36 @@ proptest! {
         d in 1usize..140,
         seed in 0u64..1000,
     ) {
-        assert_scores_agree(h, n, d, &random_spans(n, seed), seed)?;
+        let mut spans = random_spans(n, seed);
+        assert_scores_agree(h, n, d, &spans, seed)?;
+        let mut s = seed;
+        for i in (1..spans.len()).rev() {
+            spans.swap(i, lcg(&mut s) as usize % (i + 1));
+        }
+        assert_scores_agree(h, n, d, &spans, seed)?;
+    }
+}
+
+/// Spans out of column order and overlapping ones: the single-store
+/// path of an 8-key group must only take 8 consecutive columns, and a
+/// column in several spans keeps the last one's score, as the oracle
+/// writes them.
+#[test]
+fn kernel_qkt_spans_in_any_order_and_overlapping() {
+    let span = |cols: std::ops::Range<usize>, panel| KeySpan { cols, panel };
+    let cases = [
+        // Columns 0, 1, 5, 6, 2, 3, 4, 7: the first and last of the
+        // group are 7 apart, yet the group is not consecutive.
+        vec![span(0..2, 0), span(5..7, 1), span(2..5, 2), span(7..8, 0)],
+        // Runs in reverse order, across groups of 8.
+        vec![span(16..20, 0), span(8..16, 1), span(0..8, 2)],
+        // The same columns on two panels: the second one's scores land.
+        vec![span(0..8, 0), span(0..8, 1), span(3..11, 2)],
+    ];
+    for spans in &cases {
+        for d in [1usize, 16, 17, 64] {
+            assert_scores_agree(3, 20, d, spans, d as u64).unwrap();
+        }
     }
 }
 
