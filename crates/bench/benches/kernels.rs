@@ -1,8 +1,8 @@
-//! Criterion bench: raw substrate kernels — matmul, softmax, row gather,
-//! bit packing and integer GEMM.
+//! Criterion bench: raw substrate kernels — matmul, softmax, row gather
+//! and bit packing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use paro::quant::{quantized_gemm_i32, Bitwidth, PackedCodes, QuantizedGemmOperand};
+use paro::quant::{Bitwidth, PackedCodes};
 use paro::tensor::rng::seeded;
 use paro::tensor::Tensor;
 use rand::distributions::Uniform;
@@ -23,11 +23,6 @@ fn bench_kernels(c: &mut Criterion) {
         let perm: Vec<usize> = (0..n).rev().collect();
         group.bench_with_input(BenchmarkId::new("gather_rows", n), &n, |bench, _| {
             bench.iter(|| a.gather_rows(&perm).unwrap())
-        });
-        let qa = QuantizedGemmOperand::quantize(&a, Bitwidth::B8).unwrap();
-        let qb = QuantizedGemmOperand::quantize(&b, Bitwidth::B8).unwrap();
-        group.bench_with_input(BenchmarkId::new("int8_gemm", n), &n, |bench, _| {
-            bench.iter(|| quantized_gemm_i32(&qa, &qb).unwrap())
         });
     }
 

@@ -5,14 +5,21 @@
 //! the reference integer GEMM (`quantized_gemm_i32` + `dequantize_gemm`)
 //! and the fake-quant f32 path must agree: bit-for-bit on integer codes
 //! and against the reference GEMM, within float tolerance against the
-//! float path.
+//! float path. A near-uniform head, whose flat map blocks calibrate to
+//! zero points far outside their codes, must stay as close to the
+//! fake-quant path as any other head.
 
+use paro_core::calibration::calibrate_head;
+use paro_core::int_pipeline::run_attention_calibrated_int;
+use paro_core::pipeline::{attention_map, run_attention_calibrated_reference, AttentionInputs};
 use paro_core::sparse::sparse_attn_v;
+use paro_model::patterns::{synthesize_head, PatternKind, PatternSpec};
+use paro_model::TokenGrid;
 use paro_quant::{
     dequantize_gemm, fake_quant_2d, fake_quant_blocks, packed_attn_v, quantized_gemm_i32, Bitwidth,
     BlockGrid, Grouping, MixedPrecisionMap, PerColCodes, QuantizedGemmOperand,
 };
-use paro_tensor::Tensor;
+use paro_tensor::{metrics, Tensor};
 use proptest::prelude::*;
 
 fn lcg(state: &mut u64) -> u64 {
@@ -178,5 +185,34 @@ proptest! {
         prop_assert_eq!(got.executed_macs, 0);
         prop_assert_eq!(got.packed_map_bytes, 0);
         prop_assert_eq!(got.skipped_blocks, count);
+    }
+}
+
+/// `Q` scaled by 1e-5 or 1e-6 makes attention near-uniform: every map
+/// block is nearly flat, so min-max calibration puts its zero point far
+/// below its codes and the packed `AttnV` sums leave i32. On a head
+/// calibrated on its unscaled maps, the int path must stay within 1e-5
+/// rel-L2 of the fake-quant reference path in both `QKᵀ` modes, as it
+/// does at normal scale.
+#[test]
+fn near_uniform_head_matches_the_reference_path() {
+    let grid = TokenGrid::new(4, 8, 8);
+    let head = synthesize_head(&grid, 64, &PatternSpec::new(PatternKind::Temporal), 19);
+    let maps = [attention_map(&head.q, &head.k).unwrap()];
+    let block = BlockGrid::square(6).unwrap();
+    let cal = calibrate_head(&maps, &grid, block, Bitwidth::B4, 4.8, 0.5).unwrap();
+    for q_scale in [1e-5f32, 1e-6] {
+        let q = head.q.scale(q_scale);
+        let inputs = AttentionInputs::new(q, head.k.clone(), head.v.clone(), grid).unwrap();
+        for output_aware in [false, true] {
+            let int = run_attention_calibrated_int(&inputs, &cal, output_aware).unwrap();
+            let reference =
+                run_attention_calibrated_reference(&inputs, &cal, output_aware).unwrap();
+            let err = metrics::relative_l2(&reference.output, &int.run.output).unwrap();
+            assert!(
+                err < 1e-5,
+                "Q x {q_scale}, output_aware={output_aware}: int vs reference {err}"
+            );
+        }
     }
 }

@@ -4,9 +4,10 @@
 //! serving") are only testable if faults can be provoked *on demand and
 //! deterministically*. This crate provides named **failpoints** — fixed
 //! sites in the compute pool, the plan cache, the integer attention
-//! pipeline and the packed-map kernels — that tests and the `paro
-//! chaos-bench` subcommand arm with a fault kind, a number of calls to
-//! skip, and a trigger count. Production builds compile the whole
+//! pipeline and the packed-map kernels — that tests arm with a fault
+//! kind, a number of calls to skip, and a trigger count; the serve chaos
+//! suite (`cargo test -p paro-serve --features failpoints`) drives them
+//! against the engine. Production builds compile the whole
 //! mechanism out (the `enabled` cargo feature, mirroring `paro-trace`):
 //! every site call is then an inlined no-op that can never fire.
 //!
@@ -53,8 +54,8 @@ pub const COMPILED_IN: bool = cfg!(feature = "enabled");
 
 /// Canonical failpoint sites instrumented in the PARO crates.
 ///
-/// Instrumentation references these constants so chaos tests and the
-/// `chaos-bench` CLI have a single source of truth. [`fire`] accepts any
+/// Instrumentation and the chaos tests reference these constants, so
+/// they share a single source of truth. [`fire`] accepts any
 /// `&'static str`, so tests may add private sites.
 pub mod site {
     /// Inside a compute-pool worker, before the submitted job body runs
@@ -109,17 +110,6 @@ pub enum FaultKind {
     /// Sleep for the given number of milliseconds, then behave as if not
     /// armed. Deterministically forces deadline expiry mid-pipeline.
     Delay(u64),
-}
-
-impl FaultKind {
-    /// Stable lowercase name, for reports and logs.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            FaultKind::Panic => "panic",
-            FaultKind::Error => "error",
-            FaultKind::Delay(_) => "delay",
-        }
-    }
 }
 
 /// An armed fault: fires on per-site calls `skip .. skip + times`.
@@ -186,11 +176,6 @@ mod active {
         );
     }
 
-    /// Disarms `site`; subsequent [`fire`] calls there pass through.
-    pub fn disarm(site: &'static str) {
-        lock().remove(site);
-    }
-
     /// Disarms every site and clears all counters. Call between chaos
     /// scenarios.
     pub fn reset() {
@@ -234,7 +219,7 @@ mod active {
 }
 
 #[cfg(feature = "enabled")]
-pub use active::{arm, disarm, fire, fired, reset};
+pub use active::{arm, fire, fired, reset};
 
 #[cfg(not(feature = "enabled"))]
 mod inert {
@@ -243,10 +228,6 @@ mod inert {
     /// Compiled out: arming has no effect.
     #[inline(always)]
     pub fn arm(_site: &'static str, _spec: FaultSpec) {}
-
-    /// Compiled out: nothing to disarm.
-    #[inline(always)]
-    pub fn disarm(_site: &'static str) {}
 
     /// Compiled out: nothing to clear.
     #[inline(always)]
@@ -266,7 +247,7 @@ mod inert {
 }
 
 #[cfg(not(feature = "enabled"))]
-pub use inert::{arm, disarm, fire, fired, reset};
+pub use inert::{arm, fire, fired, reset};
 
 #[cfg(test)]
 mod tests {
@@ -346,16 +327,15 @@ mod tests {
 
     #[cfg(feature = "enabled")]
     #[test]
-    fn disarm_and_rearm_restart_the_counter() {
+    fn rearm_restarts_the_counter() {
         let _guard = test_lock();
         reset();
         arm("tests.rearm", FaultSpec::immediate(FaultKind::Error, 1));
         assert!(fire("tests.rearm"));
-        disarm("tests.rearm");
         assert!(!fire("tests.rearm"));
-        assert_eq!(fired("tests.rearm"), 0);
         arm("tests.rearm", FaultSpec::immediate(FaultKind::Error, 1));
         assert!(fire("tests.rearm"));
+        assert_eq!(fired("tests.rearm"), 1);
         reset();
     }
 

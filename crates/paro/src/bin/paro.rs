@@ -2,27 +2,23 @@
 //! machines, trace reorder-plan selection, benchmark and profile the
 //! serving engine. Run `paro help` for usage.
 
-use paro::cli::{
-    parse_args, ChaosBenchOpts, CliCommand, PerfBenchOpts, ServeBenchOpts, TraceOpts, USAGE,
-};
+use paro::cli::{parse_args, CliCommand, PerfBenchOpts, ServeBenchOpts, TraceOpts, USAGE};
 use paro::core::calibration::{calibrate_head, HeadCalibration};
 use paro::core::cancel::Deadline;
 use paro::core::int_pipeline::run_attention_calibrated_int_on;
 use paro::core::pipeline::attention_map;
 use paro::core::reorder::{reorder_map, select_plan, ReorderPlan};
 use paro::plans::{
-    build_plan_bytes, inspect_text, output_bits, record_kernel_dispatch, run_traced_batch,
-    run_tune, synthetic_source, verify_text, workload_engine, workload_model, workload_spec,
-    write_output,
+    build_plan_bytes, inspect_text, record_kernel_dispatch, run_traced_batch, run_tune,
+    synthetic_source, verify_text, workload_engine, workload_model, workload_spec, write_output,
 };
 use paro::prelude::*;
 use paro::report::{
     diff_stage_totals, emit, format_diff_table, missing_baseline_stages, stage_rows,
-    AttnVThroughput, ChaosBenchReport, InjectedFaultRow, PerfBenchReport, PerfStageRow, RunInfo,
-    ServeBenchReport,
+    AttnVThroughput, PerfBenchReport, PerfStageRow, RunInfo, ServeBenchReport,
 };
 use paro::serve::workload::{synthetic_requests, WorkloadSpec};
-use paro::serve::{BatchOutcome, CalibrationSource, Engine};
+use paro::serve::{CalibrationSource, Engine};
 use paro::tensor::kernel;
 use paro::tensor::render;
 use std::process::ExitCode;
@@ -114,7 +110,6 @@ fn run(cmd: CliCommand) -> Result<(), Box<dyn std::error::Error>> {
         }
         CliCommand::ServeBench(opts) => serve_bench(&opts),
         CliCommand::Trace(opts) => trace_workload(&opts),
-        CliCommand::ChaosBench(opts) => chaos_bench(&opts),
         CliCommand::PerfBench(opts) => perf_bench(&opts),
         CliCommand::Plan {
             grid,
@@ -247,106 +242,6 @@ fn serve_bench(opts: &ServeBenchOpts) -> Result<(), Box<dyn std::error::Error>> 
         metrics: wl.engine.metrics_snapshot(),
     };
     emit(&report, opts.out.as_deref())?;
-    Ok(())
-}
-
-/// Output bits of a batch whose requests all completed, or `None` if any
-/// failed.
-fn batch_output_bits(outcome: &BatchOutcome) -> Option<Vec<Vec<u32>>> {
-    outcome
-        .responses
-        .iter()
-        .map(|r| r.as_ref().ok().map(output_bits))
-        .collect()
-}
-
-/// SplitMix64: derives per-site skip offsets from `--fault-seed` so the
-/// injected schedule is deterministic and varied without a RNG dependency.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Arms one fault of every flavor — a pool-job panic, a calibration
-/// panic, a transient int-pipeline error and a transient quant error —
-/// with skip offsets derived from the fault seed. Returns the armed
-/// specs for the report (`fired` is filled in after the chaos batch).
-fn arm_faults(opts: &ChaosBenchOpts) -> Vec<(&'static str, paro::failpoint::FaultSpec)> {
-    use paro::failpoint::{site, FaultKind, FaultSpec};
-    let sites = [
-        (site::POOL_JOB, FaultKind::Panic),
-        (site::PLAN_CACHE_CALIBRATE, FaultKind::Panic),
-        (site::PIPELINE_INT_ATTN, FaultKind::Error),
-        (site::QUANT_PACK_ATTN_V, FaultKind::Error),
-    ];
-    let span = (opts.bench.requests as u64).max(1);
-    sites
-        .iter()
-        .enumerate()
-        .map(|(i, &(site, kind))| {
-            let skip = splitmix64(opts.fault_seed ^ (i as u64)) % span;
-            let spec = FaultSpec::new(kind, skip, opts.faults);
-            paro::failpoint::arm(site, spec);
-            (site, spec)
-        })
-        .collect()
-}
-
-fn chaos_bench(opts: &ChaosBenchOpts) -> Result<(), Box<dyn std::error::Error>> {
-    let t0 = Instant::now();
-    // Baseline: a never-faulted engine over the same workload.
-    let baseline_bits = {
-        let wl = build_workload(&opts.bench)?;
-        let outcome = wl.engine.run_batch(synthetic_requests(&wl.spec));
-        batch_output_bits(&outcome)
-            .ok_or("baseline batch failed; chaos-bench needs a clean baseline")?
-    };
-    // Chaos: arm the fault schedule, run the same workload on a fresh
-    // engine, and let the fault-tolerance machinery absorb it. Injected
-    // panics are expected and contained — keep stderr readable.
-    let wl = build_workload(&opts.bench)?;
-    let armed = arm_faults(opts);
-    std::panic::set_hook(Box::new(|_| {}));
-    let chaos = wl.engine.run_batch(synthetic_requests(&wl.spec));
-    let _ = std::panic::take_hook();
-    let injected: Vec<InjectedFaultRow> = armed
-        .into_iter()
-        .map(|(site, spec)| InjectedFaultRow {
-            site: site.to_string(),
-            kind: spec.kind.as_str().to_string(),
-            skip: spec.skip,
-            times: spec.times,
-            fired: paro::failpoint::fired(site),
-        })
-        .collect();
-    // Disarm everything and re-run on the *same* engine: the clean batch
-    // must reproduce the baseline bit for bit.
-    paro::failpoint::reset();
-    let clean = wl.engine.run_batch(synthetic_requests(&wl.spec));
-    let clean_bits = batch_output_bits(&clean);
-    let snap = wl.engine.metrics_snapshot();
-    let report = ChaosBenchReport {
-        run: RunInfo::new(&wl.model, opts.bench.seed),
-        requests: opts.bench.requests,
-        threads: opts.bench.threads,
-        injected,
-        chaos_completed: chaos.completed(),
-        chaos_failed: chaos.failed(),
-        clean_completed: clean.completed(),
-        clean_bit_identical: clean_bits.as_ref() == Some(&baseline_bits),
-        faulted: snap.faulted,
-        retried: snap.retried,
-        degraded: snap.degraded,
-        timed_out: snap.timed_out,
-        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-    };
-    emit(&report, opts.bench.out.as_deref())?;
-    if !report.clean_bit_identical {
-        return Err("clean batch after injected faults diverged from the baseline".into());
-    }
     Ok(())
 }
 

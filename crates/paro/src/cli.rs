@@ -49,9 +49,6 @@ pub enum CliCommand {
     /// `paro trace`: run a serving workload under a trace session, write
     /// Chrome trace-event JSON, and print per-stage summaries.
     Trace(TraceOpts),
-    /// `paro chaos-bench`: run a serving workload with deterministic
-    /// fault injection and verify the engine's fault-tolerance contract.
-    ChaosBench(ChaosBenchOpts),
     /// `paro perf-bench`: time the single-head packed-integer pipeline
     /// under the dispatched micro-kernel (plus a forced-scalar reference
     /// pass), write a `BENCH_<label>.json` baseline, and optionally gate
@@ -164,19 +161,6 @@ pub struct TraceOpts {
     pub out: String,
 }
 
-/// Options for `paro chaos-bench`: a serving workload plus fault
-/// arming parameters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosBenchOpts {
-    /// The workload to run (same knobs as `paro serve-bench`, smaller
-    /// default request count).
-    pub bench: ServeBenchOpts,
-    /// Seed deriving each armed site's skip offset.
-    pub fault_seed: u64,
-    /// Faults injected per armed site.
-    pub faults: u64,
-}
-
 /// Options for `paro perf-bench`: the single-head workload, the run
 /// label/output path, and the optional baseline gate.
 #[derive(Debug, Clone, PartialEq)]
@@ -223,10 +207,6 @@ USAGE:
   paro trace    [--out FILE] [--threads N] [--queue N] [--requests N]
                 [--deadline-ms MS] [--grid FxHxW] [--blocks N] [--heads N]
                 [--budget B] [--block EDGE] [--seed S]
-  paro chaos-bench [--fault-seed S] [--faults N] [--threads N] [--queue N]
-                   [--requests N] [--deadline-ms MS] [--grid FxHxW]
-                   [--blocks N] [--heads N] [--budget B] [--block EDGE]
-                   [--seed S] [--out FILE]
   paro perf-bench [--label NAME] [--out FILE] [--iters N] [--grid FxHxW]
                   [--budget B] [--block EDGE] [--seed S]
                   [--compare FILE] [--tolerance PCT]
@@ -253,14 +233,6 @@ with a roofline model seeded from a measured perf-bench baseline
 an artifact (--out) plus a JSON report (--report) with the predicted
 latency of every head and a predicted-vs-measured validation pass, and
 exits non-zero when the SLO is infeasible.
-
-chaos-bench runs a baseline batch, injects deterministic faults
-(worker/pool panics, transient quant/pipeline errors) into a second
-engine via paro-failpoint sites, then verifies every request resolves,
-the engine survives, and a clean batch afterwards is bit-identical to
-the baseline. Requires a binary built with --features failpoints to
-actually fire faults; compiled out, it degenerates to a clean-vs-clean
-determinism check and says so in the report.
 
 trace runs the same workload under a span-recording session, writes
 Chrome trace-event JSON (loadable in Perfetto / about://tracing) to
@@ -364,12 +336,6 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, String> {
             }
         }
         "serve-bench" => CliCommand::ServeBench(bench_opts(&mut f, 150)?),
-        // Chaos runs verify behavior, not throughput: short stream.
-        "chaos-bench" => CliCommand::ChaosBench(ChaosBenchOpts {
-            bench: bench_opts(&mut f, 24)?,
-            fault_seed: f.num("fault-seed", 1)?,
-            faults: f.count("faults", 1)?,
-        }),
         "perf-bench" => {
             let label = f.string("label", "local");
             if label.is_empty() || label.contains(['/', '\\']) {
@@ -839,53 +805,6 @@ mod tests {
     }
 
     #[test]
-    fn chaos_bench_defaults_and_flags() {
-        let cmd = parse_args(&args(&["chaos-bench"])).unwrap();
-        match cmd {
-            CliCommand::ChaosBench(opts) => {
-                assert_eq!(opts.bench.requests, 24);
-                assert_eq!(opts.fault_seed, 1);
-                assert_eq!(opts.faults, 1);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        let cmd = parse_args(&args(&[
-            "chaos-bench",
-            "--fault-seed",
-            "9",
-            "--faults",
-            "3",
-            "--requests",
-            "12",
-        ]))
-        .unwrap();
-        match cmd {
-            CliCommand::ChaosBench(opts) => {
-                assert_eq!(opts.fault_seed, 9);
-                assert_eq!(opts.faults, 3);
-                assert_eq!(opts.bench.requests, 12);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn chaos_bench_rejects_degenerate_values() {
-        assert!(parse_args(&args(&["chaos-bench", "--faults", "0"]))
-            .unwrap_err()
-            .contains("faults"));
-        assert!(parse_args(&args(&["chaos-bench", "--requests", "0"]))
-            .unwrap_err()
-            .contains("requests"));
-    }
-
-    #[test]
-    fn usage_documents_chaos_bench() {
-        assert!(USAGE.contains("chaos-bench"));
-        assert!(USAGE.contains("--fault-seed"));
-    }
-
-    #[test]
     fn perf_bench_defaults() {
         let cmd = parse_args(&args(&["perf-bench"])).unwrap();
         match cmd {
@@ -971,7 +890,6 @@ mod tests {
             "plan",
             "serve-bench",
             "trace",
-            "chaos-bench",
             "perf-bench",
             "tune",
         ] {
@@ -1135,11 +1053,6 @@ mod tests {
                 assert_eq!(opts.out, "t.json");
                 assert_eq!(opts.bench.out, None);
             }
-            other => panic!("unexpected {other:?}"),
-        }
-        let cmd = parse_args(&args(&["chaos-bench", "--out", "c.json"])).unwrap();
-        match cmd {
-            CliCommand::ChaosBench(opts) => assert_eq!(opts.bench.out.as_deref(), Some("c.json")),
             other => panic!("unexpected {other:?}"),
         }
     }

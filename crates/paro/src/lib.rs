@@ -22,8 +22,8 @@
 //!   serving engine, with Chrome trace-event export and per-stage
 //!   summaries (`paro trace` drives it from the CLI).
 //! - [`failpoint`] — deterministic fault injection (named sites armed by
-//!   kind/skip/count, compiled out by default) driving the chaos suite
-//!   and `paro chaos-bench`.
+//!   kind/skip/count, compiled out by default) driving the serve chaos
+//!   suite.
 //! - [`artifact`] — the zero-copy frozen-plan artifact format
 //!   (`paro plan build/inspect/verify` on the CLI; see
 //!   `docs/ARTIFACT.md` for the byte-level contract).

@@ -18,9 +18,7 @@ use paro_model::patterns::{synthesize_head, PatternSpec};
 use paro_model::{ModelConfig, TokenGrid};
 use paro_quant::BlockGrid;
 use paro_serve::workload::{scaled_config, SyntheticSource, WorkloadSpec};
-use paro_serve::{
-    BatchOutcome, CalibrationSource, Engine, ServeConfig, ServeError, ServeRequest, ServeResponse,
-};
+use paro_serve::{BatchOutcome, CalibrationSource, Engine, ServeConfig, ServeError, ServeRequest};
 use paro_sim::tune::{tune_budgets, BudgetOption, HeadCandidate, RooflineModel, TuneOutcome};
 use paro_sim::AttentionProfile;
 use paro_trace::Trace;
@@ -110,16 +108,6 @@ pub fn workload_spec(opts: &ServeBenchOpts, model: &ModelConfig, requests: usize
         heads: opts.heads,
         seed: opts.seed,
     }
-}
-
-/// A response's output tensor as raw bits, for bit-identity checks.
-pub fn output_bits(resp: &ServeResponse) -> Vec<u32> {
-    resp.run
-        .output
-        .as_slice()
-        .iter()
-        .map(|x| x.to_bits())
-        .collect()
 }
 
 /// Records the one-shot `kernel.dispatch` span: a zero-length marker at

@@ -134,60 +134,6 @@ pub struct ServeBenchReport {
     pub metrics: MetricsSnapshot,
 }
 
-/// Top-level JSON report `paro chaos-bench` prints to stdout: which
-/// faults were armed and fired, what the chaos batch resolved to, and
-/// whether a clean batch run on the same engine afterwards reproduced the
-/// never-faulted baseline bit for bit.
-#[derive(Debug, Serialize)]
-pub struct ChaosBenchReport {
-    /// Build and host identity; when `run.failpoints_compiled_in` is
-    /// `false`, nothing fires and the run degenerates to a clean-vs-clean
-    /// determinism check.
-    pub run: RunInfo,
-    /// Requests per batch (baseline, chaos and clean batches alike).
-    pub requests: usize,
-    /// Serve worker threads.
-    pub threads: usize,
-    /// The faults armed for the chaos batch, with their fire counts.
-    pub injected: Vec<InjectedFaultRow>,
-    /// Chaos-batch requests that resolved `Ok`.
-    pub chaos_completed: usize,
-    /// Chaos-batch requests that resolved to a typed error. Every request
-    /// resolves one way or the other — a hang is a chaos-bench failure.
-    pub chaos_failed: usize,
-    /// Clean-batch (post-reset, same engine) requests that resolved `Ok`.
-    pub clean_completed: usize,
-    /// Whether the clean batch's outputs matched the never-faulted
-    /// baseline engine bit for bit.
-    pub clean_bit_identical: bool,
-    /// Engine metric: requests that faulted (panics, injected faults)
-    /// without recovering.
-    pub faulted: u64,
-    /// Engine metric: retry attempts made after transient faults.
-    pub retried: u64,
-    /// Engine metric: requests served on the degraded f32 fallback.
-    pub degraded: u64,
-    /// Engine metric: requests cancelled mid-pipeline by their deadline.
-    pub timed_out: u64,
-    /// Wall-clock time of the whole run (all three batches), ms.
-    pub wall_ms: f64,
-}
-
-/// One armed fault site in the chaos-bench report.
-#[derive(Debug, Clone, Serialize)]
-pub struct InjectedFaultRow {
-    /// The failpoint site name (see `paro_failpoint::site`).
-    pub site: String,
-    /// Fault kind: `panic`, `error` or `delay`.
-    pub kind: String,
-    /// Site calls skipped before the fault window opens.
-    pub skip: u64,
-    /// Faults injected once the window opens.
-    pub times: u64,
-    /// How often the site actually fired during the chaos batch.
-    pub fired: u64,
-}
-
 /// One row of a per-stage trace summary, in microseconds — the JSON form
 /// of [`paro_trace::StageSummary`].
 #[derive(Debug, Clone, Serialize)]

@@ -10,8 +10,8 @@
 //! against the report's own section.
 
 use paro::report::{
-    AttnVThroughput, ChaosBenchReport, InjectedFaultRow, PerfBenchReport, PerfStageRow, RunInfo,
-    ServeBenchReport, StageSummaryRow, TuneHeadRow, TuneReport, TuneValidation,
+    AttnVThroughput, PerfBenchReport, PerfStageRow, RunInfo, ServeBenchReport, StageSummaryRow,
+    TuneHeadRow, TuneReport, TuneValidation,
 };
 use paro::serve::{CacheStats, Metrics};
 use paro::sim::tune::RooflineModel;
@@ -228,37 +228,6 @@ fn chrome_trace_event_fields_match_docs() {
     );
 }
 
-/// A fully-populated chaos report: one injected-fault row so the array
-/// element fields serialize.
-fn sample_chaos_report() -> ChaosBenchReport {
-    ChaosBenchReport {
-        run: sample_run(),
-        requests: 24,
-        threads: 4,
-        injected: vec![InjectedFaultRow {
-            site: "pool.job".to_string(),
-            kind: "panic".to_string(),
-            skip: 3,
-            times: 1,
-            fired: 1,
-        }],
-        chaos_completed: 23,
-        chaos_failed: 1,
-        clean_completed: 24,
-        clean_bit_identical: true,
-        faulted: 1,
-        retried: 2,
-        degraded: 0,
-        timed_out: 0,
-        wall_ms: 41.7,
-    }
-}
-
-#[test]
-fn chaos_bench_report_fields_match_docs() {
-    assert_report_contract(&sample_chaos_report(), "chaos-bench");
-}
-
 /// A fully-populated perf-bench report: one stage row so the array
 /// element fields serialize.
 fn sample_perf_report() -> PerfBenchReport {
@@ -338,9 +307,8 @@ fn tune_report_fields_match_docs() {
 
 #[test]
 fn every_report_opens_with_the_same_run_envelope() {
-    let reports: [(&str, Value); 4] = [
+    let reports: [(&str, Value); 3] = [
         ("serve-bench", sample_report().to_value()),
-        ("chaos-bench", sample_chaos_report().to_value()),
         ("perf-bench", sample_perf_report().to_value()),
         ("tune", sample_tune_report().to_value()),
     ];

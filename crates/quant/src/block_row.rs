@@ -205,9 +205,9 @@ impl PackedRow {
 }
 
 /// The per-head `V` operand of packed `AttnV`: per-column codes with
-/// their zero points subtracted, laid out as i16 row pairs (the operand
-/// form of the `vpmaddwd` MAC; half the bytes of i32 rows), and the
-/// column scales. Read-only once built, so concurrent row jobs can share
+/// their zero points subtracted, laid out as row pairs (the operand form
+/// of the `vpmaddwd` MAC; i16, half the bytes of i32 rows, whenever the
+/// zero points allow), and the column scales. Read-only once built, so concurrent row jobs can share
 /// one.
 #[derive(Debug, Clone)]
 pub struct AttnVOperand {
@@ -232,12 +232,10 @@ impl AttnVOperand {
             });
         }
         let _t = paro_trace::span(paro_trace::stage::ATTNV_UNPACK);
-        let (d, codes) = (v.cols(), v.codes());
         let zero_points: Vec<i32> = v.params().iter().map(QuantParams::zero_point).collect();
+        let max_code = v.bits().max_code();
         Ok(AttnVOperand {
-            v: VPairs::new(v.rows(), d, |k, j| {
-                (codes[k * d + j] as i32).wrapping_sub(zero_points[j])
-            }),
+            v: VPairs::new(v.codes(), v.rows(), v.cols(), &zero_points, max_code),
             scales: v.params().iter().map(QuantParams::scale).collect(),
             kernel,
         })
@@ -284,7 +282,7 @@ impl AttnVOperand {
 
     /// `out += Σ_blocks dequant(block · V[c0..c0 + w])` over `h` output
     /// rows: per live block, the block body of the operand's kernel adds
-    /// its exact i32 sums times `s_b · s_c` (as [`crate::dequantize_gemm`]
+    /// its exact sums times `s_b · s_c` (as [`crate::dequantize_gemm`]
     /// scales them) straight into the f32 rows. One `attnv.mac` span
     /// covers the block row's live blocks (none when every block is
     /// 0-bit): a block's MAC is shorter than a span record.

@@ -8,7 +8,6 @@
 //! vector-unit half (scale application). Tests verify that the pair matches
 //! the fake-quantized float computation bit-for-bit in exact arithmetic.
 
-use crate::kernels::{self, Kernel};
 use crate::{Bitwidth, QuantError, QuantParams};
 use paro_tensor::{Tensor, TensorError};
 
@@ -118,9 +117,9 @@ impl QuantizedGemmOperand {
 ///
 /// Computes `acc[i][j] = Σ_k (a_code[i][k] − z_a) · (b_code[k][j] − z_b)`,
 /// i.e. zero points are subtracted before multiplication, exactly as a
-/// fixed-point MAC array with pre-offset operand registers would.
-/// Dispatches to the widest micro-kernel the CPU supports; accumulators
-/// are bit-identical across kernels.
+/// fixed-point MAC array with pre-offset operand registers would. One
+/// plain loop: this is the reference other integer kernels are checked
+/// against, not a production path.
 ///
 /// # Errors
 ///
@@ -129,20 +128,6 @@ impl QuantizedGemmOperand {
 pub fn quantized_gemm_i32(
     a: &QuantizedGemmOperand,
     b: &QuantizedGemmOperand,
-) -> Result<Vec<i32>, QuantError> {
-    quantized_gemm_i32_with(a, b, kernels::active_kernel())
-}
-
-/// [`quantized_gemm_i32`] on an explicit [`Kernel`] instead of the
-/// dispatched one, for pinning SIMD paths against the scalar reference.
-///
-/// # Errors
-///
-/// Same as [`quantized_gemm_i32`].
-pub fn quantized_gemm_i32_with(
-    a: &QuantizedGemmOperand,
-    b: &QuantizedGemmOperand,
-    kernel: Kernel,
 ) -> Result<Vec<i32>, QuantError> {
     if a.cols != b.rows {
         return Err(QuantError::Tensor(TensorError::MatmulDimMismatch {
@@ -153,11 +138,15 @@ pub fn quantized_gemm_i32_with(
     let (m, k, n) = (a.rows, a.cols, b.cols);
     let za = a.params.zero_point();
     let zb = b.params.zero_point();
-    // Center the streamed operand once up front (the operand-register
-    // pre-offset); the kernels then run a pure `+= av · b[p][j]` axpy.
-    let b_centered: Vec<i32> = b.codes.iter().map(|&c| c as i32 - zb).collect();
     let mut out = vec![0i32; m * n];
-    kernels::gemm_i32(kernel, &a.codes, za, &b_centered, m, k, n, &mut out);
+    for i in 0..m {
+        for p in 0..k {
+            let av = a.codes[i * k + p] as i32 - za;
+            for j in 0..n {
+                out[i * n + j] += av * (b.codes[p * n + j] as i32 - zb);
+            }
+        }
+    }
     Ok(out)
 }
 

@@ -5,10 +5,11 @@
 //! per block, nothing for 0-bit blocks. This module adds the matching
 //! *compute* model: a block body that unpacks a block's codes from the
 //! packed bytes, multiplies them with per-column-quantized `V` codes in
-//! exact i32 sums, and applies the FP16-style scale product per block
+//! exact integer sums, and applies the FP16-style scale product per block
 //! and column — exactly the PE-array / vector-unit split of
 //! [`crate::quantized_gemm_i32`] + [`crate::dequantize_gemm`], so the two
-//! paths are bit-identical on the same codes. 0-bit blocks are bypassed
+//! paths are bit-identical on the same codes whenever the reference's
+//! i32 sums do not overflow. 0-bit blocks are bypassed
 //! without touching their bytes (the dispatcher bypass), with MAC
 //! accounting matching the float-side block-sparse reference.
 
@@ -149,10 +150,11 @@ impl PackedAttnV {
 ///
 /// Per block `b` (scale `s_b`, zero point `z_b`) and output column `c`
 /// (V scale `s_c`, zero point `z_c`), the contribution to `out[r][c]` is
-/// `(Σ_k (m[r][k] − z_b)·(v[k][c] − z_c)) · (s_b·s_c)` — i32 accumulation
-/// then one f32 scale application, the exact expression
+/// `(Σ_k (m[r][k] − z_b)·(v[k][c] − z_c)) · (s_b·s_c)` — exact integer
+/// accumulation then one f32 scale application, the expression
 /// [`crate::quantized_gemm_i32`] + [`crate::dequantize_gemm`] compute, so
-/// on identical codes the two paths agree bit for bit. Each block row
+/// on identical codes whose sums fit i32 the two paths agree bit for
+/// bit. Each block row
 /// runs through [`AttnVOperand::accumulate`]'s steps, the same ones the
 /// fused attention executor streams.
 ///

@@ -1,11 +1,10 @@
-//! Integer micro-kernels with runtime SIMD dispatch: packed `AttnV`,
-//! the unpacked-operand GEMM and the two quantize maps.
+//! Integer micro-kernels with runtime SIMD dispatch: packed `AttnV` and
+//! the two quantize maps.
 //!
-//! This module is the compute backend of [`crate::packed_attn_v`], the
-//! fused executor's [`crate::AttnVOperand`] and
-//! [`crate::quantized_gemm_i32`]. It dispatches on the same [`Kernel`]
-//! value as the f32 kernels in [`paro_tensor::kernel`], so one process
-//! runs one consistent kernel set.
+//! This module is the compute backend of [`crate::packed_attn_v`] and
+//! the fused executor's [`crate::AttnVOperand`]. It dispatches on the
+//! same [`Kernel`] value as the f32 kernels in [`paro_tensor::kernel`],
+//! so one process runs one consistent kernel set.
 //!
 //! Every loop has two bodies: the scalar reference and AVX2. The packed
 //! `AttnV` block multiplies a block's 2/4/8-bit codes, centered on its
@@ -13,7 +12,9 @@
 //!
 //! - `V` is laid out once per head as [`VPairs`]: consecutive key rows
 //!   interleaved column by column as i16 pairs, the operand form of
-//!   `vpmaddwd`. A centered 8-bit code spans ±255, so it fits i16; one
+//!   `vpmaddwd`. A column's centered codes span `[−z_c, max − z_c]`, so
+//!   its zero point alone decides whether they fit i16; a centered 8-bit
+//!   code of a zero point inside the code range spans ±255. One
 //!   `vpmaddwd` then adds two keys' products for 8 output columns.
 //! - The AVX2 body unpacks a block's codes once into centered i16 pairs
 //!   (a zero pads an odd first or last pair, so any block edge and any
@@ -31,14 +32,16 @@
 //!   zero centered codes (it contributes nothing), and dequantizes the
 //!   row's sums with the same expression.
 //!
-//! Every product is exact and the sums are wrapping i32 additions, which
-//! are associative, so both bodies are **bit-identical** for any summation
-//! order — pinned by `tests/kernel_equivalence.rs` on every kernel the
-//! host supports. Min-max calibration can put a zero point far outside
-//! the code range (a group much narrower than its distance from zero);
-//! a block whose centered codes, or a head whose centered `V`, would not
-//! fit i16 runs the scalar reference instead, so correctness does not
-//! depend on the data.
+//! Every sum is exact. A block of `w` keys whose bound `w · max|code −
+//! z_b| · max|centered V|` stays below 2³¹ keeps every partial sum
+//! inside i32, in any order, and runs the bodies above. Min-max
+//! calibration can put a zero point far outside the code range (a
+//! near-flat block, as near-uniform attention gives): any other block,
+//! and any head whose centered `V` does not fit i16, runs the scalar
+//! reference with i128 sums, which are exact for any i32 zero points.
+//! Exact sums do not depend on their order, so every body gives the same
+//! bits — pinned by `tests/kernel_equivalence.rs` on every kernel the
+//! host supports — and correctness does not depend on the data.
 //!
 //! Each dispatcher asserts that the CPU supports the kernel it is given
 //! before any AVX2 body runs, so a safe caller passing
@@ -52,10 +55,7 @@
 use crate::block_row::BlockRef;
 use crate::{Bitwidth, PackedCodes};
 pub use paro_tensor::kernel::{active_kernel, Kernel};
-
-/// k-dimension tile edge of the unpacked-operand GEMM (shared with the
-/// f32 drivers).
-pub(crate) const TILE_K: usize = paro_tensor::kernel::TILE_K;
+use std::ops::{Add, Mul};
 
 /// Output columns of one AVX2 accumulator (8 i32 lanes); a [`VPairs`]
 /// row is zero-padded to a multiple of it.
@@ -73,54 +73,52 @@ pub(crate) struct VPairs {
     d: usize,
     /// Columns per pair row: `d` rounded up to [`COL_LANES`].
     dp: usize,
+    /// The largest `w · max|code − z_b|` of a block whose sums stay in
+    /// i32: `(2³¹ − 1) / max|centered V|`.
+    sum_limit: u64,
 }
 
 #[derive(Debug, Clone)]
 enum PairVals {
-    /// Every value fits i16: the form both bodies run on.
+    /// Every centered value fits i16: the form every body runs on.
     Narrow(Vec<i16>),
-    /// Some value does not: only the scalar reference runs, on i32.
-    Wide(Vec<i32>),
+    /// Some does not: only the scalar reference runs, on exact i128 sums.
+    Wide(Vec<i64>),
 }
 
 impl VPairs {
-    /// The operand of the `rows × d` centered codes `value(k, j)`.
-    pub(crate) fn new(rows: usize, d: usize, value: impl Fn(usize, usize) -> i32) -> Self {
+    /// The operand of the `rows × d` codes `codes` (row-major, at most
+    /// `max_code`) centered on their columns' `zero_points`. The layout
+    /// and the sum bound follow from the zero points alone.
+    pub(crate) fn new(
+        codes: &[u32],
+        rows: usize,
+        d: usize,
+        zero_points: &[i32],
+        max_code: u32,
+    ) -> Self {
+        debug_assert_eq!((codes.len(), zero_points.len()), (rows * d, d));
+        let max_v = zero_points
+            .iter()
+            .map(|&z| z.unsigned_abs().max(z.abs_diff(max_code as i32)))
+            .max()
+            .unwrap_or(0);
         let dp = d.next_multiple_of(COL_LANES);
-        let mut narrow = vec![0i16; rows.div_ceil(2) * 2 * dp];
-        for k in 0..rows {
-            let base = (k / 2) * 2 * dp + (k & 1);
-            for j in 0..d {
-                let x = value(k, j);
-                if x != x as i16 as i32 {
-                    return Self::wide(rows, d, dp, value);
-                }
-                narrow[base + 2 * j] = x as i16;
-            }
-        }
+        let vals = if max_v <= i16::MAX as u32 {
+            PairVals::Narrow(interleave(codes, rows, d, dp, zero_points, |c, z| {
+                (c as i32 - z) as i16
+            }))
+        } else {
+            PairVals::Wide(interleave(codes, rows, d, dp, zero_points, |c, z| {
+                i64::from(c) - i64::from(z)
+            }))
+        };
         VPairs {
-            vals: PairVals::Narrow(narrow),
+            vals,
             rows,
             d,
             dp,
-        }
-    }
-
-    /// [`VPairs::new`] for values that do not all fit i16.
-    #[cold]
-    fn wide(rows: usize, d: usize, dp: usize, value: impl Fn(usize, usize) -> i32) -> Self {
-        let mut wide = vec![0i32; rows.div_ceil(2) * 2 * dp];
-        for k in 0..rows {
-            let base = (k / 2) * 2 * dp + (k & 1);
-            for j in 0..d {
-                wide[base + 2 * j] = value(k, j);
-            }
-        }
-        VPairs {
-            vals: PairVals::Wide(wide),
-            rows,
-            d,
-            dp,
+            sum_limit: i32::MAX as u64 / u64::from(max_v.max(1)),
         }
     }
 
@@ -139,17 +137,51 @@ impl VPairs {
     pub(crate) fn bytes(&self) -> usize {
         match &self.vals {
             PairVals::Narrow(v) => 2 * v.len(),
-            PairVals::Wide(v) => 4 * v.len(),
+            PairVals::Wide(v) => 8 * v.len(),
         }
     }
 }
 
+/// The pair layout of [`VPairs`] with `center(code, z_c)` as each value,
+/// two key rows at a time (zero in the padding).
+fn interleave<T: Copy + Default>(
+    codes: &[u32],
+    rows: usize,
+    d: usize,
+    dp: usize,
+    zero_points: &[i32],
+    center: impl Fn(u32, i32) -> T,
+) -> Vec<T> {
+    let mut out = vec![T::default(); rows.div_ceil(2) * 2 * dp];
+    for p in 0..rows.div_ceil(2) {
+        let dst = &mut out[p * 2 * dp..][..2 * d];
+        let even = &codes[2 * p * d..][..d];
+        match codes.get((2 * p + 1) * d..(2 * p + 2) * d) {
+            Some(odd) => {
+                for (((o, &a), &b), &z) in
+                    dst.chunks_exact_mut(2).zip(even).zip(odd).zip(zero_points)
+                {
+                    o[0] = center(a, z);
+                    o[1] = center(b, z);
+                }
+            }
+            None => {
+                for ((o, &a), &z) in dst.chunks_exact_mut(2).zip(even).zip(zero_points) {
+                    o[0] = center(a, z);
+                }
+            }
+        }
+    }
+    out
+}
+
 /// Reusable buffers of the block bodies: the scalar reference's centered
-/// codes and row of sums, and the AVX2 body's centered code pairs and
-/// scale products.
+/// codes and row of sums, in i32 and in i128, and the AVX2 body's
+/// centered code pairs and scale products.
 #[derive(Debug, Default)]
 pub(crate) struct BlockScratch {
     scalar: (Vec<i32>, Vec<i32>),
+    exact: (Vec<i128>, Vec<i128>),
     #[cfg_attr(
         not(any(target_arch = "x86", target_arch = "x86_64")),
         allow(dead_code)
@@ -165,84 +197,72 @@ fn code_at<const BITS: usize>(bytes: &[u8], e: usize) -> i32 {
     ((bytes[e * BITS / 8] >> (e * BITS % 8)) & mask) as i32
 }
 
+/// The sum type of the scalar block body: i32 for a block whose bound
+/// keeps every partial sum in range, i128 for any other.
+trait Acc: Copy + Default + PartialEq + Add<Output = Self> + Mul<Output = Self> {
+    /// `code − zp`, which the caller has bounded to the type.
+    fn centered(code: i32, zp: i32) -> Self;
+    /// The nearest f32, ties to even, as `cvtdq2ps` rounds.
+    fn to_f32(self) -> f32;
+}
+
+impl Acc for i32 {
+    fn centered(code: i32, zp: i32) -> i32 {
+        code - zp
+    }
+    fn to_f32(self) -> f32 {
+        self as f32
+    }
+}
+
+impl Acc for i128 {
+    fn centered(code: i32, zp: i32) -> i128 {
+        i128::from(code) - i128::from(zp)
+    }
+    fn to_f32(self) -> f32 {
+        self as f32
+    }
+}
+
 /// Scalar reference block body: per row, the row's codes centered on the
 /// block's zero point (zero where a pair passes the block's keys), each
-/// pair of them times its `V` pair row summed in i32 — a pair of zero
+/// pair of them times its `V` pair row summed in `A` — a pair of zero
 /// codes is skipped — and `out[r][j] += sum as f32 · (s_b · s_c)`.
-fn attn_v_scalar<const BITS: usize, T: Copy + Into<i32>>(
+fn attn_v_scalar<const BITS: usize, T: Copy + Into<A>, A: Acc>(
     block: &BlockRef,
     h: usize,
     v: &VPairs,
     vals: &[T],
     scales: &[f32],
-    (codes, sums): &mut (Vec<i32>, Vec<i32>),
+    (codes, sums): &mut (Vec<A>, Vec<A>),
     out: &mut [f32],
 ) {
     let (w, zp, s_b) = (block.w, block.params.zero_point(), block.params.scale());
     let s = block.c0 & 1;
+    let zero = A::default();
     codes.clear();
-    codes.resize((s + w).div_ceil(2) * 2, 0);
-    sums.resize(v.d, 0);
+    codes.resize((s + w).div_ceil(2) * 2, zero);
+    sums.resize(v.d, zero);
     let vrows = vals[(block.c0 / 2) * 2 * v.dp..].chunks_exact(2 * v.dp);
     for r in 0..h {
         for (k, c) in codes[s..s + w].iter_mut().enumerate() {
-            *c = code_at::<BITS>(block.bytes, r * w + k).wrapping_sub(zp);
+            *c = A::centered(code_at::<BITS>(block.bytes, r * w + k), zp);
         }
-        sums.fill(0);
+        sums.fill(zero);
         for (cp, vrow) in codes.chunks_exact(2).zip(vrows.clone()) {
             let (c0, c1) = (cp[0], cp[1]);
-            if c0 == 0 && c1 == 0 {
-                continue; // zero operands: no contribution in exact i32
+            if c0 == zero && c1 == zero {
+                continue; // zero operands: no contribution to an exact sum
             }
             for (s, pair) in sums.iter_mut().zip(vrow.chunks_exact(2)) {
-                let t = c0.wrapping_mul(pair[0].into());
-                *s = s.wrapping_add(t.wrapping_add(c1.wrapping_mul(pair[1].into())));
+                *s = *s + (c0 * pair[0].into() + c1 * pair[1].into());
             }
         }
         let orow = &mut out[r * v.d..(r + 1) * v.d];
         for ((o, &a), &s_c) in orow.iter_mut().zip(sums.iter()).zip(scales) {
-            *o += a as f32 * (s_b * s_c);
+            *o += a.to_f32() * (s_b * s_c);
         }
     }
-}
-
-/// `arow[j] += mv · vrow[j]` over `min(arow.len(), vrow.len())` lanes.
-#[inline(always)]
-fn axpy_i32_scalar(arow: &mut [i32], vrow: &[i32], mv: i32) {
-    for (o, &vv) in arow.iter_mut().zip(vrow) {
-        *o += mv * vv;
-    }
-}
-
-/// Unpacked-operand GEMM body ([`crate::quantized_gemm_i32`]'s inner
-/// loops) shared by the scalar and AVX2 kernels, `$axpy` selecting the
-/// ISA: `A` codes are centered on the fly, rows walk the `k` dimension in
-/// [`TILE_K`] segments so each `B` panel is streamed once per tile, zero
-/// `A` operands skip their row.
-macro_rules! gemm_body {
-    ($axpy:ident, $a:ident, $za:ident, $b:ident, $m:ident, $k:ident, $n:ident, $out:ident) => {{
-        for i in 0..$m {
-            let arow = &$a[i * $k..(i + 1) * $k];
-            let orow = &mut $out[i * $n..(i + 1) * $n];
-            let mut k0 = 0usize;
-            while k0 < $k {
-                let kt = TILE_K.min($k - k0);
-                for (p, &code) in arow[k0..k0 + kt].iter().enumerate() {
-                    let av = code as i32 - $za;
-                    if av == 0 {
-                        continue; // exact zero contribution
-                    }
-                    let brow = &$b[(k0 + p) * $n..(k0 + p + 1) * $n];
-                    $axpy(orow, brow, av);
-                }
-                k0 += kt;
-            }
-        }
-    }};
-}
-
-fn gemm_i32_scalar(a: &[u32], za: i32, b: &[i32], m: usize, k: usize, n: usize, out: &mut [i32]) {
-    gemm_body!(axpy_i32_scalar, a, za, b, m, k, n, out)
 }
 
 /// Scalar reference of the affine quantize map — element for element
@@ -276,32 +296,12 @@ const QUANTIZE_SAFE_BOUND: f32 = 1_073_741_824.0;
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod x86 {
     use super::{
-        axpy_i32_scalar, quantize_codes_scalar, quantize_symmetric_scalar, BlockRef, VPairs,
-        QUANTIZE_SAFE_BOUND, TILE_K,
+        quantize_codes_scalar, quantize_symmetric_scalar, BlockRef, VPairs, QUANTIZE_SAFE_BOUND,
     };
     #[cfg(target_arch = "x86")]
     use std::arch::x86::*;
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
-
-    /// `arow[j] += mv · vrow[j]`, 8 i32 lanes.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn axpy_i32_avx2(arow: &mut [i32], vrow: &[i32], mv: i32) {
-        let n = arow.len().min(vrow.len());
-        let vm = _mm256_set1_epi32(mv);
-        let mut j = 0usize;
-        while j + 8 <= n {
-            let o = _mm256_loadu_si256(arow.as_ptr().add(j) as *const __m256i);
-            let v = _mm256_loadu_si256(vrow.as_ptr().add(j) as *const __m256i);
-            _mm256_storeu_si256(
-                arow.as_mut_ptr().add(j) as *mut __m256i,
-                _mm256_add_epi32(o, _mm256_mullo_epi32(vm, v)),
-            );
-            j += 8;
-        }
-        axpy_i32_scalar(&mut arow[j..n], &vrow[j..n], mv);
-    }
 
     /// Mask of the first `lanes` (< 8) of 8 lanes.
     #[inline]
@@ -415,9 +415,10 @@ mod x86 {
     ///
     /// # Safety
     /// Caller must ensure AVX2, `block` holding `h · w` codes at `BITS`
-    /// that fit i16 once centered on its zero point, keys inside `v`'s
-    /// rows, `vals` the narrow values of `v`, `d` scales and `out` of
-    /// `h · d` values (`d` = `v`'s columns).
+    /// that fit i16 once centered on its zero point (and sums that stay
+    /// in i32, for exact output), keys inside `v`'s rows, `vals` the
+    /// narrow values of `v`, `d` scales and `out` of `h · d` values (`d`
+    /// = `v`'s columns).
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn attn_v_avx2<const BITS: usize>(
         block: &BlockRef,
@@ -461,21 +462,6 @@ mod x86 {
                 row_chunk::<1, false>(pairs, np, vj, pstride, oj, sj, d - j);
             }
         }
-    }
-
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gemm_i32_avx2(
-        a: &[u32],
-        za: i32,
-        b: &[i32],
-        m: usize,
-        k: usize,
-        n: usize,
-        out: &mut [i32],
-    ) {
-        gemm_body!(axpy_i32_avx2, a, za, b, m, k, n, out)
     }
 
     // Bit-identical AVX2 replication of the scalar quantize map. IEEE
@@ -579,8 +565,7 @@ mod x86 {
 
 /// One live packed block of an `h`-row block row on the chosen kernel:
 /// `out[r][j] += (Σ_k (code[r][k] − z_b) · v[c0 + k][j]) as f32 ·
-/// (s_b · scales[j])`, the sum exact in i32 and the scaling in that
-/// order, where the block's keys are `v`'s rows `c0..c0 + w` and `out`
+/// (s_b · scales[j])`, the sum exact and the scaling in that order, where the block's keys are `v`'s rows `c0..c0 + w` and `out`
 /// holds `h` rows of `v`'s `d` columns. A 0-bit block adds nothing.
 ///
 /// # Panics
@@ -618,7 +603,8 @@ pub(crate) fn attn_v_block(
 }
 
 /// [`attn_v_block`] at `BITS` bits: AVX2 where the kernel and the
-/// operands' ranges allow it, the scalar reference otherwise.
+/// operands' ranges allow it, the scalar reference otherwise — on i32
+/// sums within the block's bound, on i128 sums past it.
 #[inline]
 fn attn_v_on<const BITS: usize>(
     kernel: Kernel,
@@ -629,51 +615,28 @@ fn attn_v_on<const BITS: usize>(
     scratch: &mut BlockScratch,
     out: &mut [f32],
 ) {
-    // Centered codes span `[−zp, max − zp]`.
+    // Centered codes span `[−zp, max − zp]`; every partial sum of a
+    // block within `w · max_c · max|centered V| < 2³¹` fits i32.
     let zp = block.params.zero_point();
-    let codes_fit = zp <= -(i16::MIN as i32) && zp >= (1 << BITS) - 1 - i16::MAX as i32;
+    let max_c = zp.unsigned_abs().max(zp.abs_diff((1 << BITS) - 1));
+    let in_i32 = (block.w as u64).saturating_mul(u64::from(max_c)) <= v.sum_limit;
     match (kernel, &v.vals) {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         // SAFETY: the CPU supports AVX2 (asserted by `attn_v_block`),
         // which also checked the keys, payload, scales and output against
-        // the operand; the guard bounds the centered codes.
-        (Kernel::Avx2, PairVals::Narrow(vals)) if codes_fit => unsafe {
+        // the operand; the guard bounds the centered codes and the sums.
+        (Kernel::Avx2, PairVals::Narrow(vals)) if in_i32 && max_c <= i16::MAX as u32 => unsafe {
             x86::attn_v_avx2::<BITS>(block, h, v, vals, scales, &mut scratch.avx2, out)
         },
+        (_, PairVals::Narrow(vals)) if in_i32 => {
+            attn_v_scalar::<BITS, i16, i32>(block, h, v, vals, scales, &mut scratch.scalar, out)
+        }
         (_, PairVals::Narrow(vals)) => {
-            attn_v_scalar::<BITS, i16>(block, h, v, vals, scales, &mut scratch.scalar, out)
+            attn_v_scalar::<BITS, i16, i128>(block, h, v, vals, scales, &mut scratch.exact, out)
         }
         (_, PairVals::Wide(vals)) => {
-            attn_v_scalar::<BITS, i32>(block, h, v, vals, scales, &mut scratch.scalar, out)
+            attn_v_scalar::<BITS, i64, i128>(block, h, v, vals, scales, &mut scratch.exact, out)
         }
-    }
-}
-
-/// `out[i][j] += Σ_p (a[i][p] − za) · b[p][j]` (`b` pre-centered) on the
-/// chosen kernel — the tiled inner loops of [`crate::quantized_gemm_i32`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_i32(
-    kernel: Kernel,
-    a: &[u32],
-    za: i32,
-    b: &[i32],
-    m: usize,
-    k: usize,
-    n: usize,
-    out: &mut [i32],
-) {
-    assert!(
-        kernel.is_supported(),
-        "{kernel} is not supported by this CPU"
-    );
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    match kernel {
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        // SAFETY: the CPU supports AVX2 (asserted above).
-        Kernel::Avx2 => unsafe { x86::gemm_i32_avx2(a, za, b, m, k, n, out) },
-        _ => gemm_i32_scalar(a, za, b, m, k, n, out),
     }
 }
 
@@ -769,25 +732,50 @@ mod tests {
         out.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// [`run_block`]'s contract by plain loops over the `h × w` codes and
-    /// the centered `V` values `value(k, j)`, sums wrapping in i32.
-    fn oracle(
-        codes: &[u32],
-        zp: i32,
-        h: usize,
-        k0: usize,
+    /// 8-bit `V` codes (`rows × d`, row-major) and their columns' zero
+    /// points.
+    struct TestV {
+        codes: Vec<u32>,
+        zps: Vec<i32>,
         d: usize,
-        value: impl Fn(usize, usize) -> i32,
-        scales: &[f32],
-    ) -> Vec<u32> {
+    }
+
+    impl TestV {
+        fn new(rows: usize, d: usize, code: fn(usize, usize) -> u32, zp: fn(usize) -> i32) -> Self {
+            TestV {
+                codes: (0..rows * d).map(|i| code(i / d, i % d)).collect(),
+                zps: (0..d).map(zp).collect(),
+                d,
+            }
+        }
+
+        fn pairs(&self) -> VPairs {
+            VPairs::new(
+                &self.codes,
+                self.codes.len() / self.d,
+                self.d,
+                &self.zps,
+                255,
+            )
+        }
+
+        fn centered(&self, k: usize, j: usize) -> i128 {
+            i128::from(self.codes[k * self.d + j]) - i128::from(self.zps[j])
+        }
+    }
+
+    /// [`run_block`]'s contract by plain loops over the `h × w` codes and
+    /// the centered `V`, sums exact in i128.
+    fn oracle(codes: &[u32], zp: i32, h: usize, k0: usize, v: &TestV, scales: &[f32]) -> Vec<u32> {
         let w = codes.len() / h;
-        let mut out = Vec::with_capacity(h * d);
+        let mut out = Vec::with_capacity(h * v.d);
         for r in 0..h {
             for (j, &s_c) in scales.iter().enumerate() {
-                let sum = (0..w).fold(0i32, |acc, k| {
-                    let c = (codes[r * w + k] as i32).wrapping_sub(zp);
-                    acc.wrapping_add(c.wrapping_mul(value(k0 + k, j)))
-                });
+                let sum: i128 = (0..w)
+                    .map(|k| {
+                        (i128::from(codes[r * w + k]) - i128::from(zp)) * v.centered(k0 + k, j)
+                    })
+                    .sum();
                 out.push((0.5 + sum as f32 * (S_B * s_c)).to_bits());
             }
         }
@@ -811,45 +799,62 @@ mod tests {
                 let max = bits.max_code();
                 let codes: Vec<u32> = (0..h * w).map(|i| (i as u32 * 7 + 3) % (max + 1)).collect();
                 let packed = PackedCodes::pack(&codes, bits).unwrap();
-                let value = |k: usize, j: usize| ((k * 31 + j * 7) % 511) as i32 - 255;
-                let v = VPairs::new(rows, d, value);
+                // Centered `V` spans ±255: zero points 0, 255 and 128.
+                let v = TestV::new(
+                    rows,
+                    d,
+                    |k, j| ((k * 31 + j * 7) % 256) as u32,
+                    |j| [0, 255, 128][j % 3],
+                );
                 let scales: Vec<f32> = (0..d).map(|j| 0.01 + j as f32 * 1e-3).collect();
                 let zp = (max / 2) as i32;
-                let want = oracle(&codes, zp, h, k0, d, value, &scales);
+                let want = oracle(&codes, zp, h, k0, &v, &scales);
                 for kernel in Kernel::supported() {
-                    let got = run_block(kernel, bits, &packed, zp, h, k0, &v, &scales);
+                    let got = run_block(kernel, bits, &packed, zp, h, k0, &v.pairs(), &scales);
                     assert_eq!(got, want, "kernel={kernel} bits={bits} w={w} d={d} k0={k0}");
                 }
             }
         }
     }
 
-    /// Operands outside i16 — a zero point far from the code range, or a
-    /// centered `V` past ±32767 — fall back to the scalar reference on
-    /// every kernel, with wrapping sums.
+    /// Operands outside i16 or past the i32 bound — a zero point far from
+    /// the code range, or a centered `V` past ±32767 — fall back to the
+    /// scalar reference on every kernel: with i32 sums while the block's
+    /// bound holds, with exact i128 sums past it.
     #[test]
     fn attn_v_out_of_i16_operands_agree() {
         let (h, w, d) = (3, 6, 12);
         let codes: Vec<u32> = (0..h * w).map(|i| (i as u32 * 37) % 256).collect();
         let packed = PackedCodes::pack(&codes, Bitwidth::B8).unwrap();
         let scales = vec![0.25f32; d];
-        let narrow_at: fn(usize, usize) -> i32 = |k, j| (k as i32 * 3 - j as i32) % 256;
-        let wide_at: fn(usize, usize) -> i32 = |k, j| (k as i32 - 2) * 1_000_000 + j as i32;
-        let narrow = VPairs::new(w, d, narrow_at);
-        let wide = VPairs::new(w, d, wide_at);
-        assert!(matches!(narrow.vals, PairVals::Narrow(_)));
-        assert!(matches!(wide.vals, PairVals::Wide(_)));
-        for (v, value, zp) in [
-            (&narrow, narrow_at, -40_000),
-            (&narrow, narrow_at, 32_769),
-            (&narrow, narrow_at, 32_768),
-            (&narrow, narrow_at, 255 - 32_767),
-            (&wide, wide_at, 7),
-            (&narrow, narrow_at, i32::MIN),
+        let narrow = TestV::new(
+            w,
+            d,
+            |k, j| ((k * 3 + j * 40) % 256) as u32,
+            |j| [0, 255, 100][j % 3],
+        );
+        let wide = TestV::new(
+            w,
+            d,
+            |k, j| ((k * 3 + j * 40) % 256) as u32,
+            |j| [1_000_000, -2_000_000_000, i32::MIN, i32::MAX][j % 4],
+        );
+        assert!(matches!(narrow.pairs().vals, PairVals::Narrow(_)));
+        assert!(matches!(wide.pairs().vals, PairVals::Wide(_)));
+        for (v, zp) in [
+            (&narrow, -40_000),
+            (&narrow, 32_769),
+            (&narrow, 32_768),
+            (&narrow, 255 - 32_767),
+            (&narrow, -25_409_026),
+            (&narrow, i32::MIN),
+            (&narrow, i32::MAX),
+            (&wide, 7),
+            (&wide, i32::MIN),
         ] {
-            let want = oracle(&codes, zp, h, 0, d, value, &scales);
+            let want = oracle(&codes, zp, h, 0, v, &scales);
             for kernel in Kernel::supported() {
-                let got = run_block(kernel, Bitwidth::B8, &packed, zp, h, 0, v, &scales);
+                let got = run_block(kernel, Bitwidth::B8, &packed, zp, h, 0, &v.pairs(), &scales);
                 assert_eq!(got, want, "kernel={kernel} zp={zp}");
             }
         }
@@ -859,10 +864,47 @@ mod tests {
     /// padding to whole pairs and 8 columns is paid.
     #[test]
     fn narrow_pairs_halve_the_operand() {
-        let v = VPairs::new(1152, 64, |k, j| (k + j) as i32 % 511 - 255);
-        assert_eq!(v.bytes(), 1152 * 64 * 2);
-        let odd = VPairs::new(5, 3, |_, _| 1);
-        assert_eq!(odd.bytes(), 3 * 2 * 8 * 2);
+        let v = TestV::new(1152, 64, |k, j| ((k + j) % 256) as u32, |_| 128);
+        assert_eq!(v.pairs().bytes(), 1152 * 64 * 2);
+        let odd = TestV::new(5, 3, |_, _| 1, |_| 0);
+        assert_eq!(odd.pairs().bytes(), 3 * 2 * 8 * 2);
+    }
+
+    /// The zero points alone choose the layout: 8-bit codes centered on a
+    /// zero point in `[255 − 32767, 32767]` always fit i16, and on any
+    /// other zero point they never all do. Both layouts hold the same
+    /// values, zero-padded alike.
+    #[test]
+    fn layout_follows_the_zero_points() {
+        let code = |k: usize, j: usize| ((k * 5 + j * 11) % 256) as u32;
+        for (zp, narrow) in [
+            (32_767, true),
+            (255 - 32_767, true),
+            (32_768, false),
+            (255 - 32_768, false),
+        ] {
+            let v = TestV::new(5, 3, code, |_| 0);
+            let v = TestV {
+                zps: vec![7, zp, 7],
+                ..v
+            };
+            let pairs = v.pairs();
+            let vals: Vec<i128> = match &pairs.vals {
+                PairVals::Narrow(x) if narrow => x.iter().map(|&a| a.into()).collect(),
+                PairVals::Wide(x) if !narrow => x.iter().map(|&a| a.into()).collect(),
+                other => panic!("zp={zp}: {other:?}"),
+            };
+            for k in 0..6 {
+                for j in 0..8 {
+                    let want = if k < 5 && j < 3 { v.centered(k, j) } else { 0 };
+                    assert_eq!(
+                        vals[(k / 2) * 16 + 2 * j + (k & 1)],
+                        want,
+                        "zp={zp} k={k} j={j}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -919,20 +961,6 @@ mod tests {
                 quantize_symmetric_i8(kernel, &values, scale, &mut got);
                 assert_eq!(got, want, "kernel={kernel} scale={scale}");
             }
-        }
-    }
-
-    #[test]
-    fn gemm_kernels_agree_on_ragged_tails() {
-        let (m, k, n) = (4, TILE_K + 5, 13); // n not a lane multiple
-        let a: Vec<u32> = (0..m * k).map(|i| (i as u32 * 11) % 256).collect();
-        let b: Vec<i32> = (0..k * n).map(|i| (i as i32 % 17) - 8).collect();
-        let mut want = vec![0i32; m * n];
-        gemm_i32(Kernel::Scalar, &a, 128, &b, m, k, n, &mut want);
-        for kernel in Kernel::supported() {
-            let mut got = vec![0i32; m * n];
-            gemm_i32(kernel, &a, 128, &b, m, k, n, &mut got);
-            assert_eq!(got, want, "kernel={kernel}");
         }
     }
 }

@@ -3,19 +3,21 @@
 //! Every dispatchable kernel (`scalar`, and `avx2` where the host
 //! supports it) must produce **bit-identical outputs** — the AVX2 paths
 //! sum key pairs in another order and multiply zero codes instead of
-//! skipping them, both of which are exact in wrapping i32 arithmetic,
-//! and every kernel converts and scales the sums with the same f32
+//! skipping them, and every kernel sums exactly (in i32 where a block's
+//! bound allows it, in i128 otherwise), so the order does not matter;
+//! every kernel converts and scales the sums with the same f32
 //! operations, so any divergence is a bug, not rounding. The block GEMM
 //! runs through `packed_attn_v_with` on one-block maps whose codes and
 //! zero points are set exactly, and is checked against a plain-loop
-//! oracle too. Operands cover their whole domain: centered 8-bit `V`
-//! spans ±255, and codes 0 and max meet zero points at both ends of the
-//! code range. Test names are prefixed `kernel_` so the CI sanitizer job
-//! can select exactly this suite.
+//! oracle that sums exactly too. Operands cover their whole domain:
+//! centered 8-bit `V` spans ±255, codes 0 and max meet zero points at
+//! both ends of the code range, and near-flat blocks put the zero point
+//! millions of codes away, so their sums leave i32. Test names are
+//! prefixed `kernel_` so the CI sanitizer job can select exactly this
+//! suite.
 
 use paro_quant::{
-    packed_attn_v_with, quantized_gemm_i32_with, Bitwidth, BlockGrid, MixedPrecisionMap,
-    PerColCodes, QuantParams, QuantizedGemmOperand,
+    packed_attn_v_with, Bitwidth, BlockGrid, MixedPrecisionMap, PerColCodes, QuantParams,
 };
 use paro_tensor::kernel::Kernel;
 use paro_tensor::Tensor;
@@ -80,41 +82,70 @@ fn assert_block_agrees(
             prop_assert_eq!(vq.params()[j].zero_point(), z);
         }
     }
-    let want = oracle(&m_codes, m_params, &vq, h);
+    assert_kernels_match_oracle(&packed, &vq, h)
+}
+
+/// `packed_attn_v_with` on a one-block map must give the oracle's output
+/// bits on every supported kernel.
+fn assert_kernels_match_oracle(
+    packed: &MixedPrecisionMap,
+    vq: &PerColCodes,
+    h: usize,
+) -> Result<(), TestCaseError> {
+    let (codes, params) = (packed.block_codes(0).unpack(), packed.block_params(0));
+    let want: Vec<u32> = exact_sums(&codes, params, vq, h)
+        .iter()
+        .zip(vq.params().iter().cycle())
+        .map(|(&sum, vp)| (0.0 + sum as f32 * (params.scale() * vp.scale())).to_bits())
+        .collect();
     for kernel in Kernel::supported() {
-        let got = packed_attn_v_with(&packed, &vq, kernel).unwrap();
+        let got = packed_attn_v_with(packed, vq, kernel).unwrap();
         let got: Vec<u32> = got.output.as_slice().iter().map(|x| x.to_bits()).collect();
         prop_assert!(
             got == want,
             "{} disagrees with the oracle at {:?} h={} w={} d={} zp={}",
             kernel,
-            bits,
+            params.bits(),
             h,
-            w,
-            d,
-            zp
+            vq.rows(),
+            vq.cols(),
+            params.zero_point()
         );
     }
     Ok(())
 }
 
-/// The output of one block by plain loops: `0 + (Σ_k (code − z_b) ·
-/// (v − z_c)) as f32 · (s_b · s_c)`, the sum in i32.
-fn oracle(codes: &[u32], params: QuantParams, vq: &PerColCodes, h: usize) -> Vec<u32> {
+/// The sums of one block by plain loops, exactly: `Σ_k (code − z_b) ·
+/// (v − z_c)` in i128 for each of the `h × d` outputs. The oracle's
+/// output is `0 + sum as f32 · (s_b · s_c)`.
+fn exact_sums(codes: &[u32], params: QuantParams, vq: &PerColCodes, h: usize) -> Vec<i128> {
     let (w, d) = (vq.rows(), vq.cols());
+    let centered = |code: u32, zp: i32| i128::from(code) - i128::from(zp);
     let mut out = Vec::with_capacity(h * d);
     for r in 0..h {
         for (j, vp) in vq.params().iter().enumerate() {
-            let sum: i32 = (0..w)
-                .map(|k| {
-                    let c = codes[r * w + k] as i32 - params.zero_point();
-                    c * (vq.codes()[k * d + j] as i32 - vp.zero_point())
-                })
-                .sum();
-            out.push((0.0 + sum as f32 * (params.scale() * vp.scale())).to_bits());
+            out.push(
+                (0..w)
+                    .map(|k| {
+                        centered(codes[r * w + k], params.zero_point())
+                            * centered(vq.codes()[k * d + j], vp.zero_point())
+                    })
+                    .sum(),
+            );
         }
     }
     out
+}
+
+/// `V` (`n × d`) whose columns take three forms: both signs (zero point
+/// mid-range), all positive (zero point 0) and all negative (zero point
+/// 255), so centered `V` spans ±255.
+fn signed_columns(n: usize, d: usize, s: &mut u64) -> Tensor {
+    Tensor::from_fn(&[n, d], |i| match i[1] % 3 {
+        0 => unit_f32(s) * 4.0 - 2.0,
+        1 => unit_f32(s) * 2.0,
+        _ => -unit_f32(s) * 2.0,
+    })
 }
 
 /// One random block: codes over the whole range and a zero point
@@ -162,34 +193,6 @@ proptest! {
         assert_random_block_agrees(h, w, d, Bitwidth::ALL[bi], seed)?;
     }
 
-    /// The streaming integer GEMM: `k` spans the 256-element `TILE_K`
-    /// boundary so every kernel hits both full and ragged segments.
-    #[test]
-    fn kernel_quantized_gemm_i32_bit_identical_across_kernels(
-        m in 1usize..6,
-        k in 1usize..300,
-        n in 1usize..16,
-        bi in 1usize..4,
-        seed in 0u64..1000,
-    ) {
-        let bits = Bitwidth::ALL[bi];
-        let mut s = seed.wrapping_add(0x6e);
-        let max = bits.max_code();
-        let a_codes: Vec<u32> = (0..m * k).map(|_| (lcg(&mut s) as u32) % (max + 1)).collect();
-        let b_codes: Vec<u32> = (0..k * n).map(|_| (lcg(&mut s) as u32) % 256).collect();
-        let a = QuantizedGemmOperand::from_parts(
-            a_codes, m, k, QuantParams::new(0.5, (max / 2) as i32, bits),
-        ).unwrap();
-        let b = QuantizedGemmOperand::from_parts(
-            b_codes, k, n, QuantParams::new(0.25, 128, Bitwidth::B8),
-        ).unwrap();
-        let want = quantized_gemm_i32_with(&a, &b, Kernel::Scalar).unwrap();
-        for kernel in Kernel::supported() {
-            let got = quantized_gemm_i32_with(&a, &b, kernel).unwrap();
-            prop_assert!(got == want, "{} disagrees with scalar", kernel);
-        }
-    }
-
     /// The full packed `AttnV` path — mixed per-block bitwidths including
     /// B0-bypassed blocks, block columns at odd key offsets (odd edges),
     /// head dimensions 1–9 (the whole row in the masked tail below 8)
@@ -205,14 +208,7 @@ proptest! {
     ) {
         let mut s = seed.wrapping_add(0x9e3779b9);
         let map = Tensor::from_fn(&[n, n], |_| unit_f32(&mut s));
-        // Columns of both signs (zero point mid-range), all positive
-        // (zero point 0) and all negative (zero point 255), so centered
-        // `V` spans ±255.
-        let v = Tensor::from_fn(&[n, d], |i| match i[1] % 3 {
-            0 => unit_f32(&mut s) * 4.0 - 2.0,
-            1 => unit_f32(&mut s) * 2.0,
-            _ => -unit_f32(&mut s) * 2.0,
-        });
+        let v = signed_columns(n, d, &mut s);
         let grid = BlockGrid::square(edge).unwrap();
         let (gr, gc) = grid.grid_dims(n, n);
         let bits: Vec<Bitwidth> = (0..gr * gc)
@@ -296,6 +292,38 @@ fn kernel_block_gemm_agrees_at_domain_ends() {
                         }
                     }
                 }
+            }
+        }
+    }
+}
+
+/// Near-flat blocks, as near-uniform attention gives them: every value
+/// within a relative spread of 1e-5 or 3e-6 of one level, so min-max
+/// calibration puts the zero point 10⁵–10⁸ codes below the codes. Their
+/// sums leave i32 (asserted for the wide block of each case); every
+/// kernel must still give the exact oracle's bits, on the workloads'
+/// 6-key blocks and on wider ones.
+#[test]
+fn kernel_packed_attn_v_exact_on_near_flat_blocks() {
+    let level = 1.0 / 1152.0;
+    for bits in [Bitwidth::B2, Bitwidth::B4, Bitwidth::B8] {
+        for spread in [1e-5f32, 3e-6] {
+            for (h, w, d) in [(6, 6, 64), (6, 5, 9), (3, 64, 17)] {
+                let mut s = (h * w * d) as u64 + bits.bits() as u64;
+                let map = Tensor::from_fn(&[h, w], |_| level * (1.0 + spread * unit_f32(&mut s)));
+                let v = signed_columns(w, d, &mut s);
+                let grid = BlockGrid::new(h, w).unwrap();
+                let packed = MixedPrecisionMap::quantize(&map, grid, &[bits]).unwrap();
+                let vq = PerColCodes::quantize(&v, Bitwidth::B8).unwrap();
+                if w == 64 {
+                    let (codes, params) = (packed.block_codes(0).unpack(), packed.block_params(0));
+                    let sums = exact_sums(&codes, params, &vq, h);
+                    assert!(
+                        sums.iter().any(|&x| i32::try_from(x).is_err()),
+                        "{bits:?} spread {spread}: no sum leaves i32"
+                    );
+                }
+                assert_kernels_match_oracle(&packed, &vq, h).unwrap();
             }
         }
     }

@@ -339,10 +339,18 @@ fn clean_batch_after_chaos_is_bit_identical_to_baseline() {
         let model = engine.model().clone();
         outputs_bits(&engine.run_batch(test_requests(&model, N)))
     });
-    // Chaos: one fault of every flavor, spread across the batch.
+    // Chaos: one fault of every flavor, spread across the batch — a
+    // pool-job panic, a calibration panic, and transient int-pipeline,
+    // quant and execution errors.
     fp::arm(
         fp::site::POOL_JOB,
         FaultSpec::immediate(FaultKind::Panic, 1),
+    );
+    // The chaos engine's cache is cold and the batch spans two heads, so
+    // calibration runs at least twice: the second call panics.
+    fp::arm(
+        fp::site::PLAN_CACHE_CALIBRATE,
+        FaultSpec::new(FaultKind::Panic, 1, 1),
     );
     fp::arm(
         fp::site::PIPELINE_INT_ATTN,
@@ -382,10 +390,15 @@ fn clean_batch_after_chaos_is_bit_identical_to_baseline() {
         chaos_engine.run_batch(two_tenant_batch(&chaos_model))
     });
     // Contract: every request resolved — Ok or typed Err — and at least
-    // one injected fault actually fired.
+    // one injected fault actually fired, the calibration panic among them.
     assert_eq!(chaos.responses.len(), N);
     let fired: u64 = fp::site::ALL.iter().map(|s| fp::fired(s)).sum();
     assert!(fired >= 1, "no injected fault fired");
+    assert_eq!(
+        fp::fired(fp::site::PLAN_CACHE_CALIBRATE),
+        1,
+        "the calibration panic must fire"
+    );
     for r in &chaos.responses {
         if let Err(e) = r {
             assert!(
