@@ -25,7 +25,7 @@ use crate::pool::ComputePool;
 use crate::CoreError;
 use paro_model::dit::{BlockWeights, SyntheticDit};
 use paro_model::{AxisOrder, ModelConfig};
-use paro_quant::{fake_quant_2d, Bitwidth, Grouping};
+use paro_quant::{fake_quant_2d, fake_quant_rows_in_place, Bitwidth, Grouping};
 use paro_tensor::Tensor;
 use std::sync::Arc;
 
@@ -358,12 +358,15 @@ fn dense_weights(ws: [&Tensor; 3], bits: Option<Bitwidth>) -> Result<Vec<Tensor>
 }
 
 /// A linear layer's activations: fake-quantized per row (per token) at
-/// `bits`, or as they are when `bits` is `None`.
-fn quant_rows(x: Tensor, bits: Option<Bitwidth>) -> Result<Tensor, CoreError> {
-    match bits {
-        Some(bits) => Ok(fake_quant_2d(&x, Grouping::PerRow, bits)?.0),
-        None => Ok(x),
+/// `bits`, in their own buffer, or as they are when `bits` is `None`. A
+/// copy would double the FFN's `up` activations for as long as the
+/// quantization runs, and the heap's peak would then depend on whether
+/// two panels quantize at the same moment.
+fn quant_rows(mut x: Tensor, bits: Option<Bitwidth>) -> Result<Tensor, CoreError> {
+    if let Some(bits) = bits {
+        fake_quant_rows_in_place(&mut x, bits)?;
     }
+    Ok(x)
 }
 
 /// Row-wise RMS normalization (the pre-norm that keeps residual scales

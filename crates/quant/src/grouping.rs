@@ -139,6 +139,33 @@ pub struct GroupStats {
 /// 64-byte line of each row.
 const COL_BLOCK: usize = 16;
 
+/// [`fake_quant_2d`] under [`Grouping::PerRow`], in place: each row of
+/// `t` is calibrated and then overwritten by its fake-quantized values,
+/// so a caller that owns its activations quantizes them without a second
+/// buffer. Returns the per-row parameters.
+///
+/// # Errors
+///
+/// Returns [`QuantError::Tensor`] with a rank mismatch if `t` is not
+/// rank 2.
+pub fn fake_quant_rows_in_place(
+    t: &mut Tensor,
+    bits: Bitwidth,
+) -> Result<Vec<QuantParams>, QuantError> {
+    require_rank2(t)?;
+    let (m, n) = (t.shape()[0], t.shape()[1]);
+    let a = t.as_mut_slice();
+    let kernel = crate::kernels::active_kernel();
+    let mut params = Vec::with_capacity(m);
+    for r in 0..m {
+        let row = &mut a[r * n..(r + 1) * n];
+        let p = QuantParams::calibrate_minmax(row, bits);
+        p.fake_quant_in_place(row, kernel);
+        params.push(p);
+    }
+    Ok(params)
+}
+
 /// Fake-quantizes a rank-2 tensor under a grouping at a uniform bitwidth.
 ///
 /// Returns the fake-quantized tensor and the per-group parameters, in
@@ -165,14 +192,9 @@ pub fn fake_quant_2d(
             Ok((out, vec![p]))
         }
         Grouping::PerRow => {
-            let mut out = a.to_vec();
-            let mut params = Vec::with_capacity(m);
-            for r in 0..m {
-                let p = QuantParams::calibrate_minmax(&a[r * n..(r + 1) * n], bits);
-                p.fake_quant_in_place(&mut out[r * n..(r + 1) * n], kernel);
-                params.push(p);
-            }
-            Ok((Tensor::from_vec(&[m, n], out)?, params))
+            let mut out = t.clone();
+            let params = fake_quant_rows_in_place(&mut out, bits)?;
+            Ok((out, params))
         }
         Grouping::PerCol => {
             // Columns are strided. A block of them is calibrated by
@@ -441,5 +463,27 @@ mod tests {
         let tt = t.transpose2d().unwrap();
         let (qr, _) = fake_quant_2d(&tt, Grouping::PerRow, Bitwidth::B4).unwrap();
         assert_eq!(qc, qr.transpose2d().unwrap());
+    }
+
+    /// In place, each row becomes its own min-max fake quantization,
+    /// written into the tensor's own buffer.
+    #[test]
+    fn rows_quantize_in_their_own_buffer() {
+        let (m, n) = (5, 7);
+        let t = patterned(m, n);
+        let mut q = t.clone();
+        let buffer = q.as_slice().as_ptr();
+        let params = fake_quant_rows_in_place(&mut q, Bitwidth::B4).unwrap();
+        assert_eq!(q.as_slice().as_ptr(), buffer);
+        assert_eq!(params.len(), m);
+        for (r, p) in params.iter().enumerate() {
+            let row = &t.as_slice()[r * n..(r + 1) * n];
+            assert_eq!(*p, QuantParams::calibrate_minmax(row, Bitwidth::B4));
+            for (y, &x) in q.as_slice()[r * n..(r + 1) * n].iter().zip(row) {
+                assert_eq!(y.to_bits(), p.fake_quant(x).to_bits());
+            }
+        }
+        let mut v = Tensor::zeros(&[4]);
+        assert!(fake_quant_rows_in_place(&mut v, Bitwidth::B8).is_err());
     }
 }
