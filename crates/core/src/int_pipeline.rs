@@ -25,12 +25,14 @@
 
 use crate::calibration::HeadCalibration;
 use crate::cancel::Deadline;
-use crate::pipeline::{int8_rowwise, AttentionInputs, AttentionRun};
+use crate::pipeline::{AttentionInputs, AttentionRun};
 use crate::pool::ComputePool;
 use crate::reorder::ReorderPlan;
 use crate::score::{RowScorer, RowScratch};
 use crate::CoreError;
-use paro_quant::{AttnVOperand, Bitwidth, BlockGrid, PackedRow, PerColCodes, RowCounts};
+use paro_quant::{
+    fake_quant_rows_in_place, AttnVOperand, Bitwidth, BlockGrid, PackedRow, PerColCodes, RowCounts,
+};
 use paro_tensor::kernel::{active_kernel, Kernel};
 use paro_tensor::Tensor;
 use std::ops::Range;
@@ -217,7 +219,7 @@ fn prepare(
     deadline: Deadline,
     kernel: Kernel,
 ) -> Result<(Head, u64), CoreError> {
-    let (qr, kr, vr) = {
+    let (mut qr, mut kr, vr) = {
         let _t = paro_trace::span(paro_trace::stage::PIPELINE_REORDER);
         (
             plan.apply(inputs.q())?,
@@ -228,12 +230,14 @@ fn prepare(
     deadline.check()?;
     let bits: Arc<[Bitwidth]> = cal.allocation.bits.as_slice().into();
     let mut scorer = {
-        // INT8 per-token fake quantization, then the symmetric INT8 codes
-        // the score kernel multiplies.
+        // INT8 per-token fake quantization of the reordered copies this
+        // head owns, in place, then the symmetric INT8 codes the score
+        // kernel multiplies.
         let _t = paro_trace::span(paro_trace::stage::PIPELINE_QUANTIZE_QKV);
-        let (q8, k8) = (int8_rowwise(&qr)?, int8_rowwise(&kr)?);
+        fake_quant_rows_in_place(&mut qr, Bitwidth::B8)?;
+        fake_quant_rows_in_place(&mut kr, Bitwidth::B8)?;
         let aware = output_aware.then(|| Arc::clone(&bits));
-        RowScorer::new(&q8, &k8, cal.block, aware, kernel)?
+        RowScorer::new(&qr, &kr, cal.block, aware, kernel)?
     };
     drop((qr, kr));
     deadline.check()?;
@@ -431,7 +435,7 @@ fn run_block_rows(
 mod tests {
     use super::*;
     use crate::calibration::calibrate_head;
-    use crate::pipeline::{attention_map, run_attention_calibrated_reference};
+    use crate::pipeline::{attention_map, int8_rowwise, run_attention_calibrated_reference};
     use paro_model::patterns::{synthesize_head, PatternKind, PatternSpec};
     use paro_model::ModelConfig;
     use paro_quant::BlockGrid;

@@ -483,10 +483,10 @@ fn run_sanger(inputs: &AttentionInputs, threshold: f32) -> Result<AttentionRun, 
 /// so the truncation is bit-exact with the hardware model. The map is
 /// scored block row by block row through the fused executor's own
 /// [`RowScorer`]: one truncated `K` per kept bitwidth (under `qkt.ldz`),
-/// 0-bit blocks never computed and read as −∞ by the masked softmax, and
-/// a block row that is *entirely* B0 — whose dense softmax would be
-/// 0/0 = NaN — uniformly zero, the contribution a fully-skipped row has
-/// in the sparse AttnV bypass.
+/// 0-bit blocks never computed and read as −∞, so the softmax gives them
+/// exactly 0, and a block row that is *entirely* B0 — with no finite
+/// score — uniformly zero, the contribution a fully-skipped row has in
+/// the sparse AttnV bypass.
 pub(crate) fn output_aware_map(
     q: &Tensor,
     k: &Tensor,
@@ -779,6 +779,35 @@ mod tests {
         let reference = reference_attention(inputs.q(), inputs.k(), inputs.v()).unwrap();
         let err = metrics::relative_l2(&reference, &run.output).unwrap();
         assert!(err < 0.2, "Sanger error {err}");
+    }
+
+    /// Sanger masks each score whose predicted probability is below the
+    /// threshold. On a near-uniform row every prediction is about `1/n`,
+    /// so a threshold above that masks the whole row: its map row, and so
+    /// its output row, must read zero (a bypassed row), not NaN.
+    #[test]
+    fn sanger_fully_masked_rows_read_zero() {
+        let base = setup(PatternKind::Temporal, 12);
+        let (n, d) = (base.q().shape()[0], base.q().shape()[1]);
+        // Even rows near-uniform (`Q` × 0.01), odd rows sharpened.
+        let q = Tensor::from_fn(&[n, d], |i| {
+            base.q().at(i) * if i[0] % 2 == 0 { 0.01 } else { 8.0 }
+        });
+        let inputs =
+            AttentionInputs::new(q, base.k().clone(), base.v().clone(), *base.grid()).unwrap();
+        let threshold = 2.0 / n as f32;
+        let run = run_attention(&inputs, &AttentionMethod::SangerSparse { threshold }).unwrap();
+        let rows: Vec<&[f32]> = run.output.as_slice().chunks_exact(d).collect();
+        assert!(rows.iter().all(|row| row.iter().all(|x| x.is_finite())));
+        for row in rows.iter().step_by(2) {
+            assert!(row.iter().all(|&x| x == 0.0), "masked row {row:?}");
+        }
+        assert!(rows
+            .iter()
+            .skip(1)
+            .step_by(2)
+            .all(|row| row.iter().any(|&x| x != 0.0)));
+        assert!(run.map_sparsity >= 0.5, "sparsity {}", run.map_sparsity);
     }
 
     #[test]

@@ -21,14 +21,16 @@ const LDZ_KEEP: [u32; 2] = [2, 4];
 /// INT8 codes of `Q` and `K`.
 ///
 /// - **Exact** (`bits` = `None`): every key column participates in every
-///   softmax row, with [`Tensor::softmax_rows`]' arithmetic.
+///   softmax row.
 /// - **Output-aware** (`bits` = the per-block allocation): each live
 ///   block's `K` operand is LDZ-truncated to the block's bitwidth (paper
 ///   Fig. 5(b)); 0-bit blocks are never computed and read as −∞, so the
-///   masked softmax gives them exactly 0. A block row with no live block
-///   has no finite score (a dense softmax would be 0/0 = NaN) and comes
-///   back uniformly zero, the contribution a fully bypassed row has in
-///   the sparse `AttnV`.
+///   softmax gives them exactly 0. A block row with no live block has no
+///   finite score and comes back uniformly zero, the contribution a fully
+///   bypassed row has in the sparse `AttnV`.
+///
+/// Both modes run [`paro_tensor::softmax_in_place_with`] on the scorer's
+/// kernel, the row arithmetic of [`Tensor::softmax_rows`].
 ///
 /// The scorer owns its codes and allocation, so the fused executor's
 /// participants can share one read-only scorer across threads.
@@ -151,7 +153,8 @@ impl RowScorer {
     /// Scores block row `bi` into `scratch.panel` (`[h, n]`, softmaxed)
     /// and returns `(first map row, h)`. One `qkt.mac` span covers
     /// widening the row's queries and the score kernel call, which
-    /// scales the integer sums to f32 scores.
+    /// scales the integer sums to f32 scores; one `qkt.softmax` span
+    /// covers the row's softmax.
     ///
     /// # Errors
     ///
@@ -224,12 +227,9 @@ impl RowScorer {
                 self.kernel,
             )?;
         }
+        let _softmax = paro_trace::span(paro_trace::stage::QKT_SOFTMAX);
         for row in panel.chunks_exact_mut(n) {
-            if self.bits.is_some() {
-                masked_softmax(row);
-            } else {
-                paro_tensor::softmax_in_place(row);
-            }
+            paro_tensor::softmax_in_place_with(row, self.kernel);
         }
         Ok((r0, h))
     }
@@ -248,32 +248,5 @@ impl RowScorer {
             map.extend_from_slice(&scratch.panel);
         }
         Ok(Tensor::from_vec(&[m, n], map)?)
-    }
-}
-
-/// Softmax of a row whose bypassed lanes hold −∞. `exp(−∞ − max)` is
-/// exactly `0.0`, so a bypassed lane adds nothing to the row sum and
-/// skipping its exp is bit-identical to [`Tensor::softmax_rows`] over the
-/// same scores; the bypass majority never reaches the exp unit. A row
-/// with no live lane comes back uniformly zero instead of 0/0 = NaN.
-fn masked_softmax(row: &mut [f32]) {
-    let max = paro_tensor::row_max(row);
-    if max == f32::NEG_INFINITY {
-        row.fill(0.0);
-        return;
-    }
-    // At least one live lane sits at `max`, so the sum is ≥ 1.
-    let mut sum = 0.0f32;
-    for v in row.iter_mut() {
-        if *v == f32::NEG_INFINITY {
-            *v = 0.0;
-        } else {
-            let e = (*v - max).exp();
-            *v = e;
-            sum += e;
-        }
-    }
-    for v in row.iter_mut() {
-        *v /= sum;
     }
 }

@@ -31,7 +31,7 @@ use paro_quant::{
     MixedPrecisionMap, PackedRow, PerColCodes, RowCounts, SymmetricInt8,
 };
 use paro_tensor::kernel::Kernel;
-use paro_tensor::Tensor;
+use paro_tensor::{softmax_in_place_with, Tensor};
 
 /// `Σ_j a[j] · b[j]` of two INT8 code rows, in i32.
 fn dot(a: &[i8], b: &[i8]) -> i32 {
@@ -39,10 +39,11 @@ fn dot(a: &[i8], b: &[i8]) -> i32 {
 }
 
 /// The whole `[n, n]` map as the int path scored it before fusion: one
-/// score buffer, −∞ for bypassed blocks, and a masked softmax that turns
-/// an all-−∞ row into zeros (output-aware); or one dense `QKᵀ` and
-/// `Tensor::softmax_rows` (exact). The integer dot products are plain
-/// loops, independent of the score kernels.
+/// score buffer, −∞ for bypassed blocks, and the library's softmax row
+/// function, which gives a −∞ lane 0 and an all-−∞ row zeros
+/// (output-aware); or one dense `QKᵀ` and `Tensor::softmax_rows`
+/// (exact). The integer dot products are plain loops, independent of the
+/// score kernels.
 fn whole_map(
     q: &Tensor,
     k: &Tensor,
@@ -86,23 +87,7 @@ fn whole_map(
         }
     }
     for row in scores.chunks_exact_mut(n) {
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        if max == f32::NEG_INFINITY {
-            row.fill(0.0);
-            continue;
-        }
-        let mut sum = 0.0f32;
-        for v in row.iter_mut() {
-            if *v == f32::NEG_INFINITY {
-                *v = 0.0;
-            } else {
-                *v = (*v - max).exp();
-                sum += *v;
-            }
-        }
-        for v in row.iter_mut() {
-            *v /= sum;
-        }
+        softmax_in_place_with(row, kernel);
     }
     Tensor::from_vec(&[n, n], scores).unwrap()
 }

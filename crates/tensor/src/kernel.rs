@@ -23,7 +23,7 @@
 //!
 //! # Bit-identity contract
 //!
-//! The AVX2 driver produces **bit-identical** results to the scalar
+//! The AVX2 kernels produce **bit-identical** results to the scalar
 //! reference:
 //!
 //! - integer kernels are exact by construction (i32 adds commute);
@@ -41,11 +41,19 @@
 //!   every other `x`, NaN and ∞ included. So the scalar driver may skip
 //!   per row and a tile only when all six of its rows are zero, with the
 //!   same bits. When `b` holds NaN or ∞ the caller turns the bypass off,
-//!   so `0·NaN = NaN` reaches the output on every kernel.
+//!   so `0·NaN = NaN` reaches the output on every kernel;
+//! - the softmax row function ([`crate::softmax_in_place_with`]) is one
+//!   `#[inline(always)]` loop that the AVX2 kernel compiles with AVX2
+//!   enabled. The loop's exponential is [`crate::exp`], which selects
+//!   and never branches on data, and its row sum is eight lane sums
+//!   reduced in a fixed tree, so the compiler vectorizes it without
+//!   reordering a single rounding. Nothing in it calls libm, so its bits
+//!   do not depend on the host either.
 //!
 //! The equivalence suites (`tensor/tests/matmul_kernels.rs`,
-//! `quant/tests/kernel_equivalence.rs`) pin this contract on every
-//! kernel the host can run; a CPU without AVX2 runs only the reference.
+//! `tensor/tests/softmax_kernels.rs`, `quant/tests/kernel_equivalence.rs`)
+//! pin this contract on every kernel the host can run; a CPU without AVX2
+//! runs only the reference.
 
 // SIMD intrinsics are the one place the workspace needs `unsafe`; every
 // block is bounded by explicit slice lengths checked in the safe callers.

@@ -147,6 +147,9 @@ pub mod stage {
     /// record, so per-block spans would dominate the stage); `detail`
     /// names the dispatched kernel.
     pub const QKT_MAC: &str = "qkt.mac";
+    /// The softmax of one scored block row's rows: with [`QKT_MAC`] the
+    /// whole of a fused-loop [`PIPELINE_QKT`] span.
+    pub const QKT_SOFTMAX: &str = "qkt.softmax";
     /// Zero-point centering ("unpack") of the per-column `V` codes.
     pub const ATTNV_UNPACK: &str = "attnv.unpack";
     /// The per-bitwidth i32 MAC micro-kernel calls of one packed block row
@@ -219,6 +222,7 @@ pub mod stage {
         PIPELINE_BLOCK_ROWS,
         QKT_LDZ,
         QKT_MAC,
+        QKT_SOFTMAX,
         ATTNV_UNPACK,
         ATTNV_MAC,
         CALIBRATE_HEAD,
