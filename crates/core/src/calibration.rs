@@ -13,18 +13,30 @@
 //! 4. Freeze the result as a [`HeadCalibration`]; at inference, apply it
 //!    without re-running selection.
 //!
+//! Steps 2 and 3 never materialize a reordered, averaged or quantized
+//! map. They stream the canonical maps one block row at a time through
+//! each order's permutation (`map_scan`): every (sample, order) candidate
+//! and then every range of the averaged map's block rows is a job of one
+//! [`crate::pool::ComputePool`] batch, sharing one copy of the maps. Only
+//! the bit allocation runs serially. The result is bit-identical to the
+//! whole-map composition of `reorder_map`, `Tensor::add`/`scale`,
+//! `fake_quant_2d`, `metrics::relative_l2`, `SensitivityTable::compute`
+//! and `allocate_greedy` (`tests/calibration_oracle.rs`).
+//!
 //! [`plan_stability`] quantifies the consistency claim itself: the
 //! fraction of calibration samples whose individually-selected plan
 //! agrees with the consensus.
 
 use crate::allocate::{allocate_greedy, BitAllocation};
-use crate::reorder::{select_plan, ReorderPlan};
-use crate::sensitivity::SensitivityTable;
+use crate::map_scan::{candidate_errors, MapView};
+use crate::reorder::{check_map, order_permutations, PlanSelection, ReorderPlan};
+use crate::sensitivity::{check_alpha, SensitivityTable};
 use crate::CoreError;
 use paro_model::{AxisOrder, TokenGrid};
 use paro_quant::{Bitwidth, BlockGrid, QuantError};
 use paro_tensor::Tensor;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Frozen calibration result for one attention head.
 ///
@@ -95,10 +107,20 @@ impl HeadCalibration {
 /// bit allocation is computed on the element-wise averaged reordered map
 /// (the paper's offline procedure uses a calibration set the same way).
 ///
+/// Every (sample, order) candidate and then every range of the averaged
+/// map's block rows is scored as a job of one
+/// [`crate::pool::ComputePool`] batch, straight from `maps` through the
+/// order's permutation (see [`crate::reorder::select_plan`]); the jobs
+/// share one copy of `maps`. The allocation runs on this thread. Spans:
+/// `calibrate.head` over `calibrate.select`, `calibrate.sensitivity` and
+/// `calibrate.allocate`.
+///
 /// # Errors
 ///
-/// Returns [`CoreError::EmptyAllocation`] if `maps` is empty, and
-/// propagates shape/quantization errors.
+/// Checked in this order: [`CoreError::EmptyAllocation`] if `maps` is
+/// empty, [`CoreError::GridMismatch`] for the first map that is not
+/// `[n, n]`, [`CoreError::BadBudget`] (carrying `alpha`) for an `alpha`
+/// outside `[0, 1]`, then the budget errors of [`allocate_greedy`].
 pub fn calibrate_head(
     maps: &[Tensor],
     grid: &TokenGrid,
@@ -110,38 +132,34 @@ pub fn calibrate_head(
     if maps.is_empty() {
         return Err(CoreError::EmptyAllocation);
     }
-    let _t = paro_trace::span(paro_trace::stage::CALIBRATE_HEAD);
-    // Accumulate per-order errors across samples.
-    let mut sums: Vec<(AxisOrder, f32)> = AxisOrder::ALL.iter().map(|&o| (o, 0.0)).collect();
     for map in maps {
-        let sel = select_plan(map, grid, block, calib_bits)?;
-        for (slot, (order, err)) in sums.iter_mut().zip(sel.candidate_errors) {
-            debug_assert_eq!(slot.0, order);
-            slot.1 += err;
-        }
+        check_map(map, grid)?;
     }
+    check_alpha(alpha)?;
+    let _t = paro_trace::span(paro_trace::stage::CALIBRATE_HEAD);
+    let select = paro_trace::span(paro_trace::stage::CALIBRATE_SELECT);
+    let maps: Arc<[Tensor]> = Arc::from(maps);
+    let perms = order_permutations(grid);
+    let errors = candidate_errors(&maps, &perms, block, calib_bits);
+    drop(select);
+    // Per-order totals over the samples, in sample order; the first
+    // smallest total wins.
     let samples = maps.len() as f32;
-    let (order, total_err) = sums
-        .iter()
-        .copied()
+    let (order_idx, total_err) = (0..AxisOrder::ALL.len())
+        .map(|o| (o, errors.iter().fold(0.0f32, |sum, e| sum + e[o])))
         .min_by(|a, b| a.1.total_cmp(&b.1))
         .expect("AxisOrder::ALL is non-empty");
-
-    // Average the reordered maps and allocate bits on the average.
-    let plan = ReorderPlan::new(grid, order);
-    let mut avg: Option<Tensor> = None;
-    for map in maps {
-        let reordered = crate::reorder::reorder_map(map, &plan)?;
-        avg = Some(match avg {
-            None => reordered,
-            Some(acc) => acc.add(&reordered)?,
-        });
-    }
-    let avg = avg.expect("maps is non-empty").scale(1.0 / samples);
-    let table = SensitivityTable::compute(&avg, block, alpha)?;
-    let allocation = allocate_greedy(&table, budget)?;
+    let table = {
+        let _t = paro_trace::span(paro_trace::stage::CALIBRATE_SENSITIVITY);
+        let view = MapView::mean(maps, Arc::clone(&perms[order_idx]));
+        SensitivityTable::scan(view, block, alpha)
+    };
+    let allocation = {
+        let _t = paro_trace::span(paro_trace::stage::CALIBRATE_ALLOCATE);
+        allocate_greedy(&table, budget)?
+    };
     Ok(HeadCalibration {
-        order,
+        order: AxisOrder::ALL[order_idx],
         block,
         allocation,
         mean_error: total_err / samples,
@@ -186,13 +204,22 @@ pub fn plan_stability(
     if maps.is_empty() {
         return Err(CoreError::EmptyAllocation);
     }
-    let mut per_sample = Vec::with_capacity(maps.len());
-    let mut all_candidates = Vec::with_capacity(maps.len());
     for map in maps {
-        let sel = select_plan(map, grid, block, calib_bits)?;
-        per_sample.push(sel.order);
-        all_candidates.push(sel.candidate_errors);
+        check_map(map, grid)?;
     }
+    let errors = candidate_errors(
+        &Arc::from(maps),
+        &order_permutations(grid),
+        block,
+        calib_bits,
+    );
+    let (per_sample, all_candidates): (Vec<AxisOrder>, Vec<_>) = errors
+        .iter()
+        .map(|e| {
+            let sel = PlanSelection::from_errors(e);
+            (sel.order, sel.candidate_errors)
+        })
+        .unzip();
     let mut counts = std::collections::HashMap::new();
     for &o in &per_sample {
         *counts.entry(o.name()).or_insert(0usize) += 1;
@@ -236,6 +263,7 @@ pub fn plan_stability(
 mod tests {
     use super::*;
     use crate::pipeline::attention_map;
+    use crate::reorder::select_plan;
     use paro_model::patterns::{synthesize_head, PatternKind, PatternSpec};
 
     fn maps_for(kind: PatternKind, grid: &TokenGrid, samples: u64) -> Vec<Tensor> {

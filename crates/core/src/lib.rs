@@ -58,6 +58,7 @@ mod error;
 pub mod exec;
 pub mod int_pipeline;
 pub mod ldz;
+mod map_scan;
 pub mod methods;
 pub mod pipeline;
 pub mod pool;

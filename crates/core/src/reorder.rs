@@ -7,12 +7,23 @@
 //! the six axis orders of the `(frame, height, width)` grid; the best order
 //! is selected **offline** per head (patterns are stable across timesteps
 //! and prompts), and applied **online** at negligible cost.
+//!
+//! [`select_plan`] scores each order without building the reordered map:
+//! it reads the canonical map through the order's permutation one block
+//! row at a time (the calibration scorer of `map_scan`, shared with
+//! [`crate::calibration::calibrate_head`] and
+//! [`crate::sensitivity::SensitivityTable::compute`]). [`reorder_map`]
+//! still materializes a reordered map, for the analysis experiments and
+//! the map renderer; [`select_plan_weighted`] (an ablation) builds one per
+//! order.
 
+use crate::map_scan::candidate_errors;
 use crate::CoreError;
 use paro_model::{AxisOrder, TokenGrid};
 use paro_quant::{fake_quant_2d, Bitwidth, BlockGrid, Grouping};
-use paro_tensor::{inverse_permutation, metrics, Tensor};
+use paro_tensor::{inverse_permutation, Tensor};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A concrete reorder plan for one attention head: an axis order plus its
 /// realized token permutation and inverse.
@@ -162,16 +173,59 @@ pub struct PlanSelection {
 /// `bits` the uniform calibration bitwidth (the paper calibrates at the
 /// target precision).
 ///
+/// Each candidate is scored one block row at a time, reading the map
+/// through the order's permutation, so no reordered or quantized copy is
+/// built; the six candidates run as one [`crate::pool::ComputePool`]
+/// batch over one shared copy of the map. Each error is bit for bit the
+/// relative L2 of `fake_quant_2d(reorder_map(map, plan), Block, bits)`.
+///
 /// # Errors
 ///
 /// Returns [`CoreError::GridMismatch`] if `map` is not `[n, n]` for the
-/// grid's `n`, or quantization errors from the underlying machinery.
+/// grid's `n`.
 pub fn select_plan(
     map: &Tensor,
     grid: &TokenGrid,
     block: BlockGrid,
     bits: Bitwidth,
 ) -> Result<PlanSelection, CoreError> {
+    check_map(map, grid)?;
+    let maps = Arc::from(std::slice::from_ref(map));
+    let errors = candidate_errors(&maps, &order_permutations(grid), block, bits);
+    Ok(PlanSelection::from_errors(&errors[0]))
+}
+
+impl PlanSelection {
+    /// The selection from every candidate's error, in [`AxisOrder::ALL`]
+    /// sequence: the first strictly smallest wins.
+    pub(crate) fn from_errors(errors: &[f32]) -> Self {
+        let mut best: Option<(AxisOrder, f32)> = None;
+        let mut candidate_errors = Vec::with_capacity(AxisOrder::ALL.len());
+        for (&order, &err) in AxisOrder::ALL.iter().zip(errors) {
+            candidate_errors.push((order, err));
+            if best.is_none_or(|(_, e)| err < e) {
+                best = Some((order, err));
+            }
+        }
+        let (order, error) = best.expect("AxisOrder::ALL is non-empty");
+        PlanSelection {
+            order,
+            error,
+            candidate_errors,
+        }
+    }
+}
+
+/// The token permutation of every order of [`AxisOrder::ALL`] on `grid`.
+pub(crate) fn order_permutations(grid: &TokenGrid) -> Vec<Arc<[usize]>> {
+    AxisOrder::ALL
+        .iter()
+        .map(|&order| Arc::from(grid.reorder_indices(order)))
+        .collect()
+}
+
+/// Rejects a calibration map that is not `[n, n]` for the grid's `n`.
+pub(crate) fn check_map(map: &Tensor, grid: &TokenGrid) -> Result<(), CoreError> {
     let n = grid.len();
     if map.rank() != 2 || map.shape() != [n, n] {
         return Err(CoreError::GridMismatch {
@@ -179,24 +233,7 @@ pub fn select_plan(
             grid_len: n,
         });
     }
-    let mut best: Option<(AxisOrder, f32)> = None;
-    let mut candidate_errors = Vec::with_capacity(AxisOrder::ALL.len());
-    for order in AxisOrder::ALL {
-        let plan = ReorderPlan::new(grid, order);
-        let reordered = reorder_map(map, &plan)?;
-        let (quantized, _) = fake_quant_2d(&reordered, Grouping::Block(block), bits)?;
-        let err = metrics::relative_l2(&reordered, &quantized)?;
-        candidate_errors.push((order, err));
-        if best.is_none_or(|(_, e)| err < e) {
-            best = Some((order, err));
-        }
-    }
-    let (order, error) = best.expect("AxisOrder::ALL is non-empty");
-    Ok(PlanSelection {
-        order,
-        error,
-        candidate_errors,
-    })
+    Ok(())
 }
 
 /// Offline plan selection with an **importance-weighted** objective
@@ -217,13 +254,7 @@ pub fn select_plan_weighted(
     block: BlockGrid,
     bits: Bitwidth,
 ) -> Result<PlanSelection, CoreError> {
-    let n = grid.len();
-    if map.rank() != 2 || map.shape() != [n, n] {
-        return Err(CoreError::GridMismatch {
-            tokens: map.shape().first().copied().unwrap_or(0),
-            grid_len: n,
-        });
-    }
+    check_map(map, grid)?;
     let mut best: Option<(AxisOrder, f32)> = None;
     let mut candidate_errors = Vec::with_capacity(AxisOrder::ALL.len());
     for order in AxisOrder::ALL {
@@ -276,6 +307,7 @@ pub fn reorder_map(map: &Tensor, plan: &ReorderPlan) -> Result<Tensor, CoreError
 mod tests {
     use super::*;
     use paro_model::patterns::{synthesize_head, PatternKind, PatternSpec};
+    use paro_tensor::metrics;
     use paro_tensor::rng::seeded;
     use rand::distributions::Uniform;
 

@@ -10,10 +10,21 @@
 //! balanced by the hyper-parameter `α`. The bit allocator then minimizes
 //! total sensitivity under an average-bitwidth budget.
 
+use crate::map_scan::{sensitivity_scores, MapView};
 use crate::CoreError;
-use paro_quant::{Bitwidth, BlockGrid, QuantError, QuantParams};
+use paro_quant::{Bitwidth, BlockGrid, QuantError};
 use paro_tensor::Tensor;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
+
+/// Rejects an `α` outside `[0, 1]` (NaN included) as
+/// [`CoreError::BadBudget`] carrying `α`.
+pub(crate) fn check_alpha(alpha: f32) -> Result<(), CoreError> {
+    if !(0.0..=1.0).contains(&alpha) {
+        return Err(CoreError::BadBudget { budget: alpha });
+    }
+    Ok(())
+}
 
 /// Per-block sensitivity scores for every candidate bitwidth.
 ///
@@ -52,14 +63,17 @@ impl SensitivityTable {
     /// (taking a running minimum) so allocation never prefers fewer bits at
     /// higher cost — a float-noise guard, not a change of semantics.
     ///
+    /// The blocks are scored one block row at a time, straight from the
+    /// map (one range per block serves every bitwidth), with the block
+    /// rows split into jobs of one [`crate::pool::ComputePool`] batch;
+    /// the map reaches the jobs through one shared copy.
+    ///
     /// # Errors
     ///
     /// Returns a tensor error if `map` is not rank 2, and
     /// [`CoreError::BadBudget`] if `alpha` is outside `[0, 1]`.
     pub fn compute(map: &Tensor, grid: BlockGrid, alpha: f32) -> Result<Self, CoreError> {
-        if !(0.0..=1.0).contains(&alpha) {
-            return Err(CoreError::BadBudget { budget: alpha });
-        }
+        check_alpha(alpha)?;
         if map.rank() != 2 {
             return Err(CoreError::Quant(QuantError::Tensor(
                 paro_tensor::TensorError::RankMismatch {
@@ -68,37 +82,32 @@ impl SensitivityTable {
                 },
             )));
         }
-        let (m, n) = (map.shape()[0], map.shape()[1]);
-        let (gr, gc) = grid.grid_dims(m, n);
-        let mut scores = Vec::with_capacity(gr * gc);
-        let mut elems = Vec::with_capacity(gr * gc);
-        for bi in 0..gr {
-            for bj in 0..gc {
-                let (r0, c0, h, w) = grid.block_bounds(bi, bj, m, n);
-                let block = map.block(r0, c0, h, w)?;
-                let values = block.as_slice();
-                // Attention maps are non-negative post-softmax, so Σx is the
-                // block's attention mass; use Σ|x| for robustness to signed
-                // calibration inputs.
-                let importance: f32 = values.iter().map(|x| x.abs()).sum();
-                let mut row = [0.0f32; 4];
-                let mut running_min = f32::INFINITY;
-                for (j, bits) in Bitwidth::ALL.iter().enumerate() {
-                    let p = QuantParams::calibrate_minmax(values, *bits);
-                    let difficulty = p.sq_error(values).sqrt();
-                    let s = importance.powf(alpha) * difficulty.powf(1.0 - alpha);
-                    running_min = running_min.min(s);
-                    row[j] = running_min;
-                }
-                scores.push(row);
-                elems.push(values.len());
-            }
-        }
-        Ok(SensitivityTable {
-            scores,
-            elems_per_block: elems,
+        let maps = Arc::from(std::slice::from_ref(map));
+        Ok(SensitivityTable::scan(
+            MapView::one(maps, 0, None),
+            grid,
             alpha,
-        })
+        ))
+    }
+
+    /// The table of `view` (an `alpha` already checked by
+    /// [`check_alpha`]).
+    pub(crate) fn scan(view: MapView, grid: BlockGrid, alpha: f32) -> Self {
+        let (m, n) = view.dims();
+        let (gr, gc) = grid.grid_dims(m, n);
+        let elems_per_block = (0..gr)
+            .flat_map(|bi| {
+                (0..gc).map(move |bj| {
+                    let (_, _, h, w) = grid.block_bounds(bi, bj, m, n);
+                    h * w
+                })
+            })
+            .collect();
+        SensitivityTable {
+            scores: sensitivity_scores(view, grid, alpha),
+            elems_per_block,
+            alpha,
+        }
     }
 
     /// Number of blocks.

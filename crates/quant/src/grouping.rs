@@ -264,16 +264,26 @@ pub fn fake_quant_blocks(
             blocks: gr * gc,
         });
     }
-    let mut out = Tensor::zeros(&[m, n]);
+    // The blocks tile the tensor, so each is gathered from the copy into
+    // one reused buffer, fake-quantized there and written back over
+    // itself.
+    let mut out = t.clone();
+    let a = out.as_mut_slice();
+    let kernel = crate::kernels::active_kernel();
+    let mut block = Vec::with_capacity(grid.block_rows * grid.block_cols);
     let mut params = Vec::with_capacity(gr * gc);
     for bi in 0..gr {
         for bj in 0..gc {
             let (r0, c0, h, w) = grid.block_bounds(bi, bj, m, n);
-            let block = t.block(r0, c0, h, w)?;
-            let bits = bits_per_block[bi * gc + bj];
-            let p = QuantParams::calibrate_minmax(block.as_slice(), bits);
-            let fq = Tensor::from_vec(&[h, w], p.fake_quant_slice(block.as_slice()))?;
-            out.set_block(r0, c0, &fq)?;
+            block.clear();
+            for r in r0..r0 + h {
+                block.extend_from_slice(&a[r * n + c0..r * n + c0 + w]);
+            }
+            let p = QuantParams::calibrate_minmax(&block, bits_per_block[bi * gc + bj]);
+            p.fake_quant_in_place(&mut block, kernel);
+            for (r, row) in (r0..r0 + h).zip(block.chunks_exact(w)) {
+                a[r * n + c0..r * n + c0 + w].copy_from_slice(row);
+            }
             params.push(p);
         }
     }

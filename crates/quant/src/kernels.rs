@@ -1,5 +1,6 @@
-//! Integer micro-kernels with runtime SIMD dispatch: packed `AttnV` and
-//! the two quantize maps.
+//! Integer micro-kernels with runtime SIMD dispatch: packed `AttnV`, the
+//! two quantize maps and the per-lane fake-quantization error map of
+//! block-row calibration ([`fake_quant_sq_errors`]).
 //!
 //! This module is the compute backend of [`crate::packed_attn_v`] and
 //! the fused executor's [`crate::AttnVOperand`]. It dispatches on the
@@ -276,6 +277,33 @@ fn quantize_codes_scalar(values: &[f32], scale: f32, zp: i32, max_code: u32, out
     }
 }
 
+/// Scalar reference of the per-lane fake-quantization error map — lane
+/// for lane exactly [`crate::QuantParams::fake_quant`]:
+/// `x̂ = s·(clamp(round(x/s) + z, 0, max_code) − z)` with the code
+/// centered in i64, then `err = (x − x̂)²` and `sq = x²`.
+fn fake_quant_sq_errors_scalar(
+    values: &[f32],
+    scales: &[f32],
+    zero_points: &[i32],
+    max_code: u32,
+    (err, sq): (&mut [f32], &mut [f32]),
+) {
+    for ((((&x, &s), &z), e2), x2) in values
+        .iter()
+        .zip(scales)
+        .zip(zero_points)
+        .zip(err.iter_mut())
+        .zip(sq.iter_mut())
+    {
+        let code = ((x / s).round() as i64)
+            .saturating_add(z as i64)
+            .clamp(0, max_code as i64);
+        let e = x - s * (code - z as i64) as f32;
+        *e2 = e * e;
+        *x2 = x * x;
+    }
+}
+
 /// Scalar reference of the symmetric INT8 map — element for element
 /// exactly [`crate::SymmetricInt8::quantize_rowwise`]'s inner loop:
 /// non-finite values quantize to 0, everything else to
@@ -296,7 +324,8 @@ const QUANTIZE_SAFE_BOUND: f32 = 1_073_741_824.0;
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod x86 {
     use super::{
-        quantize_codes_scalar, quantize_symmetric_scalar, BlockRef, VPairs, QUANTIZE_SAFE_BOUND,
+        fake_quant_sq_errors_scalar, quantize_codes_scalar, quantize_symmetric_scalar, BlockRef,
+        VPairs, QUANTIZE_SAFE_BOUND,
     };
     #[cfg(target_arch = "x86")]
     use std::arch::x86::*;
@@ -464,16 +493,30 @@ mod x86 {
         }
     }
 
+    /// `f32::round` (half away from zero) of every lane, which is *not*
+    /// a hardware rounding mode, rebuilt as truncate + bump: a lane whose
+    /// dropped fraction is ≥ 0.5 adds ±1 with the operand's sign. The
+    /// bump is only ever nonzero below 2²⁴ (larger floats are already
+    /// integers), so the add is exact. NaN stays NaN.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn round_half_away(r: __m256) -> __m256 {
+        let signmask = _mm256_set1_ps(-0.0);
+        let t = _mm256_round_ps(r, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+        let frac = _mm256_andnot_ps(signmask, _mm256_sub_ps(r, t));
+        let bump = _mm256_and_ps(
+            _mm256_cmp_ps(frac, _mm256_set1_ps(0.5), _CMP_GE_OQ),
+            _mm256_or_ps(_mm256_and_ps(signmask, r), _mm256_set1_ps(1.0)),
+        );
+        _mm256_add_ps(t, bump)
+    }
+
     // Bit-identical AVX2 replication of the scalar quantize map. IEEE
     // division is correctly rounded, so `divps` matches scalar `/` lane
-    // for lane; `f32::round` (half away from zero) is *not* a hardware
-    // rounding mode, so it is rebuilt as truncate + bump: a lane whose
-    // dropped fraction is ≥ 0.5 adds ±1 with the operand's sign. The
-    // bump is only ever nonzero below 2²⁴ (larger floats are already
-    // integers), so the add is exact; any lane whose rounded magnitude
-    // reaches [`QUANTIZE_SAFE_BOUND`] — including NaN/∞, which fail the
-    // ordered compare — is redone through the scalar map instead of
-    // trusting `cvtps` out-of-range behavior.
+    // for lane, and [`round_half_away`] rebuilds `f32::round`; any lane
+    // whose rounded magnitude reaches [`QUANTIZE_SAFE_BOUND`] — including
+    // NaN/∞, which fail the ordered compare — is redone through the
+    // scalar map instead of trusting `cvtps` out-of-range behavior.
 
     /// # Safety
     /// Caller must ensure AVX2 and `|zp| ≤ 2³⁰`.
@@ -486,8 +529,6 @@ mod x86 {
         out: &mut [u32],
     ) {
         let sv = _mm256_set1_ps(scale);
-        let half = _mm256_set1_ps(0.5);
-        let one = _mm256_set1_ps(1.0);
         let signmask = _mm256_set1_ps(-0.0);
         let bound = _mm256_set1_ps(QUANTIZE_SAFE_BOUND);
         let zpv = _mm256_set1_epi32(zp);
@@ -498,13 +539,7 @@ mod x86 {
         while j + 8 <= n {
             let x = _mm256_loadu_ps(values.as_ptr().add(j));
             let r = _mm256_div_ps(x, sv);
-            let t = _mm256_round_ps(r, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
-            let frac = _mm256_andnot_ps(signmask, _mm256_sub_ps(r, t));
-            let bump = _mm256_and_ps(
-                _mm256_cmp_ps(frac, half, _CMP_GE_OQ),
-                _mm256_or_ps(_mm256_and_ps(signmask, r), one),
-            );
-            let rounded = _mm256_add_ps(t, bump);
+            let rounded = round_half_away(r);
             let safe = _mm256_cmp_ps(_mm256_andnot_ps(signmask, rounded), bound, _CMP_LT_OQ);
             if _mm256_movemask_ps(safe) != 0xFF {
                 quantize_codes_scalar(&values[j..j + 8], scale, zp, max_code, &mut out[j..j + 8]);
@@ -519,6 +554,70 @@ mod x86 {
         quantize_codes_scalar(&values[j..n], scale, zp, max_code, &mut out[j..n]);
     }
 
+    /// The quantize map above with a scale and zero point per lane, then
+    /// the dequantization `s · (code − z)` (centered in i32, converted
+    /// and multiplied in that order) and both squares. Eight lanes whose
+    /// rounded magnitude or zero point passes [`QUANTIZE_SAFE_BOUND`]
+    /// (NaN and ∞ included) are redone through the scalar map; any other
+    /// code stays within `±(2³⁰ + max_code)`, so every i32 step is exact.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2, `max_code < 2³⁰`, and `scales`,
+    /// `zero_points`, `err` and `sq` each holding `values.len()` values.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn fake_quant_sq_errors_avx2(
+        values: &[f32],
+        scales: &[f32],
+        zero_points: &[i32],
+        max_code: u32,
+        (err, sq): (&mut [f32], &mut [f32]),
+    ) {
+        let signmask = _mm256_set1_ps(-0.0);
+        let bound = _mm256_set1_ps(QUANTIZE_SAFE_BOUND);
+        let zp_hi = _mm256_set1_epi32(1 << 30);
+        let zp_lo = _mm256_set1_epi32(-(1 << 30));
+        let zero = _mm256_setzero_si256();
+        let maxv = _mm256_set1_epi32(max_code as i32);
+        let n = values.len();
+        let mut j = 0usize;
+        while j + 8 <= n {
+            let x = _mm256_loadu_ps(values.as_ptr().add(j));
+            let s = _mm256_loadu_ps(scales.as_ptr().add(j));
+            let z = _mm256_loadu_si256(zero_points.as_ptr().add(j) as *const __m256i);
+            let r = _mm256_div_ps(x, s);
+            let rounded = round_half_away(r);
+            let safe = _mm256_cmp_ps(_mm256_andnot_ps(signmask, rounded), bound, _CMP_LT_OQ);
+            let wide_zp =
+                _mm256_or_si256(_mm256_cmpgt_epi32(z, zp_hi), _mm256_cmpgt_epi32(zp_lo, z));
+            if _mm256_movemask_ps(safe) != 0xFF || _mm256_movemask_epi8(wide_zp) != 0 {
+                let lanes = j..j + 8;
+                fake_quant_sq_errors_scalar(
+                    &values[lanes.clone()],
+                    &scales[lanes.clone()],
+                    &zero_points[lanes.clone()],
+                    max_code,
+                    (&mut err[lanes.clone()], &mut sq[lanes]),
+                );
+                j += 8;
+                continue;
+            }
+            let code = _mm256_add_epi32(_mm256_cvtps_epi32(rounded), z);
+            let code = _mm256_min_epi32(_mm256_max_epi32(code, zero), maxv);
+            let xh = _mm256_mul_ps(s, _mm256_cvtepi32_ps(_mm256_sub_epi32(code, z)));
+            let e = _mm256_sub_ps(x, xh);
+            _mm256_storeu_ps(err.as_mut_ptr().add(j), _mm256_mul_ps(e, e));
+            _mm256_storeu_ps(sq.as_mut_ptr().add(j), _mm256_mul_ps(x, x));
+            j += 8;
+        }
+        fake_quant_sq_errors_scalar(
+            &values[j..],
+            &scales[j..],
+            &zero_points[j..],
+            max_code,
+            (&mut err[j..], &mut sq[j..]),
+        );
+    }
+
     // The symmetric map needs no safe-lane fallback: the dispatcher
     // guarantees a positive finite scale, so `x/s` is NaN-free for any
     // finite `x`, non-finite inputs are masked to 0 (an ordered `|x| < ∞`
@@ -531,8 +630,6 @@ mod x86 {
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn quantize_symmetric_avx2(values: &[f32], scale: f32, out: &mut [i8]) {
         let sv = _mm256_set1_ps(scale);
-        let half = _mm256_set1_ps(0.5);
-        let one = _mm256_set1_ps(1.0);
         let signmask = _mm256_set1_ps(-0.0);
         let inf = _mm256_set1_ps(f32::INFINITY);
         let lim = _mm256_set1_ps(127.0);
@@ -544,13 +641,7 @@ mod x86 {
             let x = _mm256_loadu_ps(values.as_ptr().add(j));
             let finite = _mm256_cmp_ps(_mm256_andnot_ps(signmask, x), inf, _CMP_LT_OQ);
             let r = _mm256_div_ps(x, sv);
-            let t = _mm256_round_ps(r, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
-            let frac = _mm256_andnot_ps(signmask, _mm256_sub_ps(r, t));
-            let bump = _mm256_and_ps(
-                _mm256_cmp_ps(frac, half, _CMP_GE_OQ),
-                _mm256_or_ps(_mm256_and_ps(signmask, r), one),
-            );
-            let rounded = _mm256_add_ps(t, bump);
+            let rounded = round_half_away(r);
             let clamped = _mm256_min_ps(_mm256_max_ps(rounded, nlim), lim);
             let q = _mm256_cvtps_epi32(_mm256_and_ps(clamped, finite));
             _mm256_storeu_si256(tmp.as_mut_ptr() as *mut __m256i, q);
@@ -671,6 +762,62 @@ pub(crate) fn quantize_codes(
             x86::quantize_codes_avx2(values, scale, zp, max_code, out)
         },
         _ => quantize_codes_scalar(values, scale, zp, max_code, out),
+    }
+}
+
+/// The squared fake-quantization error of one row whose lanes carry their
+/// own parameters, on the chosen kernel: for `x = values[i]` and `x̂`
+/// its fake quantization at `bits` with scale `scales[i]` and zero point
+/// `zero_points[i]`, `err[i] = (x − x̂)²` and `sq[i] = x²`.
+///
+/// A row of a block-quantized map holds one lane per column, each with
+/// its block's parameters, so a caller streams a map row by row and sums
+/// the errors in row-major order. For a positive finite scale, `x̂` is
+/// bit for bit [`crate::QuantParams::fake_quant`] of the lane's
+/// parameters on every kernel (at `B0`, `x̂ = 0`): AVX2 divides (no
+/// reciprocal), rounds half away from zero, and redoes through the
+/// scalar map any lane whose `|round(x/s)|` reaches 2³⁰ or whose `|z|`
+/// passes it, NaN and ±∞ included.
+///
+/// # Panics
+///
+/// If the CPU does not support `kernel`, or if `scales`, `zero_points`,
+/// `err` and `sq` do not each hold `values.len()` values: the bounds the
+/// AVX2 body relies on.
+pub fn fake_quant_sq_errors(
+    kernel: Kernel,
+    values: &[f32],
+    scales: &[f32],
+    zero_points: &[i32],
+    bits: Bitwidth,
+    err: &mut [f32],
+    sq: &mut [f32],
+) {
+    assert!(
+        kernel.is_supported(),
+        "{kernel} is not supported by this CPU"
+    );
+    let n = values.len();
+    assert!(
+        scales.len() == n && zero_points.len() == n && err.len() == n && sq.len() == n,
+        "lane parameters and outputs must match the row"
+    );
+    if bits == Bitwidth::B0 {
+        // Every value reads back as 0, whatever its parameters.
+        for ((e2, x2), &x) in err.iter_mut().zip(sq.iter_mut()).zip(values) {
+            *e2 = x * x;
+            *x2 = x * x;
+        }
+        return;
+    }
+    match kernel {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        // SAFETY: the CPU supports AVX2 and every slice holds `n` values
+        // (both asserted above); a bitwidth's largest code is below 2³⁰.
+        Kernel::Avx2 => unsafe {
+            x86::fake_quant_sq_errors_avx2(values, scales, zero_points, bits.max_code(), (err, sq))
+        },
+        _ => fake_quant_sq_errors_scalar(values, scales, zero_points, bits.max_code(), (err, sq)),
     }
 }
 

@@ -50,8 +50,9 @@ pub use grouping::{
     Grouping,
 };
 pub use int_attn::{packed_attn_v, packed_attn_v_with, PackedAttnV, PerColCodes};
+pub use kernels::fake_quant_sq_errors;
 pub use mixed_map::{MixedPrecisionMap, PARAM_BYTES_PER_BLOCK};
 pub use packed::PackedCodes;
-pub use params::QuantParams;
+pub use params::{widen_range, QuantParams};
 pub use qkt::{qkt_scores_with, KeySpan, WideRows};
 pub use symmetric::SymmetricInt8;

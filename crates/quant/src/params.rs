@@ -25,9 +25,15 @@ pub(crate) fn finite_range(values: &[f32]) -> (f32, f32) {
     )
 }
 
-/// Widens the per-lane ranges `lo[j]..=hi[j]` by the finite `values[j]`.
+/// Widens the per-lane ranges `lo[j]..=hi[j]` by the finite `values[j]`
+/// (non-finite values leave their lane as it is). Start the lanes at
+/// `+∞` and `−∞`; once they have seen a group's values, their smallest
+/// `lo` and largest `hi` are the range that
+/// [`QuantParams::from_finite_range`] calibrates at any bitwidth. The
+/// lanes meet the values in any order: min and max are exact, and only
+/// the sign of a zero bound can differ, which calibration ignores.
 #[inline(always)]
-pub(crate) fn widen_range(lo: &mut [f32], hi: &mut [f32], values: &[f32]) {
+pub fn widen_range(lo: &mut [f32], hi: &mut [f32], values: &[f32]) {
     for ((l, h), &v) in lo.iter_mut().zip(hi.iter_mut()).zip(values) {
         // Branch-free compare-and-select, so the lanes vectorize (the NaN
         // rule of `f32::min`/`max` does not): a non-finite `v` becomes
@@ -104,8 +110,8 @@ impl QuantParams {
     /// [`QuantParams::calibrate_minmax`] of a group whose smallest and
     /// largest finite values are `lo` and `hi` (`+∞` and `−∞` when it
     /// has none). Either zero may carry either sign: `±0` gives the same
-    /// parameters.
-    pub(crate) fn from_finite_range(lo: f32, hi: f32, bits: Bitwidth) -> Self {
+    /// parameters. One range serves every bitwidth.
+    pub fn from_finite_range(lo: f32, hi: f32, bits: Bitwidth) -> Self {
         if bits == Bitwidth::B0 {
             return QuantParams::new(1.0, 0, bits);
         }

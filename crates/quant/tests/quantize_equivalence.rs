@@ -7,7 +7,10 @@
 //! NaN/∞ and overflowing magnitudes. Test names are prefixed `kernel_` so
 //! the CI sanitizer job can select exactly this suite.
 
-use paro_quant::{fake_quant_2d, Bitwidth, BlockGrid, Grouping, MixedPrecisionMap, QuantParams};
+use paro_quant::{
+    fake_quant_2d, fake_quant_blocks, fake_quant_sq_errors, Bitwidth, BlockGrid, Grouping,
+    MixedPrecisionMap, QuantParams,
+};
 use paro_tensor::kernel::Kernel;
 use paro_tensor::Tensor;
 use proptest::prelude::*;
@@ -197,6 +200,128 @@ fn kernel_fake_quant_rows_and_cols_match_elementwise() {
                     p.fake_quant(x).to_bits(),
                     "{grouping:?} {bits} element {i} ({x})"
                 );
+            }
+        }
+    }
+}
+
+/// The per-lane error map of block-row calibration on every kernel:
+/// `err = (x − x̂)²` and `sq = x²`, with `x̂` the scalar
+/// `QuantParams::fake_quant` of each lane's own parameters, bit for bit.
+/// Rows of every length 0–17, 63–65 and 1,152 (whole and ragged 8-lane
+/// chunks) carry NaN, ±∞, ±0, subnormals and exact halves; the lanes
+/// either share one parameter set or cycle through scales of
+/// `f32::MIN_POSITIVE` and zero points at ±2³⁰, one past them and at the
+/// i32 ends, so a chunk mixes fast and scalar lanes.
+#[test]
+fn kernel_fake_quant_sq_errors_match_fake_quant() {
+    let specials = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        0.0,
+        -0.0,
+        1.0e-40,
+        -1.0e-45,
+        f32::MIN_POSITIVE,
+        0.5,
+        -2.5,
+        3.0e12,
+        1.5,
+    ];
+    let lane_params: [(f32, i32); 12] = [
+        (0.01, 7),
+        (f32::MIN_POSITIVE, 0),
+        (f32::MIN_POSITIVE, 3),
+        (0.37, 1 << 30),
+        (0.37, -(1 << 30)),
+        (0.37, (1 << 30) + 1),
+        (0.37, -(1 << 30) - 1),
+        (2.5, i32::MAX),
+        (2.5, i32::MIN),
+        (1.0e-3, -5),
+        (7.0, 100),
+        (1.0e-38, 2),
+    ];
+    let mut s = 0x5ca1e_u64;
+    let lengths = (0..=17).chain(63..=65).chain([1152]);
+    for len in lengths {
+        let values: Vec<f32> = (0..len)
+            .map(|i| {
+                if i % 5 == 3 {
+                    specials[(i / 5) % specials.len()]
+                } else {
+                    (unit_f32(&mut s) - 0.5) * 4.0
+                }
+            })
+            .collect();
+        let shared = vec![(0.015f32, 17i32); len];
+        let cycled: Vec<(f32, i32)> = (0..len)
+            .map(|i| lane_params[(i * 7) % lane_params.len()])
+            .collect();
+        for lanes in [shared, cycled] {
+            let (scales, zps): (Vec<f32>, Vec<i32>) = lanes.iter().copied().unzip();
+            for bits in Bitwidth::ALL {
+                let (want_err, want_sq): (Vec<u32>, Vec<u32>) = values
+                    .iter()
+                    .zip(&lanes)
+                    .map(|(&x, &(scale, zp))| {
+                        let e = x - QuantParams::new(scale, zp, bits).fake_quant(x);
+                        ((e * e).to_bits(), (x * x).to_bits())
+                    })
+                    .unzip();
+                for kernel in Kernel::supported() {
+                    let (mut err, mut sq) = (vec![0.0f32; len], vec![0.0f32; len]);
+                    fake_quant_sq_errors(kernel, &values, &scales, &zps, bits, &mut err, &mut sq);
+                    let err: Vec<u32> = err.iter().map(|v| v.to_bits()).collect();
+                    let sq: Vec<u32> = sq.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(err, want_err, "{kernel} {bits} len={len}");
+                    assert_eq!(sq, want_sq, "{kernel} {bits} len={len}");
+                }
+            }
+        }
+    }
+}
+
+/// `fake_quant_blocks` on every block shape, ragged edges included:
+/// each block's parameters are `calibrate_minmax` of its values and each
+/// element its scalar `fake_quant`, bit for bit, with mixed widths.
+#[test]
+fn kernel_fake_quant_blocks_match_elementwise() {
+    let (m, n) = (23, 17);
+    let mut s = 0xb10c_u64;
+    let mut data: Vec<f32> = (0..m * n).map(|_| unit_f32(&mut s) * 0.3).collect();
+    data[5] = f32::NAN;
+    data[40] = f32::INFINITY;
+    data[77] = -0.0;
+    let t = Tensor::from_vec(&[m, n], data).unwrap();
+    for grid in [
+        BlockGrid::square(6).unwrap(),
+        BlockGrid::new(4, 7).unwrap(),
+        BlockGrid::square(30).unwrap(),
+    ] {
+        let (gr, gc) = grid.grid_dims(m, n);
+        let bits: Vec<Bitwidth> = (0..gr * gc).map(|b| Bitwidth::ALL[b % 4]).collect();
+        let (got, params) = fake_quant_blocks(&t, grid, &bits).unwrap();
+        for bi in 0..gr {
+            for bj in 0..gc {
+                let (r0, c0, h, w) = grid.block_bounds(bi, bj, m, n);
+                let block = t.block(r0, c0, h, w).unwrap();
+                let p = params[bi * gc + bj];
+                assert_eq!(
+                    p,
+                    QuantParams::calibrate_minmax(block.as_slice(), bits[bi * gc + bj])
+                );
+                for r in r0..r0 + h {
+                    for c in c0..c0 + w {
+                        let want = p.fake_quant(t.at(&[r, c]));
+                        assert_eq!(
+                            got.at(&[r, c]).to_bits(),
+                            want.to_bits(),
+                            "{grid:?} ({r}, {c})"
+                        );
+                    }
+                }
             }
         }
     }

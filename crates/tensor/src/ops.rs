@@ -272,7 +272,7 @@ fn softmax_avx2(row: &mut [f32]) {
 #[inline(always)]
 fn softmax_body(row: &mut [f32]) {
     const LANES: usize = 8;
-    let max = row_max(row);
+    let max = row_max_body(row);
     let shift = if max == f32::NEG_INFINITY { 0.0 } else { max };
     // Eight independent sums, as `row_max` keeps eight maxima: one running
     // sum is a serial chain of adds that does not vectorize.
@@ -364,6 +364,14 @@ pub fn exp(x: f32) -> f32 {
 /// waiting on one compare chain. Only the sign of a zero maximum may
 /// differ, which no `x − max` can observe.
 pub fn row_max(row: &[f32]) -> f32 {
+    row_max_body(row)
+}
+
+/// The loop of [`row_max`], inlined into [`softmax_body`] too, so the
+/// AVX2 softmax scans its row for the maximum on ymm registers instead
+/// of calling the baseline-x86-64 copy of [`row_max`].
+#[inline(always)]
+fn row_max_body(row: &[f32]) -> f32 {
     const LANES: usize = 8;
     let mut lanes = [f32::NEG_INFINITY; LANES];
     let chunks = row.chunks_exact(LANES);

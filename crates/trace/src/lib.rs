@@ -157,8 +157,21 @@ pub mod stage {
     /// f32 add into the output rows); none for a row whose blocks are all
     /// 0-bit. `detail` names the dispatched kernel.
     pub const ATTNV_MAC: &str = "attnv.mac";
-    /// Multi-sample offline head calibration (`calibrate_head`).
+    /// Multi-sample offline head calibration (`calibrate_head`), after
+    /// its argument checks: [`CALIBRATE_SELECT`],
+    /// [`CALIBRATE_SENSITIVITY`] and [`CALIBRATE_ALLOCATE`], which cover
+    /// it.
     pub const CALIBRATE_HEAD: &str = "calibrate.head";
+    /// Plan selection inside [`CALIBRATE_HEAD`]: the one shared copy of
+    /// the calibration maps and the pool batch that scores every
+    /// (sample, axis order) candidate.
+    pub const CALIBRATE_SELECT: &str = "calibrate.select";
+    /// The sensitivity table of the averaged reordered map inside
+    /// [`CALIBRATE_HEAD`]: one pool batch over ranges of its block rows.
+    pub const CALIBRATE_SENSITIVITY: &str = "calibrate.sensitivity";
+    /// The greedy bit allocation inside [`CALIBRATE_HEAD`], on the
+    /// calling thread.
+    pub const CALIBRATE_ALLOCATE: &str = "calibrate.allocate";
     /// Backoff sleep before one retry of a transiently-faulted request.
     pub const SERVE_RETRY_BACKOFF: &str = "serve.retry_backoff";
     /// Degraded fallback: the reference f32 attention path run after the
@@ -226,6 +239,9 @@ pub mod stage {
         ATTNV_UNPACK,
         ATTNV_MAC,
         CALIBRATE_HEAD,
+        CALIBRATE_SELECT,
+        CALIBRATE_SENSITIVITY,
+        CALIBRATE_ALLOCATE,
         SERVE_RETRY_BACKOFF,
         SERVE_FALLBACK,
         KERNEL_DISPATCH,
